@@ -16,6 +16,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -25,24 +26,23 @@ from .model import (
     AdiabaticPath,
     linear_schedule,
     load_path_json,
-    path_matrix,
+    path_spectrum,
     polynomial_schedule,
     tfim_path,
 )
 from .evolve import (
     EvolutionSpec,
+    discrete_product,
     exact_state_evolution,
     grid_points,
-    ordered_product,
     trotter_evolution,
 )
-from .errors import adiabatic_bound, endpoint_states, fidelity_error, scaling_index
+from .errors import bound_profile, endpoint_states, fidelity_error, scaling_index
 from .eigenframes import (
-    eigenframe_sequence,
-    first_order_error,
     propagator_expansion,
     transition_amplitudes,
     transition_matrices,
+    transported_frames,
 )
 from .riemann_lebesgue import OscillatorySumSpec, sum_bounds
 from .zeno import effective_family, hermitian_family, near_degeneracy_test
@@ -107,7 +107,18 @@ class RunConfig:
             raise ConfigError("threads must be >= 1")
 
     def digest(self) -> str:
-        payload = json.dumps(asdict(self), sort_keys=True, default=float)
+        """Hash of the fields that can change the output.
+
+        ``threads`` only spreads sweep points over workers, so it is left
+        out; the Hamiltonian file enters by its contents, not its path.
+        """
+        data = asdict(self)
+        del data["threads"]
+        if self.hamiltonian_file:
+            data["hamiltonian_file"] = hashlib.sha256(
+                Path(self.hamiltonian_file).read_bytes()
+            ).hexdigest()
+        payload = json.dumps(data, sort_keys=True, default=float)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def t_grid(self) -> np.ndarray:
@@ -180,17 +191,6 @@ def _format_cell(value) -> str:
 # sweep cores
 
 
-def _discrete_frames(path: AdiabaticPath, steps: int, grid: str):
-    s_values = grid_points(steps, grid)
-    energies, bases = np.linalg.eigh(path_matrix(path, s_values))
-    return energies, bases, np.conj(np.swapaxes(bases, 1, 2))
-
-
-def _discrete_from_frames(energies, bases, bases_h, dt: float) -> np.ndarray:
-    phases = np.exp(-1j * energies * dt)
-    return ordered_product((bases * phases[:, None, :]) @ bases_h)
-
-
 def fig1_rows(config: RunConfig) -> list[dict]:
     """Norm distance against Trotter-only fidelity error over the T grid.
 
@@ -200,11 +200,11 @@ def fig1_rows(config: RunConfig) -> list[dict]:
     """
     path = config.build_path()
     psi_i, _ = endpoint_states(path)
-    energies, bases, bases_h = _discrete_frames(path, config.steps, config.grid)
+    spectrum = path_spectrum(path, grid_points(config.steps, config.grid))
 
     def one(total_time: float) -> dict:
         dt = total_time / config.steps
-        a_d = _discrete_from_frames(energies, bases, bases_h, dt)
+        a_d = discrete_product(spectrum, dt)
         spec = EvolutionSpec(
             path=path, total_time=total_time, steps=config.steps, grid=config.grid
         )
@@ -250,43 +250,32 @@ def fig2_rows(config: RunConfig) -> tuple[list[dict], float]:
 
 
 def fig3_rows(config: RunConfig) -> tuple[list[dict], dict]:
-    """Near-degeneracy pass/fail over the dt grid plus per-dt overlap traces."""
+    """Near-degeneracy pass/fail over the dt grid plus per-dt overlap traces.
+
+    A trace dt on the grid reuses that grid point's trace.
+    """
     path = config.build_path()
     psi_i, _ = endpoint_states(path)
 
-    def one(dt: float) -> dict:
-        family = effective_family(path, dt)
-        trace = near_degeneracy_test(
-            family,
+    def trace_at(dt: float):
+        return near_degeneracy_test(
+            effective_family(path, dt),
             steps=config.zeno_steps,
             threshold=config.zeno_threshold,
             initial_state=psi_i,
         )
-        return {
-            "dt": dt,
-            "pass": trace.passed,
-            "min_overlap": trace.min_overlap,
-            "_trace": trace,
-        }
 
-    rows = _parallel(one, [float(dt) for dt in config.dt_grid()], config.threads)
+    dts = [float(dt) for dt in config.dt_grid()]
+    grid_traces = _parallel(trace_at, dts, config.threads)
+    rows = [
+        {"dt": dt, "pass": trace.passed, "min_overlap": trace.min_overlap}
+        for dt, trace in zip(dts, grid_traces)
+    ]
     traces = {}
     for dt in config.trace_dts:
         dt = float(dt)
-        match = next((r for r in rows if abs(r["dt"] - dt) < 1e-12), None)
-        if match is None:
-            family = effective_family(path, dt)
-            trace = near_degeneracy_test(
-                family,
-                steps=config.zeno_steps,
-                threshold=config.zeno_threshold,
-                initial_state=psi_i,
-            )
-        else:
-            trace = match["_trace"]
-        traces[dt] = trace
-    for row in rows:
-        row.pop("_trace")
+        match = next((t for d, t in zip(dts, grid_traces) if abs(d - dt) < 1e-12), None)
+        traces[dt] = match if match is not None else trace_at(dt)
     return rows, traces
 
 
@@ -317,27 +306,32 @@ def rl_rows(config: RunConfig) -> list[dict]:
 
 def gamma_rows(config: RunConfig) -> list[dict]:
     """Frame-propagator summary per T: exact error, first-order estimate,
-    and the cross-module fidelity check."""
+    and the cross-module fidelity check.
+
+    The grid is diagonalized once; its frames and transitions do not depend
+    on T.  The fidelity check's discrete propagator comes from the raw
+    (untransported) bases, so it stays independent of the frame expansion.
+    """
     path = config.build_path()
     psi_i, psi_f = endpoint_states(path)
-    energies, bases, bases_h = _discrete_frames(path, config.steps, config.grid)
+    spectrum = path_spectrum(path, grid_points(config.steps, config.grid))
+    frames = transported_frames(spectrum)
+    transitions = transition_matrices(frames)
     rows = []
     for total_time in config.gamma_t_values:
         total_time = float(total_time)
         spec = EvolutionSpec(
             path=path, total_time=total_time, steps=config.steps, grid=config.grid
         )
-        frames = eigenframe_sequence(spec)
-        transitions = transition_matrices(frames)
         amplitudes = transition_amplitudes(spec, frames)
         expansion = propagator_expansion(frames, transitions, total_time, amplitudes)
-        a_d = _discrete_from_frames(energies, bases, bases_h, spec.dt)
+        a_d = discrete_product(spectrum, spec.dt)
         rows.append(
             {
                 "T": total_time,
                 "L": config.steps,
                 "eps_adb_exact": expansion.adiabatic_error,
-                "eps_first_order": first_order_error(amplitudes),
+                "eps_first_order": expansion.first_order_error,
                 "fidelity_check": fidelity_error(a_d @ psi_i, psi_f),
             }
         )
@@ -346,9 +340,10 @@ def gamma_rows(config: RunConfig) -> list[dict]:
 
 def bound_rows(config: RunConfig) -> list[dict]:
     path = config.build_path()
+    profile = bound_profile(path, config.bound_quad_points)
     rows = []
     for total_time in config.t_grid():
-        report = adiabatic_bound(path, float(total_time), config.bound_quad_points)
+        report = profile.report(float(total_time))
         rows.append(
             {
                 "T": float(total_time),
@@ -378,18 +373,7 @@ def zeno_rows(config: RunConfig) -> list[dict]:
         threshold=config.zeno_threshold,
         initial_state=initial,
     )
-    return [
-        {
-            "step": j + 1,
-            "s": (j + 1) / config.zeno_steps,
-            "overlap": trace.overlaps[j],
-        }
-        for j in range(config.zeno_steps)
-    ]
-
-
-# ---------------------------------------------------------------------------
-# command wiring
+    return _trace_rows(trace)
 
 
 def _trace_rows(trace) -> list[dict]:
@@ -400,165 +384,107 @@ def _trace_rows(trace) -> list[dict]:
     ]
 
 
-def cmd_fig1(config: RunConfig, out: Path, want_svg: bool) -> None:
-    rows = fig1_rows(config)
-    write_csv(out / "fig1.csv", ["T", "dt", "norm_dist", "eps_tro"], rows, config)
-    if want_svg:
-        ts = [r["T"] for r in rows]
-        svgmod.write_line_plot(
-            out / "fig1.svg",
-            [
-                ("norm_dist", ts, [r["norm_dist"] for r in rows]),
-                ("eps_tro", ts, [r["eps_tro"] for r in rows]),
-            ],
-            title="Norm distance vs Trotter fidelity error",
-            xlabel="T",
-            ylabel="error",
-            logx=True,
-            logy=True,
-        )
+# ---------------------------------------------------------------------------
+# command table
 
 
-def cmd_fig2(config: RunConfig, out: Path, want_svg: bool) -> None:
+@dataclass(frozen=True)
+class Command:
+    """One sweep: how to run it, its CSV columns, and its SVG plot.
+
+    ``run`` returns (rows, extra CSV comments, overlap traces by dt).  The
+    plot draws each column in ``series`` against column ``x``.
+    """
+
+    run: Callable[[RunConfig], tuple]
+    columns: tuple[str, ...]
+    x: str
+    series: tuple[str, ...]
+    title: str
+    ylabel: str
+    log: bool = False
+
+
+TRACE_COLUMNS = ("step", "s", "overlap")
+
+
+def _fig2(config: RunConfig):
     rows, index = fig2_rows(config)
-    write_csv(
-        out / "fig2.csv",
-        ["T", "eps_adb", "eps_tro", "eps_tot"],
-        rows,
-        config,
-        extra_comments=[f"scaling_index_robust_window={index!r}"],
-    )
-    if want_svg:
-        ts = [r["T"] for r in rows]
-        svgmod.write_line_plot(
-            out / "fig2.svg",
-            [
-                ("eps_adb", ts, [r["eps_adb"] for r in rows]),
-                ("eps_tro", ts, [r["eps_tro"] for r in rows]),
-                ("eps_tot", ts, [r["eps_tot"] for r in rows]),
-            ],
-            title="Error scaling",
-            xlabel="T",
-            ylabel="error",
-            logx=True,
-            logy=True,
-        )
+    return rows, [f"scaling_index_robust_window={index!r}"], {}
 
 
-def cmd_fig3(config: RunConfig, out: Path, want_svg: bool) -> None:
+def _fig3(config: RunConfig):
     rows, traces = fig3_rows(config)
-    write_csv(out / "fig3.csv", ["dt", "pass", "min_overlap"], rows, config)
-    for dt, trace in sorted(traces.items()):
-        write_csv(
-            out / f"fig3_trace_dt{dt:g}.csv",
-            ["step", "s", "overlap"],
-            _trace_rows(trace),
-            config,
-        )
-    if want_svg:
-        svgmod.write_line_plot(
-            out / "fig3.svg",
-            [("min_overlap", [r["dt"] for r in rows], [r["min_overlap"] for r in rows])],
-            title="Near-degeneracy test over Trotter step",
-            xlabel="dt",
-            ylabel="min overlap",
-        )
+    return rows, [], traces
 
 
-def cmd_rl(config: RunConfig, out: Path, want_svg: bool) -> None:
-    rows = rl_rows(config)
-    write_csv(
-        out / "rl.csv",
-        [
-            "T",
-            "L",
-            "dt",
-            "abs_J",
-            "abs_I",
-            "boundary_bound",
-            "first_order_bound",
-            "second_order_bound",
-            "threshold_ok",
-        ],
-        rows,
-        config,
-    )
-    if want_svg:
-        svgmod.write_line_plot(
-            out / "rl.svg",
-            [("abs_J", [r["dt"] for r in rows], [r["abs_J"] for r in rows])],
-            title="Oscillatory sum magnitude",
-            xlabel="dt",
-            ylabel="|J|",
-        )
-
-
-def cmd_gamma(config: RunConfig, out: Path, want_svg: bool) -> None:
-    rows = gamma_rows(config)
-    write_csv(
-        out / "gamma.csv",
-        ["T", "L", "eps_adb_exact", "eps_first_order", "fidelity_check"],
-        rows,
-        config,
-    )
-    if want_svg:
-        ts = [r["T"] for r in rows]
-        svgmod.write_line_plot(
-            out / "gamma.svg",
-            [
-                ("eps_adb_exact", ts, [r["eps_adb_exact"] for r in rows]),
-                ("eps_first_order", ts, [r["eps_first_order"] for r in rows]),
-            ],
-            title="Discrete adiabatic error",
-            xlabel="T",
-            ylabel="error",
-            logx=True,
-            logy=True,
-        )
-
-
-def cmd_bound(config: RunConfig, out: Path, want_svg: bool) -> None:
-    rows = bound_rows(config)
-    write_csv(
-        out / "bound.csv",
-        ["T", "boundary_start", "boundary_end", "integral_term", "total"],
-        rows,
-        config,
-    )
-    if want_svg:
-        svgmod.write_line_plot(
-            out / "bound.svg",
-            [("total", [r["T"] for r in rows], [r["total"] for r in rows])],
-            title="Adiabatic-theorem bound",
-            xlabel="T",
-            ylabel="bound",
-            logx=True,
-            logy=True,
-        )
-
-
-def cmd_zeno(config: RunConfig, out: Path, want_svg: bool) -> None:
-    rows = zeno_rows(config)
-    write_csv(out / "zeno.csv", ["step", "s", "overlap"], rows, config)
-    if want_svg:
-        svgmod.write_line_plot(
-            out / "zeno.svg",
-            [("overlap", [r["s"] for r in rows], [r["overlap"] for r in rows])],
-            title="Overlap continuation",
-            xlabel="s",
-            ylabel="overlap",
-        )
-
-
+# The row functions are looked up when a command runs, not when the table
+# is built, so a wrapper installed on this module's names sees the call.
 COMMANDS = {
-    "fig1": cmd_fig1,
-    "fig2": cmd_fig2,
-    "fig3": cmd_fig3,
-    "rl": cmd_rl,
-    "gamma": cmd_gamma,
-    "bound": cmd_bound,
-    "zeno": cmd_zeno,
+    "fig1": Command(
+        lambda config: (fig1_rows(config), [], {}),
+        ("T", "dt", "norm_dist", "eps_tro"),
+        x="T", series=("norm_dist", "eps_tro"),
+        title="Norm distance vs Trotter fidelity error", ylabel="error", log=True,
+    ),
+    "fig2": Command(
+        _fig2,
+        ("T", "eps_adb", "eps_tro", "eps_tot"),
+        x="T", series=("eps_adb", "eps_tro", "eps_tot"),
+        title="Error scaling", ylabel="error", log=True,
+    ),
+    "fig3": Command(
+        _fig3,
+        ("dt", "pass", "min_overlap"),
+        x="dt", series=("min_overlap",),
+        title="Near-degeneracy test over Trotter step", ylabel="min overlap",
+    ),
+    "rl": Command(
+        lambda config: (rl_rows(config), [], {}),
+        ("T", "L", "dt", "abs_J", "abs_I", "boundary_bound", "first_order_bound",
+         "second_order_bound", "threshold_ok"),
+        x="dt", series=("abs_J",),
+        title="Oscillatory sum magnitude", ylabel="|J|",
+    ),
+    "gamma": Command(
+        lambda config: (gamma_rows(config), [], {}),
+        ("T", "L", "eps_adb_exact", "eps_first_order", "fidelity_check"),
+        x="T", series=("eps_adb_exact", "eps_first_order"),
+        title="Discrete adiabatic error", ylabel="error", log=True,
+    ),
+    "bound": Command(
+        lambda config: (bound_rows(config), [], {}),
+        ("T", "boundary_start", "boundary_end", "integral_term", "total"),
+        x="T", series=("total",),
+        title="Adiabatic-theorem bound", ylabel="bound", log=True,
+    ),
+    "zeno": Command(
+        lambda config: (zeno_rows(config), [], {}),
+        TRACE_COLUMNS,
+        x="s", series=("overlap",),
+        title="Overlap continuation", ylabel="overlap",
+    ),
 }
+
+
+def run_command(name: str, config: RunConfig, out: Path, want_svg: bool) -> None:
+    """Run one sweep and write its CSV, its trace CSVs and, if asked, its SVG."""
+    command = COMMANDS[name]
+    rows, comments, traces = command.run(config)
+    write_csv(out / f"{name}.csv", command.columns, rows, config, comments)
+    for dt, trace in sorted(traces.items()):
+        write_csv(out / f"{name}_trace_dt{dt:g}.csv", TRACE_COLUMNS, _trace_rows(trace), config)
+    if want_svg:
+        xs = [r[command.x] for r in rows]
+        svgmod.write_line_plot(
+            out / f"{name}.svg",
+            [(key, xs, [r[key] for r in rows]) for key in command.series],
+            title=command.title,
+            xlabel=command.x,
+            ylabel=command.ylabel,
+            logx=command.log,
+            logy=command.log,
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -590,7 +516,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        COMMANDS[args.command](config, out, args.svg)
+        run_command(args.command, config, out, args.svg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -16,8 +16,8 @@ import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
 from .exceptions import DegeneratePath, GapClosure, NoConvergence
-from .linalg import _fix_column_phases, unitarity_defect
-from .model import AdiabaticPath, path_matrix
+from .linalg import _eigenvalue_clusters, _fix_column_phases, unitarity_defect
+from .model import AdiabaticPath, PathSpectrum, path_spectrum
 from .evolve import EvolutionSpec
 
 GROUND_GAP_TOL = 1e-9
@@ -46,15 +46,6 @@ class EigenFrame:
         return len(self.energies)
 
 
-def _clusters(values: np.ndarray, tol: float):
-    n = len(values)
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or values[i] - values[i - 1] >= tol:
-            yield start, i
-            start = i
-
-
 def _align_block(reference: np.ndarray, block: np.ndarray) -> np.ndarray:
     """Rotate a degenerate-cluster basis so its overlap with the reference
     columns is Hermitian positive semidefinite (polar alignment)."""
@@ -78,13 +69,13 @@ def _transport_gauge(
     bases[0] = _fix_column_phases(bases[0])
     if n_frames == 1:
         return bases
-    for lo, hi in _clusters(energies[0], cluster_tol):
+    for lo, hi in _eigenvalue_clusters(energies[0], cluster_tol):
         if hi - lo > 1:
             bases[0][:, lo:hi] = _align_block(bases[1][:, lo:hi], bases[0][:, lo:hi])
     for j in range(1, n_frames):
         prev = bases[j - 1]
         cur = bases[j]
-        for lo, hi in _clusters(energies[j], cluster_tol):
+        for lo, hi in _eigenvalue_clusters(energies[j], cluster_tol):
             if hi - lo > 1:
                 cur[:, lo:hi] = _align_block(prev[:, lo:hi], cur[:, lo:hi])
             else:
@@ -101,15 +92,26 @@ def eigenframe_sequence(
     cluster_tol: float = CLUSTER_TOL,
     ground_gap_tol: float = GROUND_GAP_TOL,
 ) -> list[EigenFrame]:
-    """Transported eigenframes of H(s_j) over the spec's grid.
+    """Transported eigenframes of H(s_j) over the spec's grid; see
+    :func:`transported_frames`."""
+    spectrum = path_spectrum(spec.path, spec.grid_points())
+    return transported_frames(spectrum, strict, cluster_tol, ground_gap_tol)
+
+
+def transported_frames(
+    spectrum: PathSpectrum,
+    strict: bool = False,
+    cluster_tol: float = CLUSTER_TOL,
+    ground_gap_tol: float = GROUND_GAP_TOL,
+) -> list[EigenFrame]:
+    """Eigenframes of a grid spectrum in the parallel-transport gauge.
 
     Raises :class:`DegeneratePath` when a ground state degenerates anywhere
     on the grid.  With strict=True any pair of levels closer than
     ground_gap_tol triggers the same error; the default tolerates degenerate
     excited levels, which the standard spin-chain endpoints have.
     """
-    s_values = spec.grid_points()
-    energies, bases = np.linalg.eigh(path_matrix(spec.path, s_values))
+    s_values, energies = spectrum.s_values, spectrum.energies
     for j in range(len(s_values)):
         gaps = np.diff(energies[j])
         if energies.shape[1] > 1 and gaps[0] <= ground_gap_tol:
@@ -127,7 +129,7 @@ def eigenframe_sequence(
                 level_a=level,
                 level_b=level + 1,
             )
-    bases = _transport_gauge(energies, bases, cluster_tol)
+    bases = _transport_gauge(energies, spectrum.bases, cluster_tol)
     return [
         EigenFrame(s=float(s_values[j]), energies=energies[j], basis=bases[j])
         for j in range(len(s_values))
@@ -266,11 +268,6 @@ def transition_amplitudes(spec: EvolutionSpec, frames: list[EigenFrame]) -> np.n
     return spacing * amplitudes
 
 
-def first_order_error(amplitudes: np.ndarray) -> float:
-    """Adiabatic-error estimate sqrt(sum_l |amplitude_l|^2)."""
-    return float(np.sqrt(np.sum(np.abs(amplitudes) ** 2)))
-
-
 def gamma_expansion(spec: EvolutionSpec, strict: bool = False) -> PropagatorExpansion:
     """One-stop driver: frames, transitions, expansion, and amplitudes."""
     frames = eigenframe_sequence(spec, strict=strict)
@@ -290,7 +287,8 @@ def _chunked_level_data(
     vl = np.empty((n, dim), dtype=complex)
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        w, v = np.linalg.eigh(path_matrix(path, s_values[start:stop]))
+        spectrum = path_spectrum(path, s_values[start:stop])
+        w, v = spectrum.energies, spectrum.bases
         gaps[start:stop] = w[:, level] - w[:, 0]
         v0[start:stop] = v[:, :, 0]
         vl[start:stop] = v[:, :, level]

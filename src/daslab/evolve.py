@@ -18,12 +18,13 @@ from scipy.integrate import solve_ivp
 
 from .exceptions import NoConvergence
 from .linalg import (
+    exp_from_eig,
     normalized_state,
     operator_norm,
     principal_log_hamiltonian,
     unitarity_defect,
 )
-from .model import AdiabaticPath, HermitianOperator, path_at, path_matrix
+from .model import AdiabaticPath, HermitianOperator, PathSpectrum, path_at, path_spectrum
 
 GRIDS = ("endpoints", "left", "midpoint")
 
@@ -167,12 +168,11 @@ def ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
-def _batched_unitaries(h_stack: np.ndarray, t) -> np.ndarray:
-    """exp(-i H t) for a stack of Hermitian matrices (t scalar or per-matrix)."""
-    w, v = np.linalg.eigh(h_stack)
-    t = np.asarray(t, dtype=float).reshape(-1, 1)
-    phases = np.exp(-1j * w * t)
-    return (v * phases[:, None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+def discrete_product(spectrum: PathSpectrum, dt: float) -> np.ndarray:
+    """Ordered product of the whole-step exponentials exp(-i H(s_j) dt)."""
+    return ordered_product(
+        exp_from_eig(spectrum.energies, spectrum.bases, dt, spectrum.adjoints)
+    )
 
 
 def _midpoint_product(path: AdiabaticPath, total_time: float, substeps: int) -> np.ndarray:
@@ -183,8 +183,7 @@ def _midpoint_product(path: AdiabaticPath, total_time: float, substeps: int) -> 
     for start in range(0, substeps, chunk):
         stop = min(start + chunk, substeps)
         mids = (np.arange(start, stop) + 0.5) / substeps
-        us = _batched_unitaries(path_matrix(path, mids), dt)
-        part = ordered_product(us)
+        part = discrete_product(path_spectrum(path, mids), dt)
         out = part if out is None else part @ out
     return out
 
@@ -252,43 +251,37 @@ def exact_state_evolution(
 
 def discrete_evolution(spec: EvolutionSpec) -> UnitaryOperator:
     """Ordered product of whole-step exponentials exp(-i H(s_j) dt), j = 1..L."""
-    s_values = spec.grid_points()
-    us = _batched_unitaries(path_matrix(spec.path, s_values), spec.dt)
-    return UnitaryOperator(ordered_product(us), "discrete", spec)
+    spectrum = path_spectrum(spec.path, spec.grid_points())
+    return UnitaryOperator(discrete_product(spectrum, spec.dt), "discrete", spec)
+
+
+def trotter_steps(spec: EvolutionSpec, s_values) -> np.ndarray:
+    """Stack of Trotter step unitaries, one per s; in each step layer k = 1
+    acts first (rightmost factor)."""
+    if not spec.layers:
+        raise ValueError("trotter evolution needs at least one layer")
+    steps = None
+    for layer, eig in zip(spec.layers, spec._layer_eigs):
+        if eig is None:
+            w, v = np.linalg.eigh(np.stack([layer.operator_at(s) for s in s_values]))
+        else:
+            w, v = eig
+            # Scale the energies before dt multiplies them: the phase rounds
+            # as (w * weight) * dt, never as w * (weight * dt).
+            w = np.outer([float(layer.weight(s)) for s in s_values], w)
+        factors = exp_from_eig(w, v, spec.dt)
+        steps = factors if steps is None else factors @ steps
+    return steps
 
 
 def trotter_step_unitary(spec: EvolutionSpec, s: float) -> np.ndarray:
     """Single Trotter step at s: layer k = 1 applied first (rightmost factor)."""
-    step = None
-    for layer, eig in zip(spec.layers, spec._layer_eigs):
-        if eig is None:
-            h = layer.operator_at(s)
-            w, v = np.linalg.eigh(h)
-            factor = (v * np.exp(-1j * w * spec.dt)[None, :]) @ v.conj().T
-        else:
-            w, v = eig
-            phase = np.exp(-1j * w * float(layer.weight(s)) * spec.dt)
-            factor = (v * phase[None, :]) @ v.conj().T
-        step = factor if step is None else factor @ step
-    return step
+    return trotter_steps(spec, [s])[0]
 
 
 def trotter_evolution(spec: EvolutionSpec) -> UnitaryOperator:
     """Trotterized propagator: per step, layer exponentials in layer order."""
-    if not spec.layers:
-        raise ValueError("trotter evolution needs at least one layer")
-    s_values = spec.grid_points()
-    steps = None
-    for layer, eig in zip(spec.layers, spec._layer_eigs):
-        if eig is None:
-            hs = np.stack([layer.operator_at(s) for s in s_values])
-            factors = _batched_unitaries(hs, spec.dt)
-        else:
-            w, v = eig
-            weights = np.array([float(layer.weight(s)) for s in s_values])
-            phases = np.exp(-1j * np.outer(weights, w) * spec.dt)
-            factors = (v[None, :, :] * phases[:, None, :]) @ v.conj().T[None, :, :]
-        steps = factors if steps is None else factors @ steps
+    steps = trotter_steps(spec, spec.grid_points())
     return UnitaryOperator(ordered_product(steps), "trotter", spec)
 
 

@@ -175,12 +175,24 @@ def unitary_eig(
     return theta, v
 
 
+def exp_from_eig(w, v, t, v_h=None) -> np.ndarray:
+    """exp(-i H t) = V diag(exp(-i w t)) V^dag from the eigenpairs (w, V) of H.
+
+    Works on one matrix or a stack: w has shape (..., dim) and V (..., dim,
+    dim), each broadcasting against the other, and t broadcasts against w.
+    v_h is V^dag when the caller already holds it.
+    """
+    if v_h is None:
+        v_h = np.conj(np.swapaxes(v, -1, -2))
+    return (v * np.exp(-1j * w * t)[..., None, :]) @ v_h
+
+
 def matrix_exp_hermitian(h, t: float, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """exp(-i H t) for Hermitian H via eigendecomposition."""
     h = as_complex_matrix(h)
     require_hermitian(h, tol)
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * t)[None, :]) @ v.conj().T
+    return exp_from_eig(w, v, t)
 
 
 def principal_log_hamiltonian(

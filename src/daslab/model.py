@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -166,15 +167,11 @@ def path_at(path: AdiabaticPath, s: float, order: int = 0) -> HermitianOperator:
         raise OutOfRange(f"s = {s} outside [0, 1]")
     if order not in (0, 1, 2):
         raise OutOfRange(f"derivative order {order} not in {{0, 1, 2}}")
-    hi = path.h_initial.matrix
-    hf = path.h_final.matrix
     if order == 0:
-        weight = float(path.schedule.p(s))
-        matrix = (1.0 - weight) * hi + weight * hf
-    elif order == 1:
-        matrix = float(path.schedule.dp(s)) * (hf - hi)
+        matrix = path_matrix(path, [s])[0]
     else:
-        matrix = float(path.schedule.ddp(s)) * (hf - hi)
+        derivative = path.schedule.dp if order == 1 else path.schedule.ddp
+        matrix = float(derivative(s)) * (path.h_final.matrix - path.h_initial.matrix)
     return HermitianOperator(matrix, label=f"path-order{order}@s={s:g}")
 
 
@@ -185,6 +182,31 @@ def path_matrix(path: AdiabaticPath, s_values: np.ndarray) -> np.ndarray:
     hi = path.h_initial.matrix
     hf = path.h_final.matrix
     return hi[None, :, :] + weights[:, None, None] * (hf - hi)[None, :, :]
+
+
+@dataclass(frozen=True, eq=False)
+class PathSpectrum:
+    """Eigendata of H(s) on an s grid from one batched ``eigh``.
+
+    ``bases[j]`` holds the eigenvectors of H(s_j) as columns, exactly as
+    LAPACK returns them (no gauge fixing); ``energies[j]`` is ascending.
+    """
+
+    s_values: np.ndarray
+    energies: np.ndarray
+    bases: np.ndarray
+
+    @cached_property
+    def adjoints(self) -> np.ndarray:
+        """The conjugate-transposed bases, formed once on first use."""
+        return np.conj(np.swapaxes(self.bases, -1, -2))
+
+
+def path_spectrum(path: AdiabaticPath, s_values) -> PathSpectrum:
+    """Diagonalize H(s) at every grid point in one batched call."""
+    s_values = np.asarray(s_values, dtype=float)
+    energies, bases = np.linalg.eigh(path_matrix(path, s_values))
+    return PathSpectrum(s_values, energies, bases)
 
 
 def spectral_gap(path: AdiabaticPath, s: float, level: int = 1) -> float:

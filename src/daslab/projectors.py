@@ -17,7 +17,7 @@ import numpy as np
 
 from .exceptions import DegenerateGround, GapClosure, WrongDimension
 from .linalg import hermitian_eig, operator_norm
-from .model import AdiabaticPath, HermitianOperator, path_at
+from .model import AdiabaticPath, HermitianOperator, path_at, spectral_gap
 
 GAP_TOL = 1e-9
 
@@ -81,7 +81,7 @@ def derivative_identity_residuals(
     if not (0.0 <= s - h and s + h <= 1.0):
         raise ValueError(f"need [s - h, s + h] inside [0, 1], got s = {s}, h = {h}")
     for probe in (s - h, s, s + h):
-        gap = _gap_at(path, probe)
+        gap = spectral_gap(path, probe)
         if gap <= gap_tol:
             raise GapClosure(f"gap {gap:.3e} at s = {probe:g} below {gap_tol:.1e}")
 
@@ -98,11 +98,6 @@ def derivative_identity_residuals(
     g_closed = p @ dh_s @ g @ g - g @ dh_s @ g + g @ g @ dh_s @ p
 
     return operator_norm(dP - p_closed), operator_norm(dG - g_closed)
-
-
-def _gap_at(path: AdiabaticPath, s: float) -> float:
-    values = hermitian_eig(path_at(path, s).matrix).eigenvalues
-    return float(values[1] - values[0])
 
 
 def commutator_norm(path: AdiabaticPath, s: float) -> float:

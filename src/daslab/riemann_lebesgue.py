@@ -19,8 +19,8 @@ from scipy.integrate import cumulative_simpson, simpson
 from scipy.interpolate import CubicSpline
 
 from .exceptions import GapClosure, NoConvergence, OmegaZero
-from .linalg import hermitian_eig, operator_norm
-from .model import AdiabaticPath, path_at, path_matrix
+from .linalg import operator_norm
+from .model import AdiabaticPath, path_at, path_matrix, spectral_gap
 
 RESONANCE_THRESHOLD = 3.78
 OMEGA_ZERO_RTOL = 1e-12
@@ -330,8 +330,7 @@ def robust_adiabatic_bound(
 
     endpoint_gaps = []
     for s in (0.0, 1.0):
-        values = hermitian_eig(path_at(path, s).matrix).eigenvalues
-        gap = float(values[1] - values[0])
+        gap = spectral_gap(path, s)
         if gap <= gap_floor:
             raise GapClosure(f"endpoint gap {gap:.3e} at s = {s:g}")
         endpoint_gaps.append(gap)

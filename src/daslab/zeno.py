@@ -45,9 +45,7 @@ class OperatorFamily:
             raise ValueError(f"unknown family kind {self.kind!r}")
 
     def eigenvectors(self, s: float) -> np.ndarray:
-        if self.kind == HERMITIAN_FAMILY:
-            return np.linalg.eigh(self.evaluate(s))[1]
-        return unitary_eig(self.evaluate(s))[1]
+        return self.eigendata(s)[1]
 
     def eigendata(self, s: float) -> tuple[np.ndarray, np.ndarray]:
         """(values, vectors); values are energies or unitary eigenphases."""

@@ -43,7 +43,7 @@ from daslab.model import (
 )
 from daslab.evolve import EvolutionSpec, exact_evolution, trotter_evolution
 from daslab.errors import fidelity_error, scaling_index
-from daslab.eigenframes import first_order_error, gamma_expansion
+from daslab.eigenframes import gamma_expansion
 from daslab.projectors import (
     commutator_norm,
     derivative_identity_residuals,
@@ -416,7 +416,7 @@ class TestCriterion6FrameOracle:
         for total_time, steps in ((50.0, 100), (100.0, 200)):
             spec = EvolutionSpec(path=tfim2, total_time=total_time, steps=steps)
             expansion = gamma_expansion(spec)
-            estimate = first_order_error(expansion.amplitudes)
+            estimate = expansion.first_order_error
             deviations[total_time] = (
                 abs(estimate - expansion.adiabatic_error) / expansion.adiabatic_error
             )

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import daslab
 from daslab.cli import (
     RunConfig,
     bound_rows,
@@ -32,6 +35,27 @@ def small_config(**overrides):
     }
     base.update(overrides)
     return RunConfig.from_dict(base)
+
+
+def package_env() -> dict:
+    """Environment in which ``python -m daslab`` imports the package under test."""
+    src = str(Path(daslab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def count_eigh_batches(monkeypatch) -> list:
+    """Record the batch shape of every np.linalg.eigh call from now on."""
+    batches = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        batches.append(np.shape(a)[:-2])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return batches
 
 
 class TestConfig:
@@ -62,6 +86,37 @@ class TestConfig:
         c = small_config(seed=1)
         assert a.digest() == b.digest()
         assert a.digest() != c.digest()
+
+    def test_digest_ignores_threads(self, tmp_path):
+        assert small_config().digest() == small_config(threads=4).digest()
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"n_sites": 2, "t_values": [10.0, 20.0]}))
+        for name, extra in (("serial", ()), ("threaded", ("--threads", "2"))):
+            out = tmp_path / name
+            assert main(["bound", "--config", str(config_path), "--out", str(out), *extra]) == 0
+        serial = (tmp_path / "serial" / "bound.csv").read_bytes()
+        assert (tmp_path / "threaded" / "bound.csv").read_bytes() == serial
+
+    def test_digest_hashes_hamiltonian_contents(self, tmp_path):
+        def hamiltonian(coeff):
+            return json.dumps(
+                {
+                    "n_sites": 2,
+                    "h_initial": [
+                        {"coeff": -1.0, "factors": [[0, "X"]]},
+                        {"coeff": -1.0, "factors": [[1, "X"]]},
+                    ],
+                    "h_final": [{"coeff": coeff, "factors": [[0, "Z"], [1, "Z"]]}],
+                }
+            )
+
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        first.write_text(hamiltonian(-1.0))
+        second.write_text(hamiltonian(-1.0))
+        before = small_config(hamiltonian_file=str(first)).digest()
+        assert small_config(hamiltonian_file=str(second)).digest() == before
+        first.write_text(hamiltonian(-1.5))
+        assert small_config(hamiltonian_file=str(first)).digest() != before
 
     def test_load_config_munges_overrides(self, tmp_path):
         target = tmp_path / "config.json"
@@ -120,6 +175,16 @@ class TestRows:
         rows = zeno_rows(config)
         assert len(rows) == 20
         assert rows[-1]["s"] == pytest.approx(1.0)
+
+    def test_gamma_diagonalizes_its_grid_once(self, monkeypatch):
+        batches = count_eigh_batches(monkeypatch)
+        gamma_rows(small_config(gamma_t_values=[5.0, 10.0]))
+        assert batches.count((10,)) == 1
+
+    def test_bound_diagonalizes_its_nodes_once(self, monkeypatch):
+        batches = count_eigh_batches(monkeypatch)
+        bound_rows(small_config(t_values=[10.0, 20.0, 40.0], bound_quad_points=21))
+        assert batches == [()] * 21
 
     def test_threads_reproduce_serial(self):
         serial = fig1_rows(small_config())
@@ -222,6 +287,7 @@ class TestMainEntry:
             ],
             capture_output=True,
             text=True,
+            env=package_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "rl.csv").exists()
@@ -233,5 +299,6 @@ class TestMainEntry:
             [sys.executable, "-m", "daslab", "fig1", "--config", str(config_path)],
             capture_output=True,
             text=True,
+            env=package_env(),
         )
         assert proc.returncode == 2

@@ -16,7 +16,6 @@ from daslab.eigenframes import (
     EigenFrame,
     _transport_gauge,
     eigenframe_sequence,
-    first_order_error,
     gamma_expansion,
     propagator_expansion,
     reconstruct_discrete,
@@ -163,7 +162,7 @@ class TestTransitionAmplitudes:
         for total_time, steps in ((50.0, 100), (100.0, 200)):
             spec = EvolutionSpec(path=tfim2, total_time=total_time, steps=steps)
             expansion = gamma_expansion(spec)
-            estimate = first_order_error(expansion.amplitudes)
+            estimate = expansion.first_order_error
             deviations[total_time] = (
                 abs(estimate - expansion.adiabatic_error) / expansion.adiabatic_error
             )
