@@ -36,6 +36,7 @@ from .evolve import (
     exact_state_evolution,
     grid_points,
     trotter_evolution,
+    trotter_state,
 )
 from .errors import bound_profile, endpoint_states, fidelity_error, scaling_index
 from .eigenframes import (
@@ -97,8 +98,15 @@ class RunConfig:
             raise ConfigError(f"steps must be >= 2, got {self.steps}")
         if self.grid not in ("endpoints", "left", "midpoint"):
             raise ConfigError(f"unknown grid {self.grid!r}")
-        if self.t_points < 1 or self.t_min <= 0 or self.t_max < self.t_min:
+        if not isinstance(self.t_values, (tuple, list)):
+            raise ConfigError("t_values must be a list")
+        times = (self.t_min, self.t_max, *self.t_values)
+        if not all(_inside(t, 0, np.inf) for t in times):
+            raise ConfigError("t_min, t_max and every t_values entry must be finite and > 0")
+        if self.t_points < 1 or self.t_max < self.t_min:
             raise ConfigError("invalid T grid")
+        if not _inside(self.ode_rtol, 0, 1):
+            raise ConfigError(f"ode_rtol must be in (0, 1), got {self.ode_rtol!r}")
         if self.dt_step <= 0 or self.dt_min <= 0 or self.dt_max < self.dt_min:
             raise ConfigError("invalid dt grid")
         if not 0 < self.zeno_threshold < 1:
@@ -142,6 +150,11 @@ class RunConfig:
         else:
             raise ConfigError(f"unknown schedule {self.schedule!r}")
         return tfim_path(self.n_sites, self.periodic, schedule)
+
+
+def _inside(value, low: float, high: float) -> bool:
+    """True for a number strictly between low and high; NaN never is."""
+    return isinstance(value, (int, float)) and low < value < high
 
 
 def load_config(path: str | None, seed: int | None, threads: int | None) -> RunConfig:
@@ -222,8 +235,10 @@ def fig1_rows(config: RunConfig) -> list[dict]:
 def fig2_rows(config: RunConfig) -> tuple[list[dict], float]:
     """Adiabatic/Trotter/total error sweep plus the robust-window scaling index.
 
-    The exact propagator enters through adaptive state integration; the
-    robust window is T in [t_min, steps * robust_dt_cut].
+    All three errors compare states, so only psi_i is evolved: the exact
+    dynamics by adaptive state integration and the Trotter steps by
+    matrix-vector products; no propagator matrix is formed.  The robust
+    window is T in [t_min, steps * robust_dt_cut].
     """
     path = config.build_path()
     psi_i, psi_f = endpoint_states(path)
@@ -232,9 +247,8 @@ def fig2_rows(config: RunConfig) -> tuple[list[dict], float]:
         spec = EvolutionSpec(
             path=path, total_time=total_time, steps=config.steps, grid=config.grid
         )
-        a_tro = trotter_evolution(spec).matrix
         exact = exact_state_evolution(path, total_time, psi_i, rtol=config.ode_rtol)
-        tro_state = a_tro @ psi_i
+        tro_state = trotter_state(spec, psi_i)
         return {
             "T": total_time,
             "eps_adb": fidelity_error(psi_f, exact),

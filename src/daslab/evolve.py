@@ -3,8 +3,12 @@
 The discretized product takes one exponential of the full H(s_j) per step;
 the Trotterized product splits each step into per-layer exponentials.  The
 exact propagator is a midpoint-sampled product refined by substep doubling
-until self-convergence; a state-level ODE integrator is provided as an
-independent second route for large problems.
+until self-convergence.
+
+Two state-level kernels serve callers that only need the evolved state, as
+fig2 does: a DOP853 integrator of the exact dynamics, an independent second
+route from the midpoint product, and the Trotter steps applied to the state
+by matrix-vector products.  Neither forms a dim x dim propagator.
 """
 
 from __future__ import annotations
@@ -141,7 +145,7 @@ class UnitaryOperator:
 
     def __post_init__(self):
         defect = unitarity_defect(self.matrix)
-        if defect > UNITARY_RESULT_TOL:
+        if not defect <= UNITARY_RESULT_TOL:  # NaN fails too
             raise ValueError(
                 f"{self.method} propagator not unitary: defect {defect:.3e}"
             )
@@ -234,12 +238,28 @@ def exact_state_evolution(
     the final state is needed.
     """
     psi = normalized_state(psi)
+    dim = path.dim
     hi = path.h_initial.matrix
-    diff = path.h_final.matrix - hi
+    # One product per call gives H_i y and (H_f - H_i) y; H(s) y is their
+    # p(s)-weighted sum, so no dim x dim matrix is formed per call.
+    stacked = np.concatenate([hi, path.h_final.matrix - hi])
     p = path.schedule.p
+    if stacked.imag.any():
+
+        def product(y):
+            return stacked @ y
+
+    else:
+        # Real H_i and H_f act on the real and imaginary parts of y at once.
+        stacked = np.ascontiguousarray(stacked.real)
+
+        def product(y):
+            parts = np.ascontiguousarray(y).view(np.float64).reshape(dim, 2)
+            return (stacked @ parts).view(np.complex128).ravel()
 
     def rhs(s, y):
-        return -1j * total_time * ((hi + float(p(s)) * diff) @ y)
+        z = product(y)
+        return -1j * total_time * (z[:dim] + float(p(s)) * z[dim:])
 
     solution = solve_ivp(
         rhs, (0.0, 1.0), psi, method="DOP853", rtol=rtol, atol=atol
@@ -255,23 +275,58 @@ def discrete_evolution(spec: EvolutionSpec) -> UnitaryOperator:
     return UnitaryOperator(discrete_product(spectrum, spec.dt), "discrete", spec)
 
 
-def trotter_steps(spec: EvolutionSpec, s_values) -> np.ndarray:
-    """Stack of Trotter step unitaries, one per s; in each step layer k = 1
-    acts first (rightmost factor)."""
+def _layer_spectra(spec: EvolutionSpec, s_values) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per layer, in layer order, the eigenpairs (w, V) of H_k(s) for each s.
+
+    w has one row per s.  A fixed layer shares its one V across all s; a
+    ``generate`` layer has one V per s.
+    """
     if not spec.layers:
         raise ValueError("trotter evolution needs at least one layer")
-    steps = None
+    out = []
     for layer, eig in zip(spec.layers, spec._layer_eigs):
         if eig is None:
-            w, v = np.linalg.eigh(np.stack([layer.operator_at(s) for s in s_values]))
+            out.append(np.linalg.eigh(np.stack([layer.operator_at(s) for s in s_values])))
         else:
             w, v = eig
             # Scale the energies before dt multiplies them: the phase rounds
             # as (w * weight) * dt, never as w * (weight * dt).
-            w = np.outer([float(layer.weight(s)) for s in s_values], w)
+            out.append((np.outer([float(layer.weight(s)) for s in s_values], w), v))
+    return out
+
+
+def trotter_steps(spec: EvolutionSpec, s_values) -> np.ndarray:
+    """Stack of Trotter step unitaries, one per s; in each step layer k = 1
+    acts first (rightmost factor)."""
+    steps = None
+    for w, v in _layer_spectra(spec, s_values):
         factors = exp_from_eig(w, v, spec.dt)
         steps = factors if steps is None else factors @ steps
     return steps
+
+
+def trotter_state(spec: EvolutionSpec, psi: np.ndarray) -> np.ndarray:
+    """``trotter_evolution(spec).matrix @ psi`` by matrix-vector products.
+
+    Each layer exponential acts on the state as V (e^{-i w dt} * (V^dag psi)).
+    The norm must be preserved within UNITARY_RESULT_TOL, the state-level
+    stand-in for the unitarity check of :class:`UnitaryOperator`.
+    """
+    psi = np.asarray(psi, dtype=np.complex128)
+    layers = [
+        (np.exp(-1j * w * spec.dt), v)
+        for w, v in _layer_spectra(spec, spec.grid_points())
+    ]
+    out = psi
+    for j in range(spec.steps):
+        for phases, v in layers:
+            vj = v[j] if v.ndim == 3 else v
+            # V^dag psi as (psi^dag V)^dag, without forming V^dag.
+            out = vj @ (phases[j] * np.conj(np.conj(out) @ vj))
+    defect = abs(np.linalg.norm(out) - np.linalg.norm(psi))
+    if not defect <= UNITARY_RESULT_TOL:  # NaN fails too
+        raise ValueError(f"trotter state evolution not unitary: norm defect {defect:.3e}")
+    return out
 
 
 def trotter_step_unitary(spec: EvolutionSpec, s: float) -> np.ndarray:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import daslab
+from daslab import cli
 from daslab.cli import (
     RunConfig,
     bound_rows,
@@ -79,6 +80,36 @@ class TestConfig:
             RunConfig.from_dict({"steps": 1})
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"zeno_threshold": 1.5})
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"t_min": float("nan")},
+            {"t_min": float("inf")},
+            {"t_max": float("nan")},
+            {"t_values": [-5.0]},
+            {"t_values": [10.0, float("nan")]},
+            {"t_values": [0.0]},
+            {"t_values": 5.0},
+            {"t_values": ["5"]},
+            {"ode_rtol": float("nan")},
+            {"ode_rtol": -1.0},
+            {"ode_rtol": 1.0},
+        ],
+    )
+    def test_fig2_inputs_rejected_before_propagation(self, tmp_path, monkeypatch, bad):
+        def no_propagation(*args, **kwargs):
+            raise AssertionError("propagation started on an invalid config")
+
+        monkeypatch.setattr(cli, "exact_state_evolution", no_propagation)
+        monkeypatch.setattr(cli, "trotter_state", no_propagation)
+        data = {"n_sites": 3, "steps": 10, **bad}
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(data)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(data))
+        assert main(["fig2", "--config", str(config_path), "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "fig2.csv").exists()
 
     def test_digest_stable_and_sensitive(self):
         a = small_config()
@@ -185,6 +216,26 @@ class TestRows:
         batches = count_eigh_batches(monkeypatch)
         bound_rows(small_config(t_values=[10.0, 20.0, 40.0], bound_quad_points=21))
         assert batches == [()] * 21
+
+    def test_fig2_evolves_states_not_propagators(self, monkeypatch):
+        def no_propagator(*args, **kwargs):
+            raise AssertionError("fig2 built a Trotter propagator")
+
+        monkeypatch.setattr(cli, "trotter_evolution", no_propagator)
+        rows, _ = cli.fig2_rows(small_config(n_sites=3))
+        assert [r["T"] for r in rows] == [4.0, 8.0, 16.0, 32.0]
+        assert all(np.isfinite(r["eps_tot"]) for r in rows)
+
+    def test_fig2_threads_reproduce_serial_bytes(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(
+            json.dumps({"n_sites": 3, "steps": 10, "t_values": [4.0, 8.0, 16.0, 32.0]})
+        )
+        for name, extra in (("serial", ("--threads", "1")), ("threaded", ("--threads", "2"))):
+            out = tmp_path / name
+            assert main(["fig2", "--config", str(config_path), "--out", str(out), *extra]) == 0
+        serial = (tmp_path / "serial" / "fig2.csv").read_bytes()
+        assert (tmp_path / "threaded" / "fig2.csv").read_bytes() == serial
 
     def test_threads_reproduce_serial(self):
         serial = fig1_rows(small_config())

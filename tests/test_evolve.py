@@ -12,6 +12,7 @@ from daslab.model import (
     AdiabaticPath,
     HermitianOperator,
     linear_schedule,
+    load_path_json,
     path_at,
     tfim_path,
 )
@@ -28,6 +29,7 @@ from daslab.evolve import (
     interpolation_layers,
     ordered_product,
     trotter_evolution,
+    trotter_state,
     trotter_step_unitary,
 )
 
@@ -45,6 +47,25 @@ def exact_tfim2_t5():
     path = tfim_path(2)
     spec = EvolutionSpec(path=path, total_time=5.0, steps=10)
     return exact_evolution(spec, tol=1e-10)
+
+
+def rotated_path(n_sites=3, phi=0.7):
+    """TFIM with its transverse field rotated about z: Y terms make H_i
+    complex, and an X-Y coupling makes H_f complex too."""
+    field = [
+        term
+        for j in range(n_sites)
+        for term in (
+            {"coeff": -np.cos(phi), "factors": [[j, "X"]]},
+            {"coeff": -np.sin(phi), "factors": [[j, "Y"]]},
+        )
+    ]
+    ising = [{"coeff": -1.0, "factors": [[j, "Z"]]} for j in range(n_sites)]
+    ising += [
+        {"coeff": -1.0, "factors": [[j, "Z"], [j + 1, "Z"]]} for j in range(n_sites - 1)
+    ]
+    ising.append({"coeff": 0.3, "factors": [[0, "X"], [1, "Y"]]})
+    return load_path_json({"n_sites": n_sites, "h_initial": field, "h_final": ising})
 
 
 class TestGrids:
@@ -236,10 +257,52 @@ class TestTrotterEvolution:
     def test_unitarity_enforced(self):
         with pytest.raises(ValueError):
             UnitaryOperator(np.diag([1.0, 2.0]), "exact")
+        with pytest.raises(ValueError):
+            UnitaryOperator(np.full((2, 2), np.nan), "exact")
 
     def test_layer_requires_parts(self):
         with pytest.raises(ValueError):
             Layer(matrix=np.eye(2))
+
+
+class TestStateKernels:
+    @pytest.mark.parametrize("grid", ["endpoints", "left", "midpoint"])
+    def test_trotter_state_matches_propagator_tfim4(self, tfim4, grid):
+        psi = ground_state(tfim4.h_initial.matrix)
+        spec = EvolutionSpec(path=tfim4, total_time=30.0, steps=40, grid=grid)
+        expected = trotter_evolution(spec).matrix @ psi
+        assert np.abs(trotter_state(spec, psi) - expected).max() <= 1e-12
+
+    def test_trotter_state_matches_propagator_complex_path(self):
+        path = rotated_path()
+        assert np.abs(path.h_initial.matrix.imag).max() > 0
+        assert np.abs(path.h_final.matrix.imag).max() > 0
+        psi = ground_state(path.h_initial.matrix)
+        spec = EvolutionSpec(path=path, total_time=12.0, steps=30)
+        expected = trotter_evolution(spec).matrix @ psi
+        assert np.abs(trotter_state(spec, psi) - expected).max() <= 1e-12
+
+    def test_trotter_state_matches_propagator_generated_layer(self, tfim4):
+        psi = ground_state(tfim4.h_initial.matrix)
+        spec = EvolutionSpec(
+            path=tfim4, total_time=8.0, steps=16, layers=full_hamiltonian_layer(tfim4)
+        )
+        expected = trotter_evolution(spec).matrix @ psi
+        assert np.abs(trotter_state(spec, psi) - expected).max() <= 1e-12
+
+    def test_trotter_state_rejects_non_finite_state(self, tfim2):
+        broken = Layer(matrix=tfim2.h_initial.matrix, weight=lambda s: float("nan"))
+        spec = EvolutionSpec(path=tfim2, total_time=1.0, steps=2, layers=(broken,))
+        with pytest.raises(ValueError):
+            trotter_state(spec, ground_state(tfim2.h_initial.matrix))
+
+    def test_ode_route_agrees_complex_path(self):
+        path = rotated_path()
+        psi = ground_state(path.h_initial.matrix)
+        exact = exact_evolution(EvolutionSpec(path=path, total_time=5.0, steps=4), tol=1e-8)
+        via_ode = exact_state_evolution(path, 5.0, psi)
+        overlap = abs(np.vdot(via_ode, exact.matrix @ psi))
+        assert 1.0 - overlap <= 1e-9
 
 
 class TestEffectiveHamiltonian:
