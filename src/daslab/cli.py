@@ -1,8 +1,10 @@
 """Experiment driver: sweep commands emitting CSV (and optional SVG plots).
 
 Subcommands: fig1, fig2, fig3, rl, gamma, bound, zeno.  Every CSV starts
-with a comment line carrying the hash of the resolved configuration, so
-identical configs reproduce identical files byte for byte.
+with a comment line carrying the hash of the resolved configuration.  On one
+machine and BLAS thread count, identical configs reproduce identical files
+byte for byte; across them, fig3's failing rows and traces and the last
+digits of fig2 can move (see the README).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -107,8 +109,20 @@ class RunConfig:
             raise ConfigError("invalid T grid")
         if not _inside(self.ode_rtol, 0, 1):
             raise ConfigError(f"ode_rtol must be in (0, 1), got {self.ode_rtol!r}")
-        if self.dt_step <= 0 or self.dt_min <= 0 or self.dt_max < self.dt_min:
+        for name in ("dt_values", "trace_dts"):
+            if not isinstance(getattr(self, name), (tuple, list)):
+                raise ConfigError(f"{name} must be a list")
+        step_sizes = (self.dt_min, self.dt_max, self.dt_step, self.zeno_dt,
+                      *self.dt_values, *self.trace_dts)
+        if not all(_inside(dt, 0, np.inf) for dt in step_sizes):
+            raise ConfigError(
+                "dt_min, dt_max, dt_step, zeno_dt and every dt_values and trace_dts "
+                "entry must be finite and > 0"
+            )
+        if self.dt_max < self.dt_min:
             raise ConfigError("invalid dt grid")
+        if not (isinstance(self.zeno_steps, int) and self.zeno_steps >= 1):
+            raise ConfigError(f"zeno_steps must be an integer >= 1, got {self.zeno_steps!r}")
         if not 0 < self.zeno_threshold < 1:
             raise ConfigError("zeno_threshold must be in (0, 1)")
         if self.threads < 1:

@@ -133,6 +133,23 @@ class EvolutionSpec:
                 out.append((w, v))
         return tuple(out)
 
+    @cached_property
+    def _layer_rows(self):
+        """Per layer, ``_diagonal_order`` of its fixed eigenbasis: the
+        eigenvalue index of each diagonal entry for a diagonal layer, None
+        for any other layer."""
+        return tuple(None if eig is None else _diagonal_order(eig[1]) for eig in self._layer_eigs)
+
+
+def _diagonal_order(v: np.ndarray) -> np.ndarray | None:
+    """For V a permutation matrix up to unit phases, the eigenbasis of a
+    diagonal H = V diag(w) V^dag, the column of each row's unit entry, so
+    that H[k, k] = w[rows[k]].  None for any other V."""
+    rows = np.argmax(np.abs(v), axis=1)
+    if np.count_nonzero(v) == len(v) and np.all(np.abs(v[np.arange(len(v)), rows]) == 1):
+        return rows
+    return None
+
 
 @dataclass
 class UnitaryOperator:
@@ -297,11 +314,15 @@ def _layer_spectra(spec: EvolutionSpec, s_values) -> list[tuple[np.ndarray, np.n
 
 def trotter_steps(spec: EvolutionSpec, s_values) -> np.ndarray:
     """Stack of Trotter step unitaries, one per s; in each step layer k = 1
-    acts first (rightmost factor)."""
+    acts first (rightmost factor).  A diagonal layer scales the rows."""
     steps = None
-    for w, v in _layer_spectra(spec, s_values):
-        factors = exp_from_eig(w, v, spec.dt)
-        steps = factors if steps is None else factors @ steps
+    for (w, v), rows in zip(_layer_spectra(spec, s_values), spec._layer_rows):
+        if rows is None:
+            factors = exp_from_eig(w, v, spec.dt)
+            steps = factors if steps is None else factors @ steps
+        else:
+            phases = np.exp(-1j * w[:, rows] * spec.dt)[..., None]
+            steps = phases * (np.eye(len(rows)) if steps is None else steps)
     return steps
 
 

@@ -151,11 +151,19 @@ def unitary_eig(
     split by the skew part restricted to the cluster subspace.  Both stages
     are plain Hermitian eigenproblems, so the basis is orthonormal by
     construction even through phase collisions.
+
+    A symmetric unitary (U = U^T) has Hermitian part Re U and skew part
+    Im U: commuting real symmetric matrices, so both stages run in real
+    arithmetic and V comes back real.
     """
     u = as_complex_matrix(u)
     require_unitary(u, tol)
-    cos_part = (u + u.conj().T) / 2
-    sin_part = (u - u.conj().T) / 2j
+    symmetric = np.array_equal(u, u.T)
+    if symmetric:
+        cos_part, sin_part = np.ascontiguousarray(u.real), np.ascontiguousarray(u.imag)
+    else:
+        cos_part = (u + u.conj().T) / 2
+        sin_part = (u - u.conj().T) / 2j
     try:
         c, v = np.linalg.eigh(cos_part)
     except np.linalg.LinAlgError as exc:
@@ -166,7 +174,8 @@ def unitary_eig(
             k = block.conj().T @ sin_part @ block
             _, y = np.linalg.eigh((k + k.conj().T) / 2)
             v[:, lo:hi] = block @ y
-    diag = np.einsum("ij,ij->j", v.conj(), u @ v)
+    uv = cos_part @ v + 1j * (sin_part @ v) if symmetric else u @ v
+    diag = np.einsum("ij,ij->j", v.conj(), uv)
     theta = -np.angle(diag)
     theta[theta <= -np.pi + 1e-15] = np.pi
     order = np.argsort(theta, kind="stable")

@@ -15,9 +15,9 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import AllFail, AllPass
-from .linalg import ground_state, unitary_eig
+from .linalg import _fix_column_phases, exp_from_eig, ground_state, unitary_eig
 from .model import AdiabaticPath, path_at
-from .evolve import EvolutionSpec, trotter_step_unitary
+from .evolve import EvolutionSpec, _layer_spectra, trotter_step_unitary
 
 DEFAULT_THRESHOLD = 0.99
 
@@ -34,21 +34,25 @@ UNITARY_FAMILY = "trotter-unitary"
 
 @dataclass(frozen=True)
 class OperatorFamily:
-    """One-parameter operator family with a diagonalization flavor tag."""
+    """One-parameter operator family with a diagonalization flavor tag.
+
+    ``diagonalize``, when given, returns the eigendata of ``evaluate(s)``
+    by a route of its own.
+    """
 
     evaluate: Callable[[float], np.ndarray]
     kind: str
     dt: float | None = None
+    diagonalize: Callable[[float], tuple[np.ndarray, np.ndarray]] | None = None
 
     def __post_init__(self):
         if self.kind not in (HERMITIAN_FAMILY, UNITARY_FAMILY):
             raise ValueError(f"unknown family kind {self.kind!r}")
 
-    def eigenvectors(self, s: float) -> np.ndarray:
-        return self.eigendata(s)[1]
-
     def eigendata(self, s: float) -> tuple[np.ndarray, np.ndarray]:
         """(values, vectors); values are energies or unitary eigenphases."""
+        if self.diagonalize is not None:
+            return self.diagonalize(s)
         if self.kind == HERMITIAN_FAMILY:
             return np.linalg.eigh(self.evaluate(s))
         return unitary_eig(self.evaluate(s))
@@ -62,29 +66,87 @@ def hermitian_family(path: AdiabaticPath) -> OperatorFamily:
 
 def effective_family(path: AdiabaticPath, dt: float, layers=()) -> OperatorFamily:
     """Family of single Trotter steps at fixed dt; shares the effective
-    generator's eigenbasis without taking any logs."""
+    generator's eigenbasis without taking any logs.
+
+    A step of two fixed real layers is diagonalized through its symmetrized
+    form (see :func:`_strang_diagonalizer`); any other step directly.
+    """
     spec = EvolutionSpec(path=path, total_time=dt, steps=1, layers=tuple(layers))
     return OperatorFamily(
         evaluate=lambda s: trotter_step_unitary(spec, s),
         kind=UNITARY_FAMILY,
         dt=dt,
+        diagonalize=_strang_diagonalizer(spec),
     )
+
+
+def _strang_diagonalizer(spec: EvolutionSpec):
+    """Eigendata of the step U = e^{-iA dt} e^{-iB dt} in real arithmetic.
+
+    With A the last-applied layer, conjugating U by the half step gives the
+    Strang step S = e^{iA dt/2} U e^{-iA dt/2} = e^{-iA dt/2} e^{-iB dt}
+    e^{-iA dt/2}: same eigenphases, and U's eigenvectors are e^{-iA dt/2}
+    times S's.  When A and B are real symmetric, S is a symmetric unitary,
+    which :func:`unitary_eig` diagonalizes with a real ``eigh``.  A diagonal
+    A (H_Z for the TFIM) makes the conjugation a row and column phase
+    scaling.
+
+    Returns None unless the step is two fixed layers with real eigenvectors.
+    """
+    eigs = spec._layer_eigs
+    if len(eigs) != 2 or any(eig is None or eig[1].imag.any() for eig in eigs):
+        return None
+    rows = spec._layer_rows[1]
+
+    def diagonalize(s: float) -> tuple[np.ndarray, np.ndarray]:
+        u = trotter_step_unitary(spec, s)
+        w_a, v_a = _layer_spectra(spec, [s])[1]
+        if rows is None:
+            half = exp_from_eig(w_a[0], v_a, spec.dt / 2)
+            strang = half.conj().T @ u @ half
+        else:
+            half = np.exp(-1j * w_a[0, rows] * (spec.dt / 2))
+            strang = half.conj()[:, None] * u * half[None, :]
+        theta, v = unitary_eig((strang + strang.T) / 2)
+        v = half @ v if rows is None else half[:, None] * v
+        return theta, _fix_column_phases(v)
+
+    return diagonalize
 
 
 @dataclass(frozen=True)
 class ZenoTrace:
-    """Per-step squared overlaps of the continued state with its successor."""
+    """Per-step squared overlaps of the continued state with its successor.
+
+    Two per-step records, when present, say how well determined each step
+    is.  ``margins`` is the best squared overlap minus the runner-up's: a
+    small margin means rounding can flip the choice of successor.  ``gaps``
+    is the distance from the chosen eigenvalue (energy, or eigenphase on
+    the circle) to the nearest other one: a small gap means the successor
+    itself is ill-conditioned, since rounding of size e turns an
+    eigenvector by about e / gap, and at a zero gap the eigensolver picks
+    the basis of the eigenspace.
+    """
 
     overlaps: np.ndarray
     threshold: float
     family: str
     dt: float | None = None
+    margins: np.ndarray | None = None
+    gaps: np.ndarray | None = None
 
     def __post_init__(self):
         overlaps = np.asarray(self.overlaps, dtype=float)
         if np.any(overlaps < -1e-12) or np.any(overlaps > 1.0 + 1e-12):
             raise ValueError("overlaps must lie in [0, 1]")
         object.__setattr__(self, "overlaps", np.clip(overlaps, 0.0, 1.0))
+        for name in ("margins", "gaps"):
+            record = getattr(self, name)
+            if record is not None:
+                record = np.asarray(record, dtype=float)
+                if record.shape != overlaps.shape:
+                    raise ValueError(f"{name} must have one entry per overlap")
+                object.__setattr__(self, name, record)
 
     @property
     def min_overlap(self) -> float:
@@ -124,14 +186,29 @@ def near_degeneracy_test(
     else:
         state = np.asarray(initial_state, dtype=complex).ravel()
     overlaps = np.empty(steps)
+    margins = np.empty(steps)
+    gaps = np.empty(steps)
     for j in range(1, steps + 1):
-        vectors = family.eigenvectors(j / steps)
+        values, vectors = family.eigendata(j / steps)
         squared = np.abs(vectors.conj().T @ state) ** 2
         best = int(np.argmax(squared))
         overlaps[j - 1] = squared[best]
+        runner_up = np.partition(squared, -2)[-2] if len(squared) > 1 else 0.0
+        margins[j - 1] = squared[best] - runner_up
+        distances = values - values[best]
+        if family.kind == UNITARY_FAMILY:
+            distances = np.angle(np.exp(1j * distances))
+        distances = np.abs(distances)
+        distances[best] = np.inf
+        gaps[j - 1] = distances.min()
         state = vectors[:, best]
     return ZenoTrace(
-        overlaps=overlaps, threshold=threshold, family=family.kind, dt=family.dt
+        overlaps=overlaps,
+        threshold=threshold,
+        family=family.kind,
+        dt=family.dt,
+        margins=margins,
+        gaps=gaps,
     )
 
 

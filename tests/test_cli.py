@@ -111,6 +111,38 @@ class TestConfig:
         assert main(["fig2", "--config", str(config_path), "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "fig2.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, bad",
+        [
+            ("fig3", {"dt_values": [float("nan")]}),
+            ("fig3", {"dt_values": [-0.5]}),
+            ("fig3", {"dt_values": 0.5}),
+            ("fig3", {"dt_min": float("nan")}),
+            ("fig3", {"dt_max": float("inf")}),
+            ("fig3", {"dt_step": float("nan")}),
+            ("fig3", {"dt_step": 0.0}),
+            ("fig3", {"trace_dts": [float("nan")]}),
+            ("zeno", {"zeno_dt": float("nan")}),
+            ("zeno", {"zeno_dt": -0.8}),
+            ("zeno", {"zeno_steps": 0}),
+            ("zeno", {"zeno_steps": 2.5}),
+        ],
+    )
+    def test_fig3_zeno_inputs_rejected_before_continuation(
+        self, tmp_path, monkeypatch, command, bad
+    ):
+        def no_continuation(*args, **kwargs):
+            raise AssertionError("continuation started on an invalid config")
+
+        monkeypatch.setattr(cli, "near_degeneracy_test", no_continuation)
+        data = {"n_sites": 2, **bad}
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(data)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(data))
+        assert main([command, "--config", str(config_path), "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / f"{command}.csv").exists()
+
     def test_digest_stable_and_sensitive(self):
         a = small_config()
         b = small_config()

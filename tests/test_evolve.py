@@ -31,6 +31,7 @@ from daslab.evolve import (
     trotter_evolution,
     trotter_state,
     trotter_step_unitary,
+    trotter_steps,
 )
 
 
@@ -234,6 +235,19 @@ class TestTrotterEvolution:
         first = matrix_exp_hermitian(0.5 * tfim2.h_initial.matrix, spec.dt)
         second = matrix_exp_hermitian(0.5 * tfim2.h_final.matrix, spec.dt)
         assert operator_norm(trotter_step_unitary(spec, s) - second @ first) <= 1e-12
+
+    def test_diagonal_layer_scales_rows(self, tfim4):
+        # H_Z is diagonal, so its factor is a row scaling in either position
+        s_values = [0.0, 0.3, 1.0]
+        for layers in (interpolation_layers(tfim4), interpolation_layers(tfim4)[::-1]):
+            spec = EvolutionSpec(path=tfim4, total_time=6.0, steps=5, layers=layers)
+            diagonal = [rows is not None for rows in spec._layer_rows]
+            assert diagonal == [layer.label == "final" for layer in layers]
+            for s, step in zip(s_values, trotter_steps(spec, s_values)):
+                first, second = (
+                    matrix_exp_hermitian(layer.operator_at(s), spec.dt) for layer in layers
+                )
+                assert operator_norm(step - second @ first) <= 1e-12
 
     def test_step_at_boundary_single_active_layer(self, tfim4):
         spec = EvolutionSpec(path=tfim4, total_time=4.0, steps=40)

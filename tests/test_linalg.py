@@ -8,6 +8,9 @@ from daslab.exceptions import (
     NotUnitary,
 )
 from daslab.linalg import (
+    DEGENERACY_CLUSTER_TOL,
+    _eigenvalue_clusters,
+    _fix_column_phases,
     as_complex_matrix,
     ground_state,
     hermitian_eig,
@@ -143,6 +146,89 @@ class TestUnitaryEig:
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitary):
             unitary_eig(np.diag([1.0, 2.0]))
+
+
+def generic_unitary_eig(u):
+    """The complex algorithm of unitary_eig, kept as the reference for
+    inputs that are not symmetric."""
+    u = np.asarray(u, dtype=np.complex128)
+    cos_part = (u + u.conj().T) / 2
+    sin_part = (u - u.conj().T) / 2j
+    c, v = np.linalg.eigh(cos_part)
+    for lo, hi in _eigenvalue_clusters(c, DEGENERACY_CLUSTER_TOL):
+        if hi - lo > 1:
+            block = v[:, lo:hi]
+            k = block.conj().T @ sin_part @ block
+            _, y = np.linalg.eigh((k + k.conj().T) / 2)
+            v[:, lo:hi] = block @ y
+    diag = np.einsum("ij,ij->j", v.conj(), u @ v)
+    theta = -np.angle(diag)
+    theta[theta <= -np.pi + 1e-15] = np.pi
+    order = np.argsort(theta, kind="stable")
+    return theta[order], _fix_column_phases(v[:, order])
+
+
+def symmetric_unitary(rng, theta):
+    """Q diag(exp(-i theta)) Q^T with a random real orthogonal Q, made
+    exactly symmetric."""
+    q, _ = np.linalg.qr(rng.normal(size=(len(theta), len(theta))))
+    u = (q * np.exp(-1j * np.asarray(theta))) @ q.T
+    return (u + u.T) / 2
+
+
+class TestUnitaryEigSymmetric:
+    # repeated phases, a +/- pair that the cosine cannot separate, and pi
+    THETAS = [
+        [0.3, 0.3, 0.3, -1.2, 2.0],
+        [0.7, -0.7, 1.1, -1.1, 0.0, 2.5],
+        [np.pi, np.pi, 1.0, -2.0],
+        [np.pi, -0.4, 0.4, 0.4, -0.4, 3.0, -3.0],
+    ]
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_matches_generic_phases_and_rebuilds(self, theta):
+        rng = np.random.default_rng(43)
+        u = symmetric_unitary(rng, theta)
+        assert np.array_equal(u, u.T)
+        phases, v = unitary_eig(u)
+        assert not np.iscomplexobj(v)
+        # a complex diagonal similarity breaks the symmetry, keeps the phases
+        d = np.exp(1j * rng.uniform(-np.pi, np.pi, len(theta)))
+        rotated = (d[:, None] * u) * d.conj()[None, :]
+        assert not np.array_equal(rotated, rotated.T)
+        generic, _ = unitary_eig(rotated)
+        assert np.abs(phases - generic).max() <= 1e-12
+        assert np.abs(phases - np.sort(theta)).max() <= 1e-12
+        rebuilt = (v * np.exp(-1j * phases)) @ v.conj().T
+        assert operator_norm(rebuilt - u) <= 1e-10
+        assert np.abs(v.conj().T @ v - np.eye(len(theta))).max() <= 1e-12
+
+    def test_symmetric_step_dim_256(self):
+        rng = np.random.default_rng(47)
+        theta = rng.uniform(-np.pi, np.pi, 256)
+        theta[:8] = theta[8]
+        u = symmetric_unitary(rng, theta)
+        phases, v = unitary_eig(u)
+        assert np.abs(phases - np.sort(theta)).max() <= 1e-12
+        rebuilt = (v * np.exp(-1j * phases)) @ v.conj().T
+        assert operator_norm(rebuilt - u) <= 1e-10
+
+    def test_non_symmetric_input_unchanged(self):
+        rng = np.random.default_rng(53)
+        q = random_unitary(rng, 6)
+        cluster = (q * np.exp(-1j * np.array([0.5, 0.5, -0.5, 1.0, 1.0, 3.0]))) @ q.conj().T
+        for u in (random_unitary(rng, 12), cluster):
+            assert not np.array_equal(u, u.T)
+            phases, v = unitary_eig(u)
+            ref_phases, ref_v = generic_unitary_eig(u)
+            assert np.array_equal(phases, ref_phases)
+            assert np.array_equal(v, ref_v)
+
+    def test_symmetric_input_still_checked(self):
+        with pytest.raises(NotUnitary):
+            unitary_eig(np.diag([1.0, 2.0]) + 0j)
+        with pytest.raises(ValueError):
+            unitary_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 class TestMatrixExp:

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from daslab.evolve import Layer, full_hamiltonian_layer, interpolation_layers
 from daslab.exceptions import AllFail, AllPass
 from daslab.linalg import ground_state, operator_norm, unitary_eig
-from daslab.model import path_at, path_matrix
+from daslab.model import load_path_json, path_at, path_matrix, polynomial_schedule, tfim_path
 from daslab.zeno import (
+    UNITARY_FAMILY,
     OperatorFamily,
+    ZenoTrace,
     critical_step_search,
     effective_family,
     hermitian_family,
@@ -162,3 +165,170 @@ class TestZenoTraceRecord:
 
         with pytest.raises(ValueError):
             ZenoTrace(overlaps=np.array([1.5]), threshold=0.99, family="hermitian-path")
+
+
+def generic_twin(family):
+    """The same step family, diagonalized by unitary_eig on U itself."""
+    return OperatorFamily(evaluate=family.evaluate, kind=UNITARY_FAMILY, dt=family.dt)
+
+
+def count_complex_eigh(monkeypatch) -> list:
+    """Record the matrix size of every complex np.linalg.eigh call from now on."""
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        if np.iscomplexobj(a):
+            sizes.append(np.shape(a)[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return sizes
+
+
+def rotated_tfim_json(n_sites, phi=0.7):
+    """The TFIM rotated about z: H_i gains Y terms and a complex matrix."""
+    return {
+        "n_sites": n_sites,
+        "h_initial": [
+            {"coeff": -np.cos(phi), "factors": [[j, "X"]]} for j in range(n_sites)
+        ]
+        + [{"coeff": -np.sin(phi), "factors": [[j, "Y"]]} for j in range(n_sites)],
+        "h_final": [{"coeff": -1.0, "factors": [[j, "Z"]]} for j in range(n_sites)]
+        + [
+            {"coeff": -1.0, "factors": [[j, "Z"], [j + 1, "Z"]]}
+            for j in range(n_sites - 1)
+        ],
+    }
+
+
+TFIM_CASES = [
+    (4, False, None),
+    (4, True, (0.0, 0.0, 3.0, -2.0)),
+    (6, False, (0.0, 0.0, 3.0, -2.0)),
+    (6, True, None),
+]
+
+
+class TestSymmetrizedFamily:
+    """Two real layers: the family diagonalizes the Strang-symmetrized step."""
+
+    @pytest.mark.parametrize("n_sites, periodic, coefficients", TFIM_CASES)
+    def test_eigenvectors_diagonalize_the_step(self, n_sites, periodic, coefficients):
+        schedule = polynomial_schedule(coefficients) if coefficients else None
+        path = tfim_path(n_sites, periodic, schedule)
+        for dt in (0.4, 1.2):
+            family = effective_family(path, dt)
+            assert family.diagonalize is not None
+            for s in (0.0, 0.37, 0.5, 1.0):
+                phases, v = family.eigendata(s)
+                u = family.evaluate(s)
+                rotated = v.conj().T @ u @ v
+                off = rotated - np.diag(np.diag(rotated))
+                assert np.abs(off).max() <= 1e-10
+                assert np.allclose(np.diag(rotated), np.exp(-1j * phases), atol=1e-10)
+                assert np.abs(v.conj().T @ v - np.eye(len(v))).max() <= 1e-12
+
+    @pytest.mark.parametrize("n_sites, periodic, coefficients", TFIM_CASES)
+    def test_continuation_matches_generic(self, n_sites, periodic, coefficients):
+        schedule = polynomial_schedule(coefficients) if coefficients else None
+        path = tfim_path(n_sites, periodic, schedule)
+        psi = ground_state(path.h_initial.matrix)
+        for dt in (0.2, 0.4, 0.8, 1.2):
+            family = effective_family(path, dt)
+            real = near_degeneracy_test(family, steps=60, initial_state=psi)
+            generic = near_degeneracy_test(generic_twin(family), steps=60, initial_state=psi)
+            if generic.passed:
+                assert real.passed
+                assert np.abs(real.overlaps - generic.overlaps).max() <= 1e-12
+            # The routes must agree up to the first step whose successor is
+            # ambiguous (margin) or ill-conditioned (gap).  A perturbation
+            # dU turns an eigenvector by about |dU| / gap, and the routes'
+            # rounding, carried along the continuation, reaches ~1e-13 here,
+            # so agreement to 1e-9 needs gaps of 1e-3 or more.  At s = 1 the
+            # TFIM step is e^{-i H_Z dt}, whose eigenphases are degenerate.
+            ambiguous = (np.minimum(real.margins, generic.margins) < 1e-6) | (
+                np.minimum(real.gaps, generic.gaps) < 1e-3
+            )
+            stop = np.argmax(ambiguous) if ambiguous.any() else len(real.overlaps)
+            assert np.abs(real.overlaps[:stop] - generic.overlaps[:stop]).max() <= 1e-9
+
+    def test_dense_last_layer(self, tfim4):
+        # H_X applied last: the half steps are dense exponentials
+        layers = interpolation_layers(tfim4)[::-1]
+        psi = ground_state(tfim4.h_initial.matrix)
+        family = effective_family(tfim4, 0.4, layers)
+        assert family.diagonalize is not None
+        for s in (0.2, 0.8):
+            _, v = family.eigendata(s)
+            rotated = v.conj().T @ family.evaluate(s) @ v
+            assert np.abs(rotated - np.diag(np.diag(rotated))).max() <= 1e-10
+        real = near_degeneracy_test(family, steps=40, initial_state=psi)
+        generic = near_degeneracy_test(generic_twin(family), steps=40, initial_state=psi)
+        assert generic.passed
+        assert np.abs(real.overlaps - generic.overlaps).max() <= 1e-12
+
+    def test_real_family_makes_no_complex_eigh_per_point(self, tfim4, monkeypatch):
+        psi = ground_state(tfim4.h_initial.matrix)
+        family = effective_family(tfim4, 0.4)
+        sizes = count_complex_eigh(monkeypatch)
+        near_degeneracy_test(family, steps=25, initial_state=psi)
+        assert sizes == []
+
+    def test_complex_layer_takes_the_generic_path(self, monkeypatch):
+        path = load_path_json(rotated_tfim_json(4))
+        family = effective_family(path, 0.4)
+        assert family.diagonalize is None
+        psi = ground_state(path.h_initial.matrix)
+        sizes = count_complex_eigh(monkeypatch)
+        near_degeneracy_test(family, steps=25, initial_state=psi)
+        assert sizes.count(16) == 25
+
+    def test_other_layer_sets_take_the_generic_path(self, tfim4):
+        h_x, h_z = tfim4.h_initial.matrix, tfim4.h_final.matrix
+        half = lambda s: 0.5  # noqa: E731
+        three = (
+            Layer(matrix=h_x, weight=half),
+            Layer(matrix=h_z, weight=half),
+            Layer(matrix=h_x, weight=half),
+        )
+        generated = (Layer(matrix=h_x, weight=half), Layer(generate=lambda s: s * h_z))
+        for layers in (full_hamiltonian_layer(tfim4), three, generated):
+            assert effective_family(tfim4, 0.4, layers).diagonalize is None
+        assert hermitian_family(tfim4).diagonalize is None
+
+
+class TestMargins:
+    def test_margins_and_gaps_replayed(self, tfim4):
+        psi = ground_state(tfim4.h_initial.matrix)
+        family = effective_family(tfim4, 1.2)
+        trace = near_degeneracy_test(family, steps=30, initial_state=psi)
+        state = psi
+        for j in range(1, 31):
+            phases, vectors = family.eigendata(j / 30)
+            squared = np.abs(vectors.conj().T @ state) ** 2
+            best = int(np.argmax(squared))
+            top = np.sort(squared)
+            assert trace.margins[j - 1] == pytest.approx(top[-1] - top[-2], abs=1e-12)
+            others = np.delete(phases, best)
+            circle = np.abs(np.angle(np.exp(1j * (others - phases[best]))))
+            assert trace.gaps[j - 1] == pytest.approx(circle.min(), abs=1e-12)
+            state = vectors[:, best]
+        assert np.all(trace.margins >= 0) and np.all(trace.margins <= trace.overlaps)
+        # the last step is e^{-i H_Z dt}: its eigenphases are degenerate
+        assert trace.gaps[-1] <= 1e-12 < trace.gaps[:-1].min()
+
+    def test_hermitian_gaps_are_energy_gaps(self, tfim4):
+        trace = near_degeneracy_test(hermitian_family(tfim4), steps=20)
+        energies = np.linalg.eigvalsh(path_matrix(tfim4, np.arange(1, 21) / 20))
+        assert np.allclose(trace.gaps, energies[:, 1] - energies[:, 0], atol=1e-10)
+
+    @pytest.mark.parametrize("record", ["margins", "gaps"])
+    def test_records_shape_checked(self, record):
+        with pytest.raises(ValueError):
+            ZenoTrace(
+                overlaps=np.array([0.9, 0.8]),
+                threshold=0.5,
+                family="hermitian-path",
+                **{record: np.array([0.1])},
+            )
