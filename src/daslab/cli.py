@@ -51,6 +51,10 @@ from .riemann_lebesgue import OscillatorySumSpec, sum_bounds
 from .zeno import effective_family, hermitian_family, near_degeneracy_test
 from . import svg as svgmod
 
+# Largest dt grid that dt_min:dt_step:dt_max may describe; each point is a
+# whole continuation, and the default grid has 29.
+MAX_DT_POINTS = 10_000
+
 
 @dataclass
 class RunConfig:
@@ -121,7 +125,9 @@ class RunConfig:
             )
         if self.dt_max < self.dt_min:
             raise ConfigError("invalid dt grid")
-        if not (isinstance(self.zeno_steps, int) and self.zeno_steps >= 1):
+        if not (self.dt_max - self.dt_min) / self.dt_step < MAX_DT_POINTS:
+            raise ConfigError(f"dt_min:dt_step:dt_max has more than {MAX_DT_POINTS} points")
+        if not (_is_number(self.zeno_steps, int) and self.zeno_steps >= 1):
             raise ConfigError(f"zeno_steps must be an integer >= 1, got {self.zeno_steps!r}")
         if not 0 < self.zeno_threshold < 1:
             raise ConfigError("zeno_threshold must be in (0, 1)")
@@ -166,9 +172,14 @@ class RunConfig:
         return tfim_path(self.n_sites, self.periodic, schedule)
 
 
+def _is_number(value, kinds) -> bool:
+    """isinstance(value, kinds), but a bool (JSON true/false) never is."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _inside(value, low: float, high: float) -> bool:
     """True for a number strictly between low and high; NaN never is."""
-    return isinstance(value, (int, float)) and low < value < high
+    return _is_number(value, (int, float)) and low < value < high
 
 
 def load_config(path: str | None, seed: int | None, threads: int | None) -> RunConfig:

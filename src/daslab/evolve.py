@@ -140,6 +140,18 @@ class EvolutionSpec:
         for any other layer."""
         return tuple(None if eig is None else _diagonal_order(eig[1]) for eig in self._layer_eigs)
 
+    @cached_property
+    def strang_symmetric(self) -> bool:
+        """True for a step of two fixed layers, the first real and the last
+        diagonal: its Strang form (see :func:`strang_step`) is then a
+        symmetric unitary."""
+        return (
+            len(self.layers) == 2
+            and all(eig is not None for eig in self._layer_eigs)
+            and not np.imag(self.layers[0].matrix).any()
+            and self._layer_rows[1] is not None
+        )
+
 
 def _diagonal_order(v: np.ndarray) -> np.ndarray | None:
     """For V a permutation matrix up to unit phases, the eigenbasis of a
@@ -321,9 +333,15 @@ def trotter_steps(spec: EvolutionSpec, s_values) -> np.ndarray:
             factors = exp_from_eig(w, v, spec.dt)
             steps = factors if steps is None else factors @ steps
         else:
-            phases = np.exp(-1j * w[:, rows] * spec.dt)[..., None]
+            phases = _diagonal_phases(w, rows, spec.dt)[..., None]
             steps = phases * (np.eye(len(rows)) if steps is None else steps)
     return steps
+
+
+def _diagonal_phases(w: np.ndarray, rows: np.ndarray, dt: float) -> np.ndarray:
+    """Diagonal of e^{-i H dt} for a diagonal layer H with energies w (one
+    row per s) and ``_diagonal_order`` rows."""
+    return np.exp(-1j * w[..., rows] * dt)
 
 
 def trotter_state(spec: EvolutionSpec, psi: np.ndarray) -> np.ndarray:
@@ -353,6 +371,26 @@ def trotter_state(spec: EvolutionSpec, psi: np.ndarray) -> np.ndarray:
 def trotter_step_unitary(spec: EvolutionSpec, s: float) -> np.ndarray:
     """Single Trotter step at s: layer k = 1 applied first (rightmost factor)."""
     return trotter_steps(spec, [s])[0]
+
+
+def strang_step(spec: EvolutionSpec, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Trotter step at s in Strang-symmetrized form, and its half step.
+
+    With A the last-applied layer and U = e^{-iA dt} e^{-iB dt}, conjugating
+    by the half step gives S = e^{iA dt/2} U e^{-iA dt/2} = e^{-iA dt/2}
+    e^{-iB dt} e^{-iA dt/2}: U's eigenphases, and U's eigenvectors are
+    e^{-iA dt/2} times S's.  For a :attr:`EvolutionSpec.strang_symmetric`
+    spec A is diagonal, so the conjugation is a row and column phase
+    scaling, and S is a symmetric unitary, made exactly symmetric here.
+    Returns (S, half), with half the diagonal of e^{-iA dt/2}.
+    """
+    if not spec.strang_symmetric:
+        raise ValueError("strang_step needs two fixed layers, the first real, the last diagonal")
+    step = trotter_step_unitary(spec, s)
+    w, _ = _layer_spectra(spec, [s])[1]
+    half = _diagonal_phases(w[0], spec._layer_rows[1], spec.dt / 2)
+    strang = half.conj()[:, None] * step * half[None, :]
+    return (strang + strang.T) / 2, half
 
 
 def trotter_evolution(spec: EvolutionSpec) -> UnitaryOperator:

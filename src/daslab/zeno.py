@@ -15,9 +15,9 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import AllFail, AllPass
-from .linalg import _fix_column_phases, exp_from_eig, ground_state, unitary_eig
+from .linalg import _fix_column_phases, ground_state, unitary_eig
 from .model import AdiabaticPath, path_at
-from .evolve import EvolutionSpec, _layer_spectra, trotter_step_unitary
+from .evolve import EvolutionSpec, strang_step, trotter_step_unitary
 
 DEFAULT_THRESHOLD = 0.99
 
@@ -68,8 +68,9 @@ def effective_family(path: AdiabaticPath, dt: float, layers=()) -> OperatorFamil
     """Family of single Trotter steps at fixed dt; shares the effective
     generator's eigenbasis without taking any logs.
 
-    A step of two fixed real layers is diagonalized through its symmetrized
-    form (see :func:`_strang_diagonalizer`); any other step directly.
+    A step of a real layer followed by a diagonal one (the TFIM) is
+    diagonalized through its symmetrized form (see
+    :func:`_strang_diagonalizer`); any other step directly.
     """
     spec = EvolutionSpec(path=path, total_time=dt, steps=1, layers=tuple(layers))
     return OperatorFamily(
@@ -81,35 +82,19 @@ def effective_family(path: AdiabaticPath, dt: float, layers=()) -> OperatorFamil
 
 
 def _strang_diagonalizer(spec: EvolutionSpec):
-    """Eigendata of the step U = e^{-iA dt} e^{-iB dt} in real arithmetic.
+    """Eigendata of the step from its Strang form S (see
+    :func:`strang_step`), which :func:`unitary_eig` diagonalizes with a real
+    ``eigh``; U's eigenvectors are S's scaled by the half-step phases.
 
-    With A the last-applied layer, conjugating U by the half step gives the
-    Strang step S = e^{iA dt/2} U e^{-iA dt/2} = e^{-iA dt/2} e^{-iB dt}
-    e^{-iA dt/2}: same eigenphases, and U's eigenvectors are e^{-iA dt/2}
-    times S's.  When A and B are real symmetric, S is a symmetric unitary,
-    which :func:`unitary_eig` diagonalizes with a real ``eigh``.  A diagonal
-    A (H_Z for the TFIM) makes the conjugation a row and column phase
-    scaling.
-
-    Returns None unless the step is two fixed layers with real eigenvectors.
+    None unless the spec is :attr:`EvolutionSpec.strang_symmetric`.
     """
-    eigs = spec._layer_eigs
-    if len(eigs) != 2 or any(eig is None or eig[1].imag.any() for eig in eigs):
+    if not spec.strang_symmetric:
         return None
-    rows = spec._layer_rows[1]
 
     def diagonalize(s: float) -> tuple[np.ndarray, np.ndarray]:
-        u = trotter_step_unitary(spec, s)
-        w_a, v_a = _layer_spectra(spec, [s])[1]
-        if rows is None:
-            half = exp_from_eig(w_a[0], v_a, spec.dt / 2)
-            strang = half.conj().T @ u @ half
-        else:
-            half = np.exp(-1j * w_a[0, rows] * (spec.dt / 2))
-            strang = half.conj()[:, None] * u * half[None, :]
-        theta, v = unitary_eig((strang + strang.T) / 2)
-        v = half @ v if rows is None else half[:, None] * v
-        return theta, _fix_column_phases(v)
+        strang, half = strang_step(spec, s)
+        theta, v = unitary_eig(strang)
+        return theta, _fix_column_phases(half[:, None] * v)
 
     return diagonalize
 

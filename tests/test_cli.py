@@ -121,11 +121,14 @@ class TestConfig:
             ("fig3", {"dt_max": float("inf")}),
             ("fig3", {"dt_step": float("nan")}),
             ("fig3", {"dt_step": 0.0}),
+            ("fig3", {"dt_step": 1e-300}),
+            ("fig3", {"dt_min": True}),
             ("fig3", {"trace_dts": [float("nan")]}),
             ("zeno", {"zeno_dt": float("nan")}),
             ("zeno", {"zeno_dt": -0.8}),
             ("zeno", {"zeno_steps": 0}),
             ("zeno", {"zeno_steps": 2.5}),
+            ("zeno", {"zeno_steps": True}),
         ],
     )
     def test_fig3_zeno_inputs_rejected_before_continuation(

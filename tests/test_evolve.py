@@ -27,6 +27,7 @@ from daslab.evolve import (
     full_hamiltonian_layer,
     grid_points,
     interpolation_layers,
+    strang_step,
     ordered_product,
     trotter_evolution,
     trotter_state,
@@ -248,6 +249,25 @@ class TestTrotterEvolution:
                     matrix_exp_hermitian(layer.operator_at(s), spec.dt) for layer in layers
                 )
                 assert operator_norm(step - second @ first) <= 1e-12
+
+    def test_strang_step_is_the_symmetric_half_step_conjugate(self, tfim4):
+        spec = EvolutionSpec(path=tfim4, total_time=6.0, steps=5)
+        assert spec.strang_symmetric
+        for s in (0.0, 0.3, 1.0):
+            strang, half = strang_step(spec, s)
+            a = tfim4.h_final.matrix * float(tfim4.schedule.p(s))
+            assert np.allclose(np.diag(half), matrix_exp_hermitian(a, spec.dt / 2), atol=1e-14)
+            step = trotter_step_unitary(spec, s)
+            expected = half.conj()[:, None] * step * half[None, :]
+            assert np.array_equal(strang, strang.T)
+            assert operator_norm(strang - expected) <= 1e-14
+
+    def test_strang_step_needs_a_real_then_diagonal_step(self, tfim4):
+        reversed_layers = interpolation_layers(tfim4)[::-1]
+        spec = EvolutionSpec(path=tfim4, total_time=6.0, steps=5, layers=reversed_layers)
+        assert not spec.strang_symmetric
+        with pytest.raises(ValueError):
+            strang_step(spec, 0.5)
 
     def test_step_at_boundary_single_active_layer(self, tfim4):
         spec = EvolutionSpec(path=tfim4, total_time=4.0, steps=40)
