@@ -16,15 +16,18 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .exceptions import ConfigError, SimulationError
+from .exceptions import ConfigError, DimensionTooLarge, SimulationError
 from .linalg import operator_norm
 from .model import (
+    MAX_SITES,
+    MIN_SITES,
+    _SCHEDULE_NAMES,
     AdiabaticPath,
     linear_schedule,
     load_path_json,
@@ -33,6 +36,7 @@ from .model import (
     tfim_path,
 )
 from .evolve import (
+    GRIDS,
     EvolutionSpec,
     discrete_product,
     exact_state_evolution,
@@ -48,91 +52,105 @@ from .eigenframes import (
     transported_frames,
 )
 from .riemann_lebesgue import OscillatorySumSpec, sum_bounds
-from .zeno import effective_family, hermitian_family, near_degeneracy_test
+from .zeno import (
+    HERMITIAN_FAMILY, UNITARY_FAMILY, effective_family, hermitian_family, near_degeneracy_test,
+)
 from . import svg as svgmod
 
 # Largest dt grid that dt_min:dt_step:dt_max may describe; each point is a
 # whole continuation, and the default grid has 29.
 MAX_DT_POINTS = 10_000
 
+_KINDS = {
+    int: "an integer in [{}, {}]",
+    float: "a finite number in ({}, {})",
+    tuple: "a list of finite numbers in ({}, {})",
+    bool: "true or false",
+    Path: "an existing file or empty",
+}
+
+
+def _rule(default, kind, low=-np.inf, high=np.inf):
+    """A config field: its default and what it accepts.
+
+    ``kind`` is int, float, bool, Path, tuple (a list of finite numbers) or
+    a tuple of the allowed names.  An integer lies in [low, high]; a number,
+    and every entry of a list, in (low, high).
+    """
+    return field(default=default, metadata={"rule": (kind, low, high)})
+
+
+def _accepts(value, kind, low, high) -> bool:
+    if isinstance(kind, tuple):
+        return isinstance(value, str) and value in kind
+    if kind is tuple:
+        return isinstance(value, tuple) and all(_accepts(v, float, low, high) for v in value)
+    if kind is bool or isinstance(value, bool):  # a JSON true/false is never a number
+        return kind is bool and isinstance(value, bool)
+    if kind is Path:
+        return isinstance(value, str) and (not value or Path(value).is_file())
+    if kind is int:
+        return isinstance(value, int) and low <= value <= high
+    # abs() <= float max rules out NaN, +-inf and ints too large for a float
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return finite and low < value < high
+
 
 @dataclass
 class RunConfig:
     """Resolved run parameters; defaults reproduce the reference sweeps."""
 
-    n_sites: int = 8
-    periodic: bool = False
-    schedule: str = "linear"
-    schedule_coefficients: tuple = ()
-    hamiltonian_file: str = ""
-    grid: str = "endpoints"
-    steps: int = 100
-    t_min: float = 4.0
-    t_max: float = 200.0
-    t_points: int = 40
-    t_values: tuple = ()
-    dt_min: float = 0.1
-    dt_max: float = 1.5
-    dt_step: float = 0.05
-    dt_values: tuple = ()
-    zeno_threshold: float = 0.99
-    zeno_steps: int = 100
-    zeno_family: str = "trotter-unitary"
-    zeno_dt: float = 0.8
-    trace_dts: tuple = (0.8, 1.0, 1.2)
-    rl_steps: int = 100
-    rl_dt_values: tuple = (0.5, 1.0, 2 * np.pi)
-    gamma_t_values: tuple = (10.0, 50.0)
-    bound_quad_points: int = 201
-    ode_rtol: float = 1e-9
-    robust_dt_cut: float = 0.8
-    seed: int = 0
-    threads: int = 1
+    n_sites: int = _rule(8, int, MIN_SITES, MAX_SITES)
+    periodic: bool = _rule(False, bool)
+    schedule: str = _rule("linear", _SCHEDULE_NAMES)
+    schedule_coefficients: tuple = _rule((), tuple)
+    hamiltonian_file: str = _rule("", Path)
+    grid: str = _rule("endpoints", GRIDS)
+    steps: int = _rule(100, int, 2)
+    t_min: float = _rule(4.0, float, 0)
+    t_max: float = _rule(200.0, float, 0)
+    t_points: int = _rule(40, int, 1)
+    t_values: tuple = _rule((), tuple, 0)
+    dt_min: float = _rule(0.1, float, 0)
+    dt_max: float = _rule(1.5, float, 0)
+    dt_step: float = _rule(0.05, float, 0)
+    dt_values: tuple = _rule((), tuple, 0)
+    zeno_threshold: float = _rule(0.99, float, 0, 1)
+    zeno_steps: int = _rule(100, int, 1)
+    zeno_family: str = _rule(UNITARY_FAMILY, (HERMITIAN_FAMILY, UNITARY_FAMILY))
+    zeno_dt: float = _rule(0.8, float, 0)
+    trace_dts: tuple = _rule((0.8, 1.0, 1.2), tuple, 0)
+    rl_steps: int = _rule(100, int, 2)
+    rl_dt_values: tuple = _rule((0.5, 1.0, 2 * np.pi), tuple, 0)
+    gamma_t_values: tuple = _rule((10.0, 50.0), tuple, 0)
+    bound_quad_points: int = _rule(201, int, 3)
+    ode_rtol: float = _rule(1e-9, float, 0, 1)
+    robust_dt_cut: float = _rule(0.8, float, 0)
+    threads: int = _rule(1, int, 1)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        kinds = {f.name: f.metadata["rule"][0] for f in fields(cls)}
+        unknown = set(data) - set(kinds)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        merged = cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
+        lists = {k: tuple(v) for k, v in data.items() if kinds[k] is tuple and isinstance(v, list)}
+        merged = cls(**{**data, **lists})
         merged.validate()
         return merged
 
     def validate(self) -> None:
-        if self.steps < 2:
-            raise ConfigError(f"steps must be >= 2, got {self.steps}")
-        if self.grid not in ("endpoints", "left", "midpoint"):
-            raise ConfigError(f"unknown grid {self.grid!r}")
-        if not isinstance(self.t_values, (tuple, list)):
-            raise ConfigError("t_values must be a list")
-        times = (self.t_min, self.t_max, *self.t_values)
-        if not all(_inside(t, 0, np.inf) for t in times):
-            raise ConfigError("t_min, t_max and every t_values entry must be finite and > 0")
-        if self.t_points < 1 or self.t_max < self.t_min:
-            raise ConfigError("invalid T grid")
-        if not _inside(self.ode_rtol, 0, 1):
-            raise ConfigError(f"ode_rtol must be in (0, 1), got {self.ode_rtol!r}")
-        for name in ("dt_values", "trace_dts"):
-            if not isinstance(getattr(self, name), (tuple, list)):
-                raise ConfigError(f"{name} must be a list")
-        step_sizes = (self.dt_min, self.dt_max, self.dt_step, self.zeno_dt,
-                      *self.dt_values, *self.trace_dts)
-        if not all(_inside(dt, 0, np.inf) for dt in step_sizes):
-            raise ConfigError(
-                "dt_min, dt_max, dt_step, zeno_dt and every dt_values and trace_dts "
-                "entry must be finite and > 0"
-            )
+        for f in fields(self):
+            value, (kind, low, high) = getattr(self, f.name), f.metadata["rule"]
+            if not _accepts(value, kind, low, high):
+                wanted = "one of " + ", ".join(kind) if isinstance(kind, tuple) else _KINDS[kind]
+                raise ConfigError(f"{f.name} must be {wanted.format(low, high)}, got {value!r}")
+        if self.t_max < self.t_min:
+            raise ConfigError("t_max must be >= t_min")
         if self.dt_max < self.dt_min:
-            raise ConfigError("invalid dt grid")
+            raise ConfigError("dt_max must be >= dt_min")
         if not (self.dt_max - self.dt_min) / self.dt_step < MAX_DT_POINTS:
             raise ConfigError(f"dt_min:dt_step:dt_max has more than {MAX_DT_POINTS} points")
-        if not (_is_number(self.zeno_steps, int) and self.zeno_steps >= 1):
-            raise ConfigError(f"zeno_steps must be an integer >= 1, got {self.zeno_steps!r}")
-        if not 0 < self.zeno_threshold < 1:
-            raise ConfigError("zeno_threshold must be in (0, 1)")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
 
     def digest(self) -> str:
         """Hash of the fields that can change the output.
@@ -161,44 +179,34 @@ class RunConfig:
         return np.round(self.dt_min + self.dt_step * np.arange(count), 10)
 
     def build_path(self) -> AdiabaticPath:
-        if self.hamiltonian_file:
-            return load_path_json(self.hamiltonian_file)
-        if self.schedule == "linear":
+        """The configured path; a bad Hamiltonian file or schedule is a ConfigError."""
+        try:
+            if self.hamiltonian_file:
+                return load_path_json(self.hamiltonian_file)
             schedule = linear_schedule()
-        elif self.schedule == "custom-polynomial":
-            schedule = polynomial_schedule(self.schedule_coefficients)
-        else:
-            raise ConfigError(f"unknown schedule {self.schedule!r}")
+            if self.schedule == "custom-polynomial":
+                schedule = polynomial_schedule(self.schedule_coefficients)
+        except (OSError, ValueError, DimensionTooLarge) as exc:
+            raise ConfigError(f"cannot build the path: {exc}") from exc
         return tfim_path(self.n_sites, self.periodic, schedule)
 
 
-def _is_number(value, kinds) -> bool:
-    """isinstance(value, kinds), but a bool (JSON true/false) never is."""
-    return isinstance(value, kinds) and not isinstance(value, bool)
-
-
-def _inside(value, low: float, high: float) -> bool:
-    """True for a number strictly between low and high; NaN never is."""
-    return _is_number(value, (int, float)) and low < value < high
-
-
-def load_config(path: str | None, seed: int | None, threads: int | None) -> RunConfig:
+def load_config(path: str | None, seed: None, threads: int | None) -> RunConfig:
+    # The middle slot held the removed seed option; positional callers keep working.
+    if seed is not None:
+        raise ConfigError("--seed was removed")
     data = {}
     if path:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or a huge integer
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config JSON must be an object")
-    config = RunConfig.from_dict(data)
-    if seed is not None:
-        config.seed = seed
     if threads is not None:
-        config.threads = threads
-        config.validate()
-    return config
+        data["threads"] = threads
+    return RunConfig.from_dict(data)
 
 
 def _parallel(fn, items, threads: int):
@@ -398,14 +406,12 @@ def bound_rows(config: RunConfig) -> list[dict]:
 def zeno_rows(config: RunConfig) -> list[dict]:
     """Single near-degeneracy trace for the configured family."""
     path = config.build_path()
-    if config.zeno_family == "hermitian-path":
+    if config.zeno_family == HERMITIAN_FAMILY:
         family = hermitian_family(path)
         initial = None
-    elif config.zeno_family == "trotter-unitary":
+    else:
         family = effective_family(path, config.zeno_dt)
         initial, _ = endpoint_states(path)
-    else:
-        raise ConfigError(f"unknown zeno_family {config.zeno_family!r}")
     trace = near_degeneracy_test(
         family,
         steps=config.zeno_steps,
@@ -537,7 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", default=None, help="JSON config file")
         cmd.add_argument("--out", default=".", help="output directory")
         cmd.add_argument("--svg", action="store_true", help="also write SVG plots")
-        cmd.add_argument("--seed", type=int, default=None, help="recorded RNG seed")
         cmd.add_argument("--threads", type=int, default=None, help="sweep-point workers")
     return parser
 
@@ -545,18 +550,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config, args.seed, args.threads)
+        config = load_config(args.config, None, args.threads)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         run_command(args.command, config, out, args.svg)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SimulationError as exc:

@@ -134,15 +134,20 @@ class AdiabaticPath:
         return self.h_initial.dim
 
 
+def _require_sites(n_sites: int) -> None:
+    """Refuse a chain length outside the dense range before anything is allocated."""
+    if not MIN_SITES <= n_sites <= MAX_SITES:
+        raise DimensionTooLarge(
+            f"n_sites = {n_sites} outside supported range [{MIN_SITES}, {MAX_SITES}]"
+        )
+
+
 def build_tfim(n_sites: int, periodic: bool = False) -> tuple[HermitianOperator, HermitianOperator]:
     """Transverse-field Ising pair: H_X = -sum X_j and H_Z = -sum (Z_j + Z_j Z_{j+1}).
 
     Open boundary by default; periodic adds the wrap-around coupling.
     """
-    if not MIN_SITES <= n_sites <= MAX_SITES:
-        raise DimensionTooLarge(
-            f"n_sites = {n_sites} outside supported range [{MIN_SITES}, {MAX_SITES}]"
-        )
+    _require_sites(n_sites)
     x_terms = [PauliTerm(-1.0, ((j, "X"),)) for j in range(n_sites)]
     z_terms = [PauliTerm(-1.0, ((j, "Z"),)) for j in range(n_sites)]
     bonds = n_sites if periodic else n_sites - 1
@@ -257,19 +262,30 @@ def load_path_json(source) -> AdiabaticPath:
 
     try:
         n_sites = int(data["n_sites"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError("missing or malformed 'n_sites'") from exc
-    h_i = pauli_sum_matrix(_terms_from_json(data.get("h_initial"), "h_initial"), n_sites)
-    h_f = pauli_sum_matrix(_terms_from_json(data.get("h_final"), "h_final"), n_sites)
-
+    _require_sites(n_sites)
     sched_spec = data.get("schedule", {"name": "linear"})
+    if not isinstance(sched_spec, dict):
+        raise ValueError(f"schedule must be an object, got {sched_spec!r}")
     name = sched_spec.get("name")
     if name not in _SCHEDULE_NAMES:
         raise ValueError(f"schedule name must be one of {_SCHEDULE_NAMES}, got {name!r}")
     if name == "linear":
         schedule = linear_schedule()
     else:
-        schedule = polynomial_schedule(sched_spec.get("coefficients", ()))
+        try:
+            coefficients = np.asarray(sched_spec.get("coefficients", ()), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError("malformed schedule coefficients") from exc
+        if coefficients.ndim != 1 or not np.all(np.isfinite(coefficients)):
+            raise ValueError("schedule coefficients must be a list of finite numbers")
+        schedule = polynomial_schedule(coefficients)
+
+    terms_i = _terms_from_json(data.get("h_initial"), "h_initial")
+    terms_f = _terms_from_json(data.get("h_final"), "h_final")
+    h_i = pauli_sum_matrix(terms_i, n_sites)
+    h_f = pauli_sum_matrix(terms_f, n_sites)
 
     return AdiabaticPath(
         HermitianOperator(h_i, label="h-initial"),

@@ -146,12 +146,14 @@ class TestCriterion1Fig1:
         assert worst_eps <= 0.3
         assert min_ratio >= 5.0
 
-    def test_contrast_window_evidence(self, fig1_data):
+    def test_contrast_window_evidence(self, fig1_data, fig3_scan):
         """The reproduction's actual content: once the norm distance has
         saturated at Theta(1), the Trotter fidelity error is still tiny,
         with ratio far beyond 5, until the critical step."""
         window = [
-            r for r in fig1_data if r["norm_dist"] >= 0.5 and r["dt"] <= 0.73
+            r
+            for r in fig1_data
+            if r["norm_dist"] >= 0.5 and r["dt"] < fig3_scan.critical_dt
         ]
         assert window, "norm distance saturates before the critical step"
         worst_eps = max(r["eps_tro"] for r in window)

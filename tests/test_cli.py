@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import daslab
-from daslab import cli
+from daslab import cli, model
 from daslab.cli import (
     RunConfig,
     bound_rows,
@@ -36,6 +36,18 @@ def small_config(**overrides):
     }
     base.update(overrides)
     return RunConfig.from_dict(base)
+
+
+def two_site_hamiltonian(coupling: float) -> dict:
+    """Hamiltonian-file contents: a 2-site X field to a ZZ coupling."""
+    return {
+        "n_sites": 2,
+        "h_initial": [
+            {"coeff": -1.0, "factors": [[0, "X"]]},
+            {"coeff": -1.0, "factors": [[1, "X"]]},
+        ],
+        "h_final": [{"coeff": coupling, "factors": [[0, "Z"], [1, "Z"]]}],
+    }
 
 
 def package_env() -> dict:
@@ -95,6 +107,14 @@ class TestConfig:
             {"ode_rtol": float("nan")},
             {"ode_rtol": -1.0},
             {"ode_rtol": 1.0},
+            {"steps": "100"},
+            {"steps": 2.5},
+            {"t_points": 2.5},
+            {"robust_dt_cut": float("nan")},
+            {"periodic": "yes"},
+            {"threads": 1.5},
+            {"n_sites": 13},
+            {"t_values": [10**400]},
         ],
     )
     def test_fig2_inputs_rejected_before_propagation(self, tmp_path, monkeypatch, bad):
@@ -146,10 +166,85 @@ class TestConfig:
         assert main([command, "--config", str(config_path), "--out", str(tmp_path)]) == 2
         assert not (tmp_path / f"{command}.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, bad",
+        [
+            ("bound", {"bound_quad_points": 1}),
+            ("bound", {"bound_quad_points": "x"}),
+            ("bound", {"n_sites": 13}),
+            ("bound", {"hamiltonian_file": "no-such-hamiltonian.json"}),
+            ("bound", {"schedule": "cubic"}),
+            ("rl", {"rl_steps": -1}),
+            ("rl", {"rl_steps": 1}),
+            ("rl", {"rl_dt_values": 0.5}),
+            ("rl", {"rl_dt_values": [float("nan")]}),
+            ("rl", {"threads": 1.5}),
+            ("gamma", {"gamma_t_values": [float("nan")]}),
+            ("gamma", {"steps": [100]}),
+        ],
+    )
+    def test_inputs_rejected_before_any_sweep(self, tmp_path, monkeypatch, command, bad):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a sweep started on an invalid config")
+
+        monkeypatch.setattr(cli, "run_command", no_sweep)
+        data = {"n_sites": 2, **bad}
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(data)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(data))
+        assert main([command, "--config", str(config_path), "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / f"{command}.csv").exists()
+
+    @pytest.mark.parametrize(
+        "extra, hamiltonian",
+        [
+            ({"schedule": "custom-polynomial", "schedule_coefficients": [0, 2]}, None),
+            ({"schedule": "custom-polynomial"}, None),
+            ({}, "{not json"),
+            ({}, {"n_sites": 16}),
+            ({}, {"n_sites": 1}),
+            ({}, {"n_sites": float("inf")}),
+            ({}, {"schedule": "linear"}),
+            ({}, {"schedule": {"name": "custom-polynomial", "coefficients": 5}}),
+            ({}, {"schedule": {"name": "custom-polynomial", "coefficients": [None, 1]}}),
+            ({}, {"h_final": []}),
+        ],
+    )
+    def test_unusable_path_rejected_before_allocation(
+        self, tmp_path, monkeypatch, extra, hamiltonian
+    ):
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("a Hamiltonian matrix was allocated")
+
+        data = {"n_sites": 2, "t_values": [10.0], **extra}
+        if hamiltonian is not None:
+            ham_path = tmp_path / "ham.json"
+            if isinstance(hamiltonian, dict):
+                hamiltonian = json.dumps({**two_site_hamiltonian(-1.0), **hamiltonian})
+            ham_path.write_text(hamiltonian)
+            data["hamiltonian_file"] = str(ham_path)
+        config = RunConfig.from_dict(data)
+        monkeypatch.setattr(model, "pauli_sum_matrix", no_matrix)
+        with pytest.raises(ConfigError):
+            config.build_path()
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(data))
+        assert main(["bound", "--config", str(config_path), "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "bound.csv").exists()
+
+    def test_seed_option_removed(self, tmp_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["rl", "--out", str(tmp_path), "--seed", "3"])
+        assert exit_info.value.code == 2
+        assert not (tmp_path / "rl.csv").exists()
+        with pytest.raises(ConfigError, match="--seed was removed"):
+            load_config(None, 3, None)
+
     def test_digest_stable_and_sensitive(self):
         a = small_config()
         b = small_config()
-        c = small_config(seed=1)
+        c = small_config(steps=11)
         assert a.digest() == b.digest()
         assert a.digest() != c.digest()
 
@@ -164,38 +259,27 @@ class TestConfig:
         assert (tmp_path / "threaded" / "bound.csv").read_bytes() == serial
 
     def test_digest_hashes_hamiltonian_contents(self, tmp_path):
-        def hamiltonian(coeff):
-            return json.dumps(
-                {
-                    "n_sites": 2,
-                    "h_initial": [
-                        {"coeff": -1.0, "factors": [[0, "X"]]},
-                        {"coeff": -1.0, "factors": [[1, "X"]]},
-                    ],
-                    "h_final": [{"coeff": coeff, "factors": [[0, "Z"], [1, "Z"]]}],
-                }
-            )
-
         first, second = tmp_path / "first.json", tmp_path / "second.json"
-        first.write_text(hamiltonian(-1.0))
-        second.write_text(hamiltonian(-1.0))
+        first.write_text(json.dumps(two_site_hamiltonian(-1.0)))
+        second.write_text(json.dumps(two_site_hamiltonian(-1.0)))
         before = small_config(hamiltonian_file=str(first)).digest()
         assert small_config(hamiltonian_file=str(second)).digest() == before
-        first.write_text(hamiltonian(-1.5))
+        first.write_text(json.dumps(two_site_hamiltonian(-1.5)))
         assert small_config(hamiltonian_file=str(first)).digest() != before
 
     def test_load_config_munges_overrides(self, tmp_path):
         target = tmp_path / "config.json"
         target.write_text(json.dumps({"n_sites": 3, "steps": 12}))
-        config = load_config(str(target), seed=7, threads=2)
+        config = load_config(str(target), None, threads=2)
         assert config.n_sites == 3 and config.steps == 12
-        assert config.seed == 7 and config.threads == 2
+        assert config.threads == 2
 
     def test_load_config_bad_json(self, tmp_path):
         target = tmp_path / "broken.json"
-        target.write_text("{not json")
-        with pytest.raises(ConfigError):
-            load_config(str(target), None, None)
+        for contents in (b"{not json", b"\xff\xfe{}", b'{"steps": 1' + b"0" * 5000 + b"}"):
+            target.write_bytes(contents)
+            with pytest.raises(ConfigError):
+                load_config(str(target), None, None)
 
 
 class TestRows:

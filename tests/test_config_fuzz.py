@@ -1,0 +1,120 @@
+"""Fuzz the CLI contract: any config dict exits 0, 2 or 3, prints no
+traceback, and writes only finite cells.
+
+Valid values are drawn small (2 sites, a few T points, few quadrature
+nodes) so each example runs in milliseconds; invalid ones cover wrong
+kinds, NaN and infinities, negatives, bools and strings.
+"""
+
+import contextlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from daslab.cli import main
+
+# rl's bound columns are infinite by design at a resonance (see sum_bounds).
+MAY_BE_INFINITE = {"rl": {"boundary_bound", "first_order_bound", "second_order_bound"}}
+
+BAD = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.sampled_from([math.nan, math.inf, -math.inf, -1, 0, 10**400, "1"]),
+    st.floats(max_value=0.0),
+    st.lists(st.sampled_from([math.nan, -1.0, "1", True, None]), min_size=1, max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+
+
+def positive_list(low, high, max_size=3):
+    return st.lists(st.floats(low, high), max_size=max_size)
+
+
+COMMON = {
+    "periodic": st.booleans(),
+    "steps": st.integers(2, 20),
+    "grid": st.sampled_from(["endpoints", "left", "midpoint"]),
+    "threads": st.integers(1, 2),
+    "ode_rtol": st.floats(1e-12, 0.5),
+    "zeno_threshold": st.floats(0.01, 0.99),
+    "gamma_t_values": positive_list(0.1, 100.0),
+    "hamiltonian_file": st.just(""),
+}
+
+BOUND = {
+    **COMMON,
+    "schedule": st.sampled_from(["linear", "custom-polynomial"]),
+    "schedule_coefficients": st.sampled_from([[0.0, 1.0], [0.0, 2.0, -1.0], [0.0, 2.0]]),
+    "t_min": st.floats(0.1, 1e3),
+    "t_max": st.floats(0.1, 1e3),
+    "t_points": st.integers(1, 4),
+    "t_values": positive_list(0.1, 1e3),
+    "bound_quad_points": st.integers(3, 31),
+}
+
+RL = {
+    **COMMON,
+    "n_sites": st.just(2),
+    "rl_steps": st.integers(2, 40),
+    "rl_dt_values": positive_list(0.01, 7.0, max_size=2),
+}
+
+
+@st.composite
+def fuzzed(draw, valid: dict, fixed=None):
+    """A config dict: the fixed entries, any subset of the valid fields, and
+    up to two fields replaced by an invalid value."""
+    fixed = {name: st.just(value) for name, value in (fixed or {}).items()}
+    config = draw(st.fixed_dictionaries(fixed, optional=valid))
+    for name in draw(st.lists(st.sampled_from(sorted(valid)), max_size=2, unique=True)):
+        config[name] = draw(BAD)
+    return config
+
+
+def run(command: str, config: dict) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = Path(tmp) / "config.json"
+        config_path.write_text(json.dumps(config))
+        out = Path(tmp) / "out"
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main([command, "--config", str(config_path), "--out", str(out)])
+        assert code in (0, 2, 3), (code, stderr.getvalue())
+        assert "Traceback" not in stderr.getvalue()
+        csv = out / f"{command}.csv"
+        assert csv.exists() == (code == 0)
+        if code == 0:
+            lines = [line for line in csv.read_text().splitlines() if not line.startswith("#")]
+            header = lines[0].split(",")
+            for line in lines[1:]:
+                for column, cell in zip(header, line.split(",")):
+                    value = float(cell)
+                    allowed = column in MAY_BE_INFINITE.get(command, ()) and value == math.inf
+                    assert math.isfinite(value) or allowed, (column, cell, config)
+
+
+FUZZ = settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@FUZZ
+@given(fuzzed(RL))
+def test_rl_config_fuzz(config):
+    run("rl", config)
+
+
+@FUZZ
+@given(fuzzed(BOUND, fixed={"n_sites": 2}))
+def test_bound_config_fuzz(config):
+    run("bound", config)
