@@ -57,9 +57,23 @@ from .zeno import (
 )
 from . import svg as svgmod
 
-# Largest dt grid that dt_min:dt_step:dt_max may describe; each point is a
-# whole continuation, and the default grid has 29.
+# Largest counts a config may ask for, each set from what one unit costs at
+# the default 8 sites (dim 256), so that an absurd count is refused before
+# anything runs.
+# A dt or T grid point is a whole continuation or propagation, up to about
+# a second each; the default grids have 29 and 40 points.
 MAX_DT_POINTS = 10_000
+MAX_T_POINTS = 10_000
+# fig1 and gamma hold one dim x dim complex matrix per step at once, 1 MB
+# each, so 10^4 steps ask for about 10 GB; the default is 100.
+MAX_STEPS = 10_000
+# Each continuation step is one Trotter step and one unitary_eig, a few ms.
+MAX_ZENO_STEPS = 10_000
+# rl evaluates its sum on arrays of rl_steps complex entries, 16 MB each at
+# 10^6.
+MAX_RL_STEPS = 10**6
+# Each Simpson node of the bound is one dim x dim eigvalsh, a few ms.
+MAX_QUAD_POINTS = 10_001
 
 _KINDS = {
     int: "an integer in [{}, {}]",
@@ -106,24 +120,24 @@ class RunConfig:
     schedule_coefficients: tuple = _rule((), tuple)
     hamiltonian_file: str = _rule("", Path)
     grid: str = _rule("endpoints", GRIDS)
-    steps: int = _rule(100, int, 2)
+    steps: int = _rule(100, int, 2, MAX_STEPS)
     t_min: float = _rule(4.0, float, 0)
     t_max: float = _rule(200.0, float, 0)
-    t_points: int = _rule(40, int, 1)
+    t_points: int = _rule(40, int, 1, MAX_T_POINTS)
     t_values: tuple = _rule((), tuple, 0)
     dt_min: float = _rule(0.1, float, 0)
     dt_max: float = _rule(1.5, float, 0)
     dt_step: float = _rule(0.05, float, 0)
     dt_values: tuple = _rule((), tuple, 0)
     zeno_threshold: float = _rule(0.99, float, 0, 1)
-    zeno_steps: int = _rule(100, int, 1)
+    zeno_steps: int = _rule(100, int, 1, MAX_ZENO_STEPS)
     zeno_family: str = _rule(UNITARY_FAMILY, (HERMITIAN_FAMILY, UNITARY_FAMILY))
     zeno_dt: float = _rule(0.8, float, 0)
     trace_dts: tuple = _rule((0.8, 1.0, 1.2), tuple, 0)
-    rl_steps: int = _rule(100, int, 2)
+    rl_steps: int = _rule(100, int, 2, MAX_RL_STEPS)
     rl_dt_values: tuple = _rule((0.5, 1.0, 2 * np.pi), tuple, 0)
     gamma_t_values: tuple = _rule((10.0, 50.0), tuple, 0)
-    bound_quad_points: int = _rule(201, int, 3)
+    bound_quad_points: int = _rule(201, int, 3, MAX_QUAD_POINTS)
     ode_rtol: float = _rule(1e-9, float, 0, 1)
     robust_dt_cut: float = _rule(0.8, float, 0)
     threads: int = _rule(1, int, 1)

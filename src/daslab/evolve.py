@@ -28,7 +28,14 @@ from .linalg import (
     principal_log_hamiltonian,
     unitarity_defect,
 )
-from .model import AdiabaticPath, HermitianOperator, PathSpectrum, path_at, path_spectrum
+from .model import (
+    STACK_ENTRIES,
+    AdiabaticPath,
+    HermitianOperator,
+    PathSpectrum,
+    path_at,
+    path_spectrum,
+)
 
 GRIDS = ("endpoints", "left", "midpoint")
 
@@ -210,7 +217,7 @@ def discrete_product(spectrum: PathSpectrum, dt: float) -> np.ndarray:
 
 def _midpoint_product(path: AdiabaticPath, total_time: float, substeps: int) -> np.ndarray:
     dim = path.dim
-    chunk = max(16, (1 << 22) // (dim * dim))
+    chunk = max(16, STACK_ENTRIES // (dim * dim))
     dt = total_time / substeps
     out = None
     for start in range(0, substeps, chunk):

@@ -64,6 +64,10 @@ class GapClosure(SimulationError):
     """Spectral gap below tolerance at a sampled point."""
 
 
+class NonFiniteResult(SimulationError):
+    """A computed quantity overflowed or came out NaN."""
+
+
 class InsufficientData(SimulationError):
     """Too few samples for the requested fit."""
 

@@ -26,6 +26,11 @@ PAULI = {
 MIN_SITES = 2
 MAX_SITES = 12
 
+# Most matrix entries in one stack of H(s) frames formed at once, so that a
+# long grid is diagonalized in chunks: 1 << 22 entries are 64 MB as
+# complex128, 64 frames at 8 sites.
+STACK_ENTRIES = 1 << 22
+
 
 @dataclass(frozen=True)
 class PauliTerm:
@@ -181,11 +186,19 @@ def path_at(path: AdiabaticPath, s: float, order: int = 0) -> HermitianOperator:
 
 
 def path_matrix(path: AdiabaticPath, s_values: np.ndarray) -> np.ndarray:
-    """Stacked H(s) for an array of s values, shape (len(s), dim, dim)."""
+    """Stacked H(s) for an array of s values, shape (len(s), dim, dim).
+
+    The stack is float64 when both endpoints have zero imaginary part (the
+    TFIM, any Pauli sum without ``Y``), so its eigensolvers run in real
+    arithmetic; it is built from the real parts directly, never as a complex
+    stack first.  Otherwise it is complex128.
+    """
     s_values = np.asarray(s_values, dtype=float)
     weights = np.asarray(path.schedule.p(s_values), dtype=float)
     hi = path.h_initial.matrix
     hf = path.h_final.matrix
+    if not (hi.imag.any() or hf.imag.any()):
+        hi, hf = hi.real, hf.real
     return hi[None, :, :] + weights[:, None, None] * (hf - hi)[None, :, :]
 
 
@@ -195,6 +208,7 @@ class PathSpectrum:
 
     ``bases[j]`` holds the eigenvectors of H(s_j) as columns, exactly as
     LAPACK returns them (no gauge fixing); ``energies[j]`` is ascending.
+    The bases are real when :func:`path_matrix` is.
     """
 
     s_values: np.ndarray
@@ -203,8 +217,10 @@ class PathSpectrum:
 
     @cached_property
     def adjoints(self) -> np.ndarray:
-        """The conjugate-transposed bases, formed once on first use."""
-        return np.conj(np.swapaxes(self.bases, -1, -2))
+        """The conjugate-transposed bases, formed once on first use; for
+        real bases, the transposed view."""
+        transposed = np.swapaxes(self.bases, -1, -2)
+        return transposed if np.isrealobj(transposed) else np.conj(transposed)
 
 
 def path_spectrum(path: AdiabaticPath, s_values) -> PathSpectrum:

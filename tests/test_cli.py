@@ -176,6 +176,12 @@ class TestConfig:
             ("bound", {"schedule": "cubic"}),
             ("rl", {"rl_steps": -1}),
             ("rl", {"rl_steps": 1}),
+            ("rl", {"rl_steps": 10**400}),
+            ("rl", {"rl_steps": cli.MAX_RL_STEPS + 1}),
+            ("fig1", {"steps": cli.MAX_STEPS + 1}),
+            ("fig2", {"t_points": cli.MAX_T_POINTS + 1}),
+            ("zeno", {"zeno_steps": cli.MAX_ZENO_STEPS + 1}),
+            ("bound", {"bound_quad_points": cli.MAX_QUAD_POINTS + 1}),
             ("rl", {"rl_dt_values": 0.5}),
             ("rl", {"rl_dt_values": [float("nan")]}),
             ("rl", {"threads": 1.5}),
@@ -332,9 +338,18 @@ class TestRows:
         assert batches.count((10,)) == 1
 
     def test_bound_diagonalizes_its_nodes_once(self, monkeypatch):
-        batches = count_eigh_batches(monkeypatch)
+        eigh_batches = count_eigh_batches(monkeypatch)
+        batches = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            batches.append(np.shape(a)[:-2])
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         bound_rows(small_config(t_values=[10.0, 20.0, 40.0], bound_quad_points=21))
-        assert batches == [()] * 21
+        assert batches == [(21,)]
+        assert eigh_batches == []
 
     def test_fig2_evolves_states_not_propagators(self, monkeypatch):
         def no_propagator(*args, **kwargs):
@@ -421,6 +436,12 @@ class TestMainEntry:
     def test_config_error_exit_code(self, tmp_path):
         code = self.run_main(tmp_path, "fig1", {"bogus_key": 1})
         assert code == 2
+
+    def test_non_finite_bound_exit_3(self, tmp_path, capsys):
+        code = self.run_main(tmp_path, "bound", {"n_sites": 2, "t_values": [5e-324, 1e-310]})
+        assert code == 3
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "bound.csv").exists()
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # level crossing at s = 0.5 trips the gap guard inside the bound sweep

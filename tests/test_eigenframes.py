@@ -182,7 +182,7 @@ class TestTransitionAmplitudes:
             ]
 
         rng = np.random.default_rng(11)
-        scrambled = bases.copy()
+        scrambled = bases.astype(complex)  # the real TFIM bases, rephased below
         for j in range(len(s_values)):
             scrambled[j] = scrambled[j] * np.exp(
                 1j * rng.uniform(0, 2 * np.pi, size=4)

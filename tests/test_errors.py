@@ -6,6 +6,7 @@ from daslab.exceptions import (
     DimensionMismatch,
     GapClosure,
     InsufficientData,
+    NonFiniteResult,
 )
 from daslab.linalg import ground_state, operator_norm
 from daslab.model import (
@@ -15,10 +16,12 @@ from daslab.model import (
     polynomial_schedule,
 )
 from daslab.evolve import EvolutionSpec, exact_state_evolution
+from daslab import errors
 from daslab.errors import (
     BoundReport,
     ErrorTriplet,
     adiabatic_bound,
+    bound_profile,
     error_triplet,
     fidelity_error,
     scaling_index,
@@ -205,6 +208,15 @@ class TestAdiabaticBound:
             BoundReport(0.1, 0.1, 0.1, 0.5)
         with pytest.raises(ValueError):
             BoundReport(-0.1, 0.1, 0.1, 0.1)
+        with pytest.raises(NonFiniteResult):
+            BoundReport(np.inf, 0.1, 0.1, np.inf)
+
+    def test_chunked_gaps_match_one_batch(self, tfim4, monkeypatch):
+        whole = bound_profile(tfim4, 21)
+        monkeypatch.setattr(errors, "STACK_ENTRIES", 5 * tfim4.dim**2)  # 5 nodes a stack
+        chunked = bound_profile(tfim4, 21)
+        np.testing.assert_array_equal(chunked.gaps, whole.gaps)
+        assert chunked.integral == whole.integral
 
 
 class TestScalingIndex:

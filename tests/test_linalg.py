@@ -12,6 +12,7 @@ from daslab.linalg import (
     _eigenvalue_clusters,
     _fix_column_phases,
     as_complex_matrix,
+    exp_from_eig,
     ground_state,
     hermitian_eig,
     matrix_exp_hermitian,
@@ -255,6 +256,18 @@ class TestMatrixExp:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             matrix_exp_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+
+    def test_real_basis_matches_complex_formula(self):
+        rng = np.random.default_rng(37)
+        a = rng.normal(size=(6, 16, 16))
+        w, v = np.linalg.eigh(a + np.swapaxes(a, -1, -2))
+        t = np.linspace(0.3, 2.0, 6)[:, None]
+        got = exp_from_eig(w, v, t)
+        assert got.dtype == np.complex128
+        expected = (v * np.exp(-1j * w * t)[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
+        assert np.abs(got - expected).max() <= 1e-13
+        transposed = exp_from_eig(w, v, t, np.swapaxes(v, -1, -2))
+        assert np.abs(transposed - expected).max() <= 1e-13
 
 
 class TestPrincipalLog:

@@ -11,6 +11,8 @@ from daslab.model import (
     linear_schedule,
     load_path_json,
     path_at,
+    path_matrix,
+    path_spectrum,
     pauli_sum_matrix,
     polynomial_schedule,
     spectral_gap,
@@ -203,6 +205,23 @@ class TestPathJson:
         mutate(data)
         with pytest.raises(ValueError):
             load_path_json(data)
+
+    def test_path_matrix_real_only_for_real_endpoints(self):
+        s_values = np.linspace(0.0, 1.0, 5)
+        tfim = tfim_path(3)
+        real = path_matrix(tfim, s_values)
+        assert real.dtype == np.float64
+        hi, hf = tfim.h_initial.matrix, tfim.h_final.matrix
+        as_complex = hi[None] + s_values[:, None, None] * (hf - hi)[None]
+        np.testing.assert_array_equal(real, as_complex.real)
+        spectrum = path_spectrum(tfim, s_values)
+        assert np.isrealobj(spectrum.bases)
+        assert np.shares_memory(spectrum.adjoints, spectrum.bases)
+
+        data = self.tfim_json(3)
+        data["h_initial"].append({"coeff": -0.5, "factors": [[1, "Y"]]})
+        stack = path_matrix(load_path_json(data), s_values)
+        assert stack.dtype == np.complex128 and stack.imag.any()
 
     def test_mismatched_endpoint_dims_rejected(self):
         h2 = HermitianOperator(np.eye(2))
