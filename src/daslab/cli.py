@@ -3,8 +3,9 @@
 Subcommands: fig1, fig2, fig3, rl, gamma, bound, zeno.  Every CSV starts
 with a comment line carrying the hash of the resolved configuration.  On one
 machine and BLAS thread count, identical configs reproduce identical files
-byte for byte; across them, fig3's failing rows and traces and the last
-digits of fig2 can move (see the README).
+byte for byte; across them, fig3's failing rows and traces, gamma's
+eps_first_order and the last digits of fig1 and fig2 can move (see the
+README).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """

@@ -58,16 +58,16 @@ def package_env() -> dict:
     return env
 
 
-def count_eigh_batches(monkeypatch) -> list:
-    """Record the batch shape of every np.linalg.eigh call from now on."""
+def count_solver_batches(monkeypatch, name="eigh") -> list:
+    """Record the batch shape of every np.linalg.<name> call from now on."""
     batches = []
-    eigh = np.linalg.eigh
+    solver = getattr(np.linalg, name)
 
     def counting(a, *args, **kwargs):
         batches.append(np.shape(a)[:-2])
-        return eigh(a, *args, **kwargs)
+        return solver(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(np.linalg, name, counting)
     return batches
 
 
@@ -176,17 +176,17 @@ class TestConfig:
             ("bound", {"schedule": "cubic"}),
             ("rl", {"rl_steps": -1}),
             ("rl", {"rl_steps": 1}),
+            ("rl", {"rl_dt_values": 0.5}),
+            ("rl", {"rl_dt_values": [float("nan")]}),
+            ("rl", {"threads": 1.5}),
+            ("gamma", {"gamma_t_values": [float("nan")]}),
+            ("gamma", {"steps": [100]}),
             ("rl", {"rl_steps": 10**400}),
             ("rl", {"rl_steps": cli.MAX_RL_STEPS + 1}),
             ("fig1", {"steps": cli.MAX_STEPS + 1}),
             ("fig2", {"t_points": cli.MAX_T_POINTS + 1}),
             ("zeno", {"zeno_steps": cli.MAX_ZENO_STEPS + 1}),
             ("bound", {"bound_quad_points": cli.MAX_QUAD_POINTS + 1}),
-            ("rl", {"rl_dt_values": 0.5}),
-            ("rl", {"rl_dt_values": [float("nan")]}),
-            ("rl", {"threads": 1.5}),
-            ("gamma", {"gamma_t_values": [float("nan")]}),
-            ("gamma", {"steps": [100]}),
         ],
     )
     def test_inputs_rejected_before_any_sweep(self, tmp_path, monkeypatch, command, bad):
@@ -333,22 +333,15 @@ class TestRows:
         assert rows[-1]["s"] == pytest.approx(1.0)
 
     def test_gamma_diagonalizes_its_grid_once(self, monkeypatch):
-        batches = count_eigh_batches(monkeypatch)
+        batches = count_solver_batches(monkeypatch)
         gamma_rows(small_config(gamma_t_values=[5.0, 10.0]))
         assert batches.count((10,)) == 1
 
     def test_bound_diagonalizes_its_nodes_once(self, monkeypatch):
-        eigh_batches = count_eigh_batches(monkeypatch)
-        batches = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def counting(a, *args, **kwargs):
-            batches.append(np.shape(a)[:-2])
-            return eigvalsh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        eigh_batches = count_solver_batches(monkeypatch)
+        eigvalsh_batches = count_solver_batches(monkeypatch, "eigvalsh")
         bound_rows(small_config(t_values=[10.0, 20.0, 40.0], bound_quad_points=21))
-        assert batches == [(21,)]
+        assert eigvalsh_batches == [(21,)]
         assert eigh_batches == []
 
     def test_fig2_evolves_states_not_propagators(self, monkeypatch):
