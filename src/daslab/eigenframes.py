@@ -17,7 +17,7 @@ from scipy.integrate import cumulative_simpson, simpson
 
 from .exceptions import DegeneratePath, GapClosure, NoConvergence
 from .linalg import _eigenvalue_clusters, _fix_column_phases, unitarity_defect
-from .model import AdiabaticPath, PathSpectrum, path_spectrum
+from .model import STACK_ENTRIES, AdiabaticPath, PathSpectrum, path_spectrum
 from .evolve import EvolutionSpec
 
 GROUND_GAP_TOL = 1e-9
@@ -276,12 +276,11 @@ def gamma_expansion(spec: EvolutionSpec, strict: bool = False) -> PropagatorExpa
     return propagator_expansion(frames, transitions, spec.total_time, amplitudes)
 
 
-def _chunked_level_data(
-    path: AdiabaticPath, s_values: np.ndarray, level: int, chunk: int = 8192
-):
+def _chunked_level_data(path: AdiabaticPath, s_values: np.ndarray, level: int):
     """Eigendata for columns 0 and `level` along a dense grid, chunked."""
     n = len(s_values)
     dim = path.dim
+    chunk = max(1, STACK_ENTRIES // dim**2)
     gaps = np.empty(n)
     v0 = np.empty((n, dim), dtype=complex)
     vl = np.empty((n, dim), dtype=complex)

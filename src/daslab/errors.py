@@ -21,7 +21,6 @@ from .model import STACK_ENTRIES, AdiabaticPath, path_matrix
 from .evolve import (
     EvolutionSpec,
     discrete_evolution,
-    exact_evolution,
     exact_state_evolution,
     trotter_evolution,
 )
@@ -77,29 +76,19 @@ def endpoint_states(path: AdiabaticPath, gap_tol: float = GAP_FLOOR):
     return psi_i, psi_f
 
 
-def error_triplet(
-    spec: EvolutionSpec,
-    exact_method: str = "ode",
-    exact_tol: float = 1e-8,
-    rtol: float = 1e-10,
-) -> ErrorTriplet:
+def error_triplet(spec: EvolutionSpec, rtol: float = 1e-10) -> ErrorTriplet:
     """All three errors for one run, plus the discrete/Trotter norm distance.
 
     eps_adb compares the exactly-evolved initial state against the target
     ground state, eps_tro compares exact against Trotterized evolution of the
     initial state, and eps_tot compares the Trotterized result against the
-    target.  exact_method selects the exact route: "ode" (adaptive state
-    integration) or "midpoint" (self-converged operator product).
+    target.  The exact state comes from adaptive DOP853 integration with
+    relative tolerance rtol.
     """
     psi_i, psi_f = endpoint_states(spec.path)
     a_tro = trotter_evolution(spec).matrix
     a_d = discrete_evolution(spec).matrix
-    if exact_method == "ode":
-        exact_state = exact_state_evolution(spec.path, spec.total_time, psi_i, rtol=rtol)
-    elif exact_method == "midpoint":
-        exact_state = exact_evolution(spec, tol=exact_tol).matrix @ psi_i
-    else:
-        raise ValueError(f"unknown exact_method {exact_method!r}")
+    exact_state = exact_state_evolution(spec.path, spec.total_time, psi_i, rtol=rtol)
     tro_state = a_tro @ psi_i
     return ErrorTriplet(
         eps_tot=fidelity_error(psi_f, tro_state),

@@ -2,12 +2,12 @@
 
 The discretized product takes one exponential of the full H(s_j) per step;
 the Trotterized product splits each step into per-layer exponentials.  The
-exact propagator is a midpoint-sampled product refined by substep doubling
-until self-convergence.
+exact propagator is a fourth-order commutator-free product refined by step
+doubling until self-convergence.
 
 Two state-level kernels serve callers that only need the evolved state, as
-fig2 does: a DOP853 integrator of the exact dynamics, an independent second
-route from the midpoint product, and the Trotter steps applied to the state
+fig2 does: a DOP853 integrator of the exact dynamics, an independent route
+from the commutator-free product, and the Trotter steps applied to the state
 by matrix-vector products.  Neither forms a dim x dim propagator.
 """
 
@@ -34,6 +34,7 @@ from .model import (
     HermitianOperator,
     PathSpectrum,
     path_at,
+    path_matrix,
     path_spectrum,
 )
 
@@ -215,15 +216,26 @@ def discrete_product(spectrum: PathSpectrum, dt: float) -> np.ndarray:
     )
 
 
-def _midpoint_product(path: AdiabaticPath, total_time: float, substeps: int) -> np.ndarray:
-    dim = path.dim
-    chunk = max(16, STACK_ENTRIES // (dim * dim))
-    dt = total_time / substeps
+# Fourth-order commutator-free step (Alvermann & Fehske, J. Comput. Phys.
+# 230, 5930 (2011)): Gauss nodes 1/2 -/+ sqrt(3)/6, weights (3 -/+ 2 sqrt(3))/12.
+_CF4_NODES = (0.5 - 3**0.5 / 6, 0.5 + 3**0.5 / 6)
+_CF4_A1, _CF4_A2 = (3 - 2 * 3**0.5) / 12, (3 + 2 * 3**0.5) / 12
+
+
+def _cf4_product(path: AdiabaticPath, total_time: float, steps: int) -> np.ndarray:
+    """Ordered product of CF4 steps over s in [0, 1].  Per step the
+    (a2, a1)-weighted sum of the Gauss-node H(s) is exponentiated and acts
+    first, then the (a1, a2)-weighted one."""
+    chunk = max(1, STACK_ENTRIES // path.dim**2)
+    dt = total_time / steps
     out = None
-    for start in range(0, substeps, chunk):
-        stop = min(start + chunk, substeps)
-        mids = (np.arange(start, stop) + 0.5) / substeps
-        part = discrete_product(path_spectrum(path, mids), dt)
+    for start in range(0, steps, chunk):
+        k = np.arange(start, min(start + chunk, steps))
+        early = path_matrix(path, (k + _CF4_NODES[0]) / steps)
+        late = path_matrix(path, (k + _CF4_NODES[1]) / steps)
+        first = exp_from_eig(*np.linalg.eigh(_CF4_A2 * early + _CF4_A1 * late), dt)
+        second = exp_from_eig(*np.linalg.eigh(_CF4_A1 * early + _CF4_A2 * late), dt)
+        part = ordered_product(second @ first)
         out = part if out is None else part @ out
     return out
 
@@ -231,21 +243,20 @@ def _midpoint_product(path: AdiabaticPath, total_time: float, substeps: int) -> 
 def exact_evolution(
     spec: EvolutionSpec,
     tol: float = 1e-10,
-    start_substeps: int = 64,
     max_substeps: int = 2**20,
 ) -> UnitaryOperator:
     """Time-ordered propagator over s in [0, 1], total time T.
 
-    Midpoint-sampled product with the substep count doubled from
-    ``start_substeps`` until two successive refinements differ by less than
-    tol in spectral norm.
+    Fourth-order commutator-free product with the step count doubled from
+    16 until two successive refinements differ by less than tol in spectral
+    norm; the difference falls about 16x per doubling.
     """
     if tol < 1e-12:
         raise ValueError(f"tol must be >= 1e-12, got {tol}")
     previous = None
-    substeps = start_substeps
+    substeps = 16
     while substeps <= max_substeps:
-        current = _midpoint_product(spec.path, spec.total_time, substeps)
+        current = _cf4_product(spec.path, spec.total_time, substeps)
         if previous is not None:
             delta = operator_norm(current - previous)
             if delta < tol:
@@ -255,8 +266,8 @@ def exact_evolution(
         previous = current
         substeps *= 2
     raise NoConvergence(
-        f"midpoint product did not self-converge to {tol:.1e} within "
-        f"{max_substeps} substeps"
+        f"CF4 product did not self-converge to {tol:.1e} within "
+        f"{max_substeps} steps"
     )
 
 
@@ -270,8 +281,8 @@ def exact_state_evolution(
     """Evolve a single state through the exact time-ordered dynamics.
 
     Adaptive high-order ODE integration of d psi/ds = -i T H(s) psi; an
-    independent route from the midpoint product, and much cheaper when only
-    the final state is needed.
+    independent route from the CF4 product, and much cheaper when only the
+    final state is needed.
     """
     psi = normalized_state(psi)
     dim = path.dim

@@ -23,6 +23,7 @@ from daslab.eigenframes import (
     transition_amplitudes,
     transition_matrices,
 )
+from daslab import eigenframes
 from daslab.riemann_lebesgue import oscillatory_integral
 
 
@@ -224,6 +225,12 @@ class TestContinuum:
             deviations[steps] = abs(abs(amps[0]) - continuum) / continuum
         assert deviations[2000] <= 0.02
         assert deviations[4000] <= 0.7 * deviations[2000]
+
+    def test_chunked_grid_matches_one_batch(self, tfim2, monkeypatch):
+        whole = transition_amplitude_continuum(tfim2, 50.0, 1)
+        # 1000 frames a stack: the first 2049-node grid takes three stacks.
+        monkeypatch.setattr(eigenframes, "STACK_ENTRIES", 1000 * tfim2.dim**2)
+        assert transition_amplitude_continuum(tfim2, 50.0, 1) == whole
 
     def test_gap_closure_raises(self):
         path = AdiabaticPath(

@@ -15,13 +15,19 @@ from daslab.model import (
     linear_schedule,
     polynomial_schedule,
 )
-from daslab.evolve import EvolutionSpec, exact_state_evolution
+from daslab.evolve import (
+    EvolutionSpec,
+    exact_evolution,
+    exact_state_evolution,
+    trotter_evolution,
+)
 from daslab import errors
 from daslab.errors import (
     BoundReport,
     ErrorTriplet,
     adiabatic_bound,
     bound_profile,
+    endpoint_states,
     error_triplet,
     fidelity_error,
     scaling_index,
@@ -82,10 +88,12 @@ class TestErrorTriplet:
 
     def test_exact_methods_agree(self, tfim2):
         spec = EvolutionSpec(path=tfim2, total_time=7.0, steps=25)
-        via_ode = error_triplet(spec, exact_method="ode")
-        via_mid = error_triplet(spec, exact_method="midpoint", exact_tol=1e-9)
-        assert via_ode.eps_adb == pytest.approx(via_mid.eps_adb, abs=1e-7)
-        assert via_ode.eps_tro == pytest.approx(via_mid.eps_tro, abs=1e-7)
+        via_ode = error_triplet(spec)
+        psi_i, psi_f = endpoint_states(tfim2)
+        exact_state = exact_evolution(spec, tol=1e-9).matrix @ psi_i
+        tro_state = trotter_evolution(spec).matrix @ psi_i
+        assert via_ode.eps_adb == pytest.approx(fidelity_error(psi_f, exact_state), abs=1e-7)
+        assert via_ode.eps_tro == pytest.approx(fidelity_error(exact_state, tro_state), abs=1e-7)
 
     def test_identity_shift_invariance(self, tfim2):
         rng = np.random.default_rng(5)

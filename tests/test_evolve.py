@@ -121,10 +121,14 @@ class TestExactEvolution:
         assert exact_tfim2_t5.meta["delta"] < 1e-10
         assert unitarity_defect(exact_tfim2_t5.matrix) <= 1e-10
 
+    def test_fourth_order_step_count(self, exact_tfim2_t5):
+        # A second-order product needs about 2^19 steps for this tolerance.
+        assert exact_tfim2_t5.meta["substeps"] <= 2**10
+
     def test_substep_cap_raises(self, tfim2):
         spec = EvolutionSpec(path=tfim2, total_time=5.0, steps=4)
         with pytest.raises(NoConvergence):
-            exact_evolution(spec, tol=1e-12, start_substeps=64, max_substeps=128)
+            exact_evolution(spec, tol=1e-12, max_substeps=64)
 
     def test_tol_floor(self, tfim2):
         spec = EvolutionSpec(path=tfim2, total_time=1.0, steps=2)
