@@ -16,12 +16,21 @@ import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
 from .exceptions import DegeneratePath, GapClosure, NoConvergence
-from .linalg import _eigenvalue_clusters, _fix_column_phases, unitarity_defect
-from .model import STACK_ENTRIES, AdiabaticPath, PathSpectrum, path_spectrum
-from .evolve import EvolutionSpec
+from .linalg import (
+    DEGENERACY_CLUSTER_TOL,
+    GAP_FLOOR,
+    _eigenvalue_clusters,
+    _fix_column_phases,
+    unitarity_defect,
+)
+from .model import AdiabaticPath, PathSpectrum, path_spectrum, stack_chunks
+from .evolve import UNITARY_RESULT_TOL, EvolutionSpec
 
-GROUND_GAP_TOL = 1e-9
-CLUSTER_TOL = 1e-9
+# Node doubling of transition_amplitude_continuum: first grid, largest grid,
+# and the relative change between two grids that counts as converged.
+CONTINUUM_START_NODES = 2048
+CONTINUUM_MAX_NODES = 2**20
+CONTINUUM_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -54,28 +63,27 @@ def _align_block(reference: np.ndarray, block: np.ndarray) -> np.ndarray:
     return block @ (u @ vh).conj().T
 
 
-def _transport_gauge(
-    energies: np.ndarray, bases: np.ndarray, cluster_tol: float
-) -> np.ndarray:
+def _transport_gauge(energies: np.ndarray, bases: np.ndarray) -> np.ndarray:
     """Parallel-transport gauge along the frame sequence.
 
     Non-degenerate columns of frame j+1 are rephased so their overlap with
     the matching column of frame j is real nonnegative.  Degenerate clusters
-    are polar-aligned as blocks; the leading frame's clusters are aligned
-    against frame 1 so the first transition is as smooth as the rest.
+    (spacing below DEGENERACY_CLUSTER_TOL) are polar-aligned as blocks; the
+    leading frame's clusters are aligned against frame 1 so the first
+    transition is as smooth as the rest.
     """
     bases = bases.copy()
     n_frames = len(bases)
     bases[0] = _fix_column_phases(bases[0])
     if n_frames == 1:
         return bases
-    for lo, hi in _eigenvalue_clusters(energies[0], cluster_tol):
+    for lo, hi in _eigenvalue_clusters(energies[0], DEGENERACY_CLUSTER_TOL):
         if hi - lo > 1:
             bases[0][:, lo:hi] = _align_block(bases[1][:, lo:hi], bases[0][:, lo:hi])
     for j in range(1, n_frames):
         prev = bases[j - 1]
         cur = bases[j]
-        for lo, hi in _eigenvalue_clusters(energies[j], cluster_tol):
+        for lo, hi in _eigenvalue_clusters(energies[j], DEGENERACY_CLUSTER_TOL):
             if hi - lo > 1:
                 cur[:, lo:hi] = _align_block(prev[:, lo:hi], cur[:, lo:hi])
             else:
@@ -86,50 +94,40 @@ def _transport_gauge(
     return bases
 
 
-def eigenframe_sequence(
-    spec: EvolutionSpec,
-    strict: bool = False,
-    cluster_tol: float = CLUSTER_TOL,
-    ground_gap_tol: float = GROUND_GAP_TOL,
-) -> list[EigenFrame]:
+def eigenframe_sequence(spec: EvolutionSpec, strict: bool = False) -> list[EigenFrame]:
     """Transported eigenframes of H(s_j) over the spec's grid; see
     :func:`transported_frames`."""
     spectrum = path_spectrum(spec.path, spec.grid_points())
-    return transported_frames(spectrum, strict, cluster_tol, ground_gap_tol)
+    return transported_frames(spectrum, strict)
 
 
-def transported_frames(
-    spectrum: PathSpectrum,
-    strict: bool = False,
-    cluster_tol: float = CLUSTER_TOL,
-    ground_gap_tol: float = GROUND_GAP_TOL,
-) -> list[EigenFrame]:
+def transported_frames(spectrum: PathSpectrum, strict: bool = False) -> list[EigenFrame]:
     """Eigenframes of a grid spectrum in the parallel-transport gauge.
 
-    Raises :class:`DegeneratePath` when a ground state degenerates anywhere
-    on the grid.  With strict=True any pair of levels closer than
-    ground_gap_tol triggers the same error; the default tolerates degenerate
-    excited levels, which the standard spin-chain endpoints have.
+    Raises :class:`DegeneratePath` when the ground gap is at or below
+    GAP_FLOOR anywhere on the grid.  With strict=True any pair of levels at
+    or below GAP_FLOOR apart triggers the same error; the default tolerates
+    degenerate excited levels, which the standard spin-chain endpoints have.
     """
     s_values, energies = spectrum.s_values, spectrum.energies
     for j in range(len(s_values)):
         gaps = np.diff(energies[j])
-        if energies.shape[1] > 1 and gaps[0] <= ground_gap_tol:
+        if energies.shape[1] > 1 and gaps[0] <= GAP_FLOOR:
             raise DegeneratePath(
                 f"ground state degenerate at step {j} (s = {s_values[j]:.6f})",
                 step=j,
                 level_a=0,
                 level_b=1,
             )
-        if strict and np.any(gaps <= ground_gap_tol):
-            level = int(np.argmax(gaps <= ground_gap_tol))
+        if strict and np.any(gaps <= GAP_FLOOR):
+            level = int(np.argmax(gaps <= GAP_FLOOR))
             raise DegeneratePath(
                 f"levels {level} and {level + 1} degenerate at step {j}",
                 step=j,
                 level_a=level,
                 level_b=level + 1,
             )
-    bases = _transport_gauge(energies, spectrum.bases, cluster_tol)
+    bases = _transport_gauge(energies, spectrum.bases)
     return [
         EigenFrame(s=float(s_values[j]), energies=energies[j], basis=bases[j])
         for j in range(len(s_values))
@@ -165,7 +163,7 @@ class PropagatorExpansion:
 
     def __post_init__(self):
         defect = unitarity_defect(self.matrix)
-        if defect > 1e-9:
+        if defect > UNITARY_RESULT_TOL:
             raise ValueError(f"frame propagator not unitary: defect {defect:.3e}")
         column = np.abs(self.matrix[:, 0]) ** 2
         if abs(column.sum() - 1.0) > 1e-9:
@@ -268,9 +266,10 @@ def transition_amplitudes(spec: EvolutionSpec, frames: list[EigenFrame]) -> np.n
     return spacing * amplitudes
 
 
-def gamma_expansion(spec: EvolutionSpec, strict: bool = False) -> PropagatorExpansion:
-    """One-stop driver: frames, transitions, expansion, and amplitudes."""
-    frames = eigenframe_sequence(spec, strict=strict)
+def gamma_expansion(spec: EvolutionSpec) -> PropagatorExpansion:
+    """One-stop driver: frames (ground gap checked, excited degeneracies
+    tolerated), transitions, expansion, and amplitudes."""
+    frames = eigenframe_sequence(spec)
     transitions = transition_matrices(frames)
     amplitudes = transition_amplitudes(spec, frames)
     return propagator_expansion(frames, transitions, spec.total_time, amplitudes)
@@ -280,17 +279,15 @@ def _chunked_level_data(path: AdiabaticPath, s_values: np.ndarray, level: int):
     """Eigendata for columns 0 and `level` along a dense grid, chunked."""
     n = len(s_values)
     dim = path.dim
-    chunk = max(1, STACK_ENTRIES // dim**2)
     gaps = np.empty(n)
     v0 = np.empty((n, dim), dtype=complex)
     vl = np.empty((n, dim), dtype=complex)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        spectrum = path_spectrum(path, s_values[start:stop])
+    for part in stack_chunks(n, dim):
+        spectrum = path_spectrum(path, s_values[part])
         w, v = spectrum.energies, spectrum.bases
-        gaps[start:stop] = w[:, level] - w[:, 0]
-        v0[start:stop] = v[:, :, 0]
-        vl[start:stop] = v[:, :, level]
+        gaps[part] = w[:, level] - w[:, 0]
+        v0[part] = v[:, :, 0]
+        vl[part] = v[:, :, level]
     return gaps, v0, vl
 
 
@@ -303,32 +300,29 @@ def _transport_phases(vectors: np.ndarray) -> np.ndarray:
 
 
 def transition_amplitude_continuum(
-    path: AdiabaticPath,
-    total_time: float,
-    level: int,
-    rel_tol: float = 1e-8,
-    start_nodes: int = 2048,
-    max_nodes: int = 2**20,
-    gap_floor: float = 1e-9,
+    path: AdiabaticPath, total_time: float, level: int
 ) -> complex:
     """Continuum limit of one transition amplitude.
 
     Oscillatory integral of theta_level(s) exp(-i T Omega_level(s)) over
-    [0, 1] with Omega the accumulated level spacing, evaluated on doubling
-    uniform grids until self-convergence.  Eigenvectors along the grid are
-    transported to the smooth gauge, so the integrand's phase is continuous.
+    [0, 1] with Omega the accumulated level spacing, evaluated on uniform
+    grids doubled from CONTINUUM_START_NODES until two successive values
+    agree to CONTINUUM_REL_TOL; raises :class:`NoConvergence` past
+    CONTINUUM_MAX_NODES and :class:`GapClosure` when the level spacing is at
+    or below GAP_FLOOR.  Eigenvectors along the grid are transported to the
+    smooth gauge, so the integrand's phase is continuous.
     """
     if level < 1 or level >= path.dim:
         raise ValueError(f"level {level} outside [1, {path.dim})")
     diff = path.h_final.matrix - path.h_initial.matrix
     previous = None
-    nodes = start_nodes
-    while nodes <= max_nodes:
+    nodes = CONTINUUM_START_NODES
+    while nodes <= CONTINUUM_MAX_NODES:
         s_values = np.linspace(0.0, 1.0, nodes + 1)
         gaps, v0, vl = _chunked_level_data(path, s_values, level)
-        if gaps.min() <= gap_floor:
+        if gaps.min() <= GAP_FLOOR:
             raise GapClosure(
-                f"level {level} spacing {gaps.min():.3e} at or below {gap_floor:.1e}"
+                f"level {level} spacing {gaps.min():.3e} at or below {GAP_FLOOR:.1e}"
             )
         g0 = _transport_phases(v0)
         gl = _transport_phases(vl)
@@ -339,10 +333,11 @@ def transition_amplitude_continuum(
         omega = cumulative_simpson(gaps, dx=h, initial=0.0)
         integrand = theta * np.exp(-1j * total_time * omega)
         value = complex(simpson(integrand, dx=h))
-        if previous is not None and abs(value - previous) <= rel_tol * max(1.0, abs(value)):
+        tol = CONTINUUM_REL_TOL * max(1.0, abs(value))
+        if previous is not None and abs(value - previous) <= tol:
             return value
         previous = value
         nodes *= 2
     raise NoConvergence(
-        f"oscillatory integral did not self-converge within {max_nodes} nodes"
+        f"oscillatory integral did not self-converge within {CONTINUUM_MAX_NODES} nodes"
     )

@@ -16,8 +16,8 @@ from .exceptions import (
     InsufficientData,
     NonFiniteResult,
 )
-from .linalg import ground_state, operator_norm
-from .model import STACK_ENTRIES, AdiabaticPath, path_matrix
+from .linalg import GAP_FLOOR, ground_state, operator_norm
+from .model import AdiabaticPath, path_matrix, stack_chunks
 from .evolve import (
     EvolutionSpec,
     discrete_evolution,
@@ -26,7 +26,6 @@ from .evolve import (
 )
 
 TRIANGLE_SLACK = 1e-9
-GAP_FLOOR = 1e-9
 
 
 def fidelity_error(phi: np.ndarray, psi: np.ndarray) -> float:
@@ -66,29 +65,30 @@ class ErrorTriplet:
             )
 
 
-def endpoint_states(path: AdiabaticPath, gap_tol: float = GAP_FLOOR):
-    """Ground states of H_i and H_f; endpoints must be non-degenerate."""
+def endpoint_states(path: AdiabaticPath):
+    """Ground states of H_i and H_f; raises :class:`DegenerateEndpoint` when
+    either ground gap is at or below GAP_FLOOR."""
     try:
-        psi_i = ground_state(path.h_initial.matrix, gap_tol)
-        psi_f = ground_state(path.h_final.matrix, gap_tol)
+        psi_i = ground_state(path.h_initial.matrix)
+        psi_f = ground_state(path.h_final.matrix)
     except DegenerateGround as exc:
         raise DegenerateEndpoint(str(exc)) from exc
     return psi_i, psi_f
 
 
-def error_triplet(spec: EvolutionSpec, rtol: float = 1e-10) -> ErrorTriplet:
+def error_triplet(spec: EvolutionSpec) -> ErrorTriplet:
     """All three errors for one run, plus the discrete/Trotter norm distance.
 
     eps_adb compares the exactly-evolved initial state against the target
     ground state, eps_tro compares exact against Trotterized evolution of the
     initial state, and eps_tot compares the Trotterized result against the
-    target.  The exact state comes from adaptive DOP853 integration with
-    relative tolerance rtol.
+    target.  The exact state comes from :func:`exact_state_evolution` at
+    its default tolerances.
     """
     psi_i, psi_f = endpoint_states(spec.path)
     a_tro = trotter_evolution(spec).matrix
     a_d = discrete_evolution(spec).matrix
-    exact_state = exact_state_evolution(spec.path, spec.total_time, psi_i, rtol=rtol)
+    exact_state = exact_state_evolution(spec.path, spec.total_time, psi_i)
     tro_state = a_tro @ psi_i
     return ErrorTriplet(
         eps_tot=fidelity_error(psi_f, tro_state),
@@ -139,14 +139,12 @@ class BoundProfile:
         return BoundReport(b0, b1, integral_term, b0 + b1 + integral_term)
 
 
-def bound_profile(
-    path: AdiabaticPath, quad_points: int = 201, gap_floor: float = GAP_FLOOR
-) -> BoundProfile:
+def bound_profile(path: AdiabaticPath, quad_points: int = 201) -> BoundProfile:
     """Gaps and Simpson integral of the adiabatic bound over s in [0, 1].
 
     Composite Simpson quadrature; the node count is forced odd.  The node
-    gaps come from batched ``eigvalsh`` calls over stacks of at most
-    ``STACK_ENTRIES`` entries.
+    gaps come from batched ``eigvalsh`` calls over :func:`stack_chunks`
+    stacks; a gap at or below GAP_FLOOR raises :class:`GapClosure`.
     """
     if quad_points < 3:
         raise ValueError("need at least 3 quadrature points")
@@ -161,18 +159,18 @@ def bound_profile(
     d2 = ddp * diff_norm
 
     gaps = np.empty(quad_points)
-    chunk = max(1, STACK_ENTRIES // path.dim**2)
-    for start in range(0, quad_points, chunk):
-        stack = path_matrix(path, s_nodes[start : start + chunk])
+    for part in stack_chunks(quad_points, path.dim):
         try:
-            energies = np.linalg.eigvalsh(stack)
+            energies = np.linalg.eigvalsh(path_matrix(path, s_nodes[part]))
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(f"eigvalsh failed to converge: {exc}") from exc
-        gaps[start : start + chunk] = energies[:, 1] - energies[:, 0]
-    closed = np.flatnonzero(gaps < gap_floor)
+        gaps[part] = energies[:, 1] - energies[:, 0]
+    closed = np.flatnonzero(gaps <= GAP_FLOOR)
     if closed.size:
         i = closed[0]
-        raise GapClosure(f"gap {gaps[i]:.3e} below {gap_floor:.1e} at s = {s_nodes[i]:.6f}")
+        raise GapClosure(
+            f"gap {gaps[i]:.3e} at or below {GAP_FLOOR:.1e} at s = {s_nodes[i]:.6f}"
+        )
 
     integrand = 7.0 * d1**2 / gaps**3 + d2 / gaps**2
     h = s_nodes[1] - s_nodes[0]
@@ -184,14 +182,12 @@ def bound_profile(
 
 
 def adiabatic_bound(
-    path: AdiabaticPath,
-    total_time: float,
-    quad_points: int = 201,
-    gap_floor: float = GAP_FLOOR,
+    path: AdiabaticPath, total_time: float, quad_points: int = 201
 ) -> BoundReport:
     """Adiabatic-theorem bound: two 1/(T gap^2) boundary terms plus the
-    integral of (7 ||H'||^2 / gap^3 + ||H''|| / gap^2) / T over s in [0, 1]."""
-    return bound_profile(path, quad_points, gap_floor).report(total_time)
+    integral of (7 ||H'||^2 / gap^3 + ||H''|| / gap^2) / T over s in [0, 1];
+    see :func:`bound_profile`."""
+    return bound_profile(path, quad_points).report(total_time)
 
 
 def scaling_index(samples) -> float:

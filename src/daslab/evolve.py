@@ -29,18 +29,22 @@ from .linalg import (
     unitarity_defect,
 )
 from .model import (
-    STACK_ENTRIES,
     AdiabaticPath,
     HermitianOperator,
     PathSpectrum,
     path_at,
     path_matrix,
     path_spectrum,
+    stack_chunks,
 )
 
 GRIDS = ("endpoints", "left", "midpoint")
 
 UNITARY_RESULT_TOL = 1e-9
+
+# Absolute tolerance of the DOP853 state route; its relative tolerance is
+# the caller's.
+ODE_ATOL = 1e-12
 
 
 def grid_points(steps: int, grid: str = "endpoints") -> np.ndarray:
@@ -226,11 +230,10 @@ def _cf4_product(path: AdiabaticPath, total_time: float, steps: int) -> np.ndarr
     """Ordered product of CF4 steps over s in [0, 1].  Per step the
     (a2, a1)-weighted sum of the Gauss-node H(s) is exponentiated and acts
     first, then the (a1, a2)-weighted one."""
-    chunk = max(1, STACK_ENTRIES // path.dim**2)
     dt = total_time / steps
     out = None
-    for start in range(0, steps, chunk):
-        k = np.arange(start, min(start + chunk, steps))
+    for part in stack_chunks(steps, path.dim):
+        k = np.arange(part.start, part.stop)
         early = path_matrix(path, (k + _CF4_NODES[0]) / steps)
         late = path_matrix(path, (k + _CF4_NODES[1]) / steps)
         first = exp_from_eig(*np.linalg.eigh(_CF4_A2 * early + _CF4_A1 * late), dt)
@@ -276,13 +279,13 @@ def exact_state_evolution(
     total_time: float,
     psi: np.ndarray,
     rtol: float = 1e-10,
-    atol: float = 1e-12,
 ) -> np.ndarray:
     """Evolve a single state through the exact time-ordered dynamics.
 
-    Adaptive high-order ODE integration of d psi/ds = -i T H(s) psi; an
-    independent route from the CF4 product, and much cheaper when only the
-    final state is needed.
+    Adaptive high-order ODE integration of d psi/ds = -i T H(s) psi with
+    relative tolerance rtol and absolute tolerance ODE_ATOL; an independent
+    route from the CF4 product, and much cheaper when only the final state
+    is needed.
     """
     psi = normalized_state(psi)
     dim = path.dim
@@ -309,7 +312,7 @@ def exact_state_evolution(
         return -1j * total_time * (z[:dim] + float(p(s)) * z[dim:])
 
     solution = solve_ivp(
-        rhs, (0.0, 1.0), psi, method="DOP853", rtol=rtol, atol=atol
+        rhs, (0.0, 1.0), psi, method="DOP853", rtol=rtol, atol=ODE_ATOL
     )
     if not solution.success:
         raise NoConvergence(f"state integration failed: {solution.message}")

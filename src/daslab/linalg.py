@@ -1,7 +1,11 @@
 """Dense complex matrix kernel: eigendecompositions, exp/log, norms, states.
 
-All routines are pure functions on ``numpy`` arrays.  Tolerances are module
-constants with the documented defaults and can be overridden per call.
+All routines are pure functions on ``numpy`` arrays.  Every numerical
+tolerance is a module constant; no public routine takes one as a parameter.
+``GAP_FLOOR`` and ``DEGENERACY_CLUSTER_TOL`` are the package-wide gap rules:
+a gap at or below ``GAP_FLOOR`` is closed wherever one is divided by, and
+eigenvalues closer than ``DEGENERACY_CLUSTER_TOL`` form one degenerate
+cluster.
 """
 
 from __future__ import annotations
@@ -21,10 +25,10 @@ from .exceptions import (
 
 HERMITIAN_TOL = 1e-10
 UNITARY_TOL = 1e-8
+GAP_FLOOR = 1e-9
 DEGENERACY_CLUSTER_TOL = 1e-9
 BRANCH_CUT_TOL = 1e-8
 GAUGE_TIE_TOL = 1e-12
-STATE_NORM_TOL = 1e-12
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -47,16 +51,20 @@ def unitarity_defect(u) -> float:
     return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
 
 
-def require_hermitian(m, tol: float = HERMITIAN_TOL) -> None:
+def require_hermitian(m) -> None:
+    """Raise :class:`NotHermitian` when max |M - M^dag| exceeds HERMITIAN_TOL."""
     defect = hermiticity_defect(m)
-    if defect > tol:
-        raise NotHermitian(f"max |M - M^dag| = {defect:.3e} exceeds tol {tol:.3e}")
+    if defect > HERMITIAN_TOL:
+        raise NotHermitian(
+            f"max |M - M^dag| = {defect:.3e} exceeds tol {HERMITIAN_TOL:.3e}"
+        )
 
 
-def require_unitary(u, tol: float = UNITARY_TOL) -> None:
+def require_unitary(u) -> None:
+    """Raise :class:`NotUnitary` when max |U^dag U - I| exceeds UNITARY_TOL."""
     defect = unitarity_defect(u)
-    if defect > tol:
-        raise NotUnitary(f"max |U^dag U - I| = {defect:.3e} exceeds tol {tol:.3e}")
+    if defect > UNITARY_TOL:
+        raise NotUnitary(f"max |U^dag U - I| = {defect:.3e} exceeds tol {UNITARY_TOL:.3e}")
 
 
 def operator_norm(m) -> float:
@@ -85,15 +93,15 @@ def _eigenvalue_clusters(values: np.ndarray, tol: float):
             start = i
 
 
-def _fix_column_phases(v: np.ndarray, tie_tol: float = GAUGE_TIE_TOL) -> np.ndarray:
+def _fix_column_phases(v: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude entry is real positive.
 
-    Entries within tie_tol of the column maximum tie; the lowest row index
-    wins so repeated calls are bit-identical.
+    Entries within GAUGE_TIE_TOL of the column maximum tie; the lowest row
+    index wins so repeated calls are bit-identical.
     """
     mags = np.abs(v)
     top = mags.max(axis=0)
-    pivot_rows = np.argmax(mags >= (top - tie_tol)[None, :], axis=0)
+    pivot_rows = np.argmax(mags >= (top - GAUGE_TIE_TOL)[None, :], axis=0)
     pivots = v[pivot_rows, np.arange(v.shape[1])]
     phases = pivots / np.abs(pivots)
     return v * phases.conj()[None, :]
@@ -101,35 +109,32 @@ def _fix_column_phases(v: np.ndarray, tie_tol: float = GAUGE_TIE_TOL) -> np.ndar
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Ascending eigenvalues with a gauge-fixed orthonormal eigenbasis."""
+    """Ascending eigenvalues with an orthonormal eigenbasis whose columns
+    have their largest-magnitude entry real positive."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    gauge: str = "largest-entry-real-positive"
 
     @property
     def dim(self) -> int:
         return len(self.eigenvalues)
 
 
-def hermitian_eig(
-    h,
-    tol: float = HERMITIAN_TOL,
-    cluster_tol: float = DEGENERACY_CLUSTER_TOL,
-) -> SpectralDecomposition:
+def hermitian_eig(h) -> SpectralDecomposition:
     """Diagonalize a Hermitian matrix as H = V diag(w) V^dag.
 
-    Eigenvalues come back ascending.  Columns inside a degenerate cluster
-    (spacing below cluster_tol) are re-orthonormalized by QR, then every
-    column gets the deterministic largest-entry phase gauge.
+    H must be Hermitian within HERMITIAN_TOL.  Eigenvalues come back
+    ascending.  Columns inside a degenerate cluster (spacing below
+    DEGENERACY_CLUSTER_TOL) are re-orthonormalized by QR, then every column
+    gets the deterministic largest-entry phase gauge.
     """
     h = as_complex_matrix(h)
-    require_hermitian(h, tol)
+    require_hermitian(h)
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigh failed to converge: {exc}") from exc
-    for lo, hi in _eigenvalue_clusters(w, cluster_tol):
+    for lo, hi in _eigenvalue_clusters(w, DEGENERACY_CLUSTER_TOL):
         if hi - lo > 1:
             q, r = np.linalg.qr(v[:, lo:hi])
             diag = np.diag(r).copy()
@@ -139,25 +144,22 @@ def hermitian_eig(
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
-def unitary_eig(
-    u,
-    tol: float = UNITARY_TOL,
-    cluster_tol: float = DEGENERACY_CLUSTER_TOL,
-) -> tuple[np.ndarray, np.ndarray]:
+def unitary_eig(u) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a unitary as U = V diag(exp(-i theta)) V^dag.
 
-    Returns (theta, V) with theta ascending in (-pi, pi].  The Hermitian part
-    (U + U^dag)/2 is diagonalized first; clusters that it cannot separate are
-    split by the skew part restricted to the cluster subspace.  Both stages
-    are plain Hermitian eigenproblems, so the basis is orthonormal by
-    construction even through phase collisions.
+    U must be unitary within UNITARY_TOL.  Returns (theta, V) with theta
+    ascending in (-pi, pi].  The Hermitian part (U + U^dag)/2 is
+    diagonalized first; clusters that it cannot separate (spacing below
+    DEGENERACY_CLUSTER_TOL) are split by the skew part restricted to the
+    cluster subspace.  Both stages are plain Hermitian eigenproblems, so the
+    basis is orthonormal by construction even through phase collisions.
 
     A symmetric unitary (U = U^T) has Hermitian part Re U and skew part
     Im U: commuting real symmetric matrices, so both stages run in real
     arithmetic and V comes back real.
     """
     u = as_complex_matrix(u)
-    require_unitary(u, tol)
+    require_unitary(u)
     symmetric = np.array_equal(u, u.T)
     if symmetric:
         cos_part, sin_part = np.ascontiguousarray(u.real), np.ascontiguousarray(u.imag)
@@ -168,7 +170,7 @@ def unitary_eig(
         c, v = np.linalg.eigh(cos_part)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigh failed to converge: {exc}") from exc
-    for lo, hi in _eigenvalue_clusters(c, cluster_tol):
+    for lo, hi in _eigenvalue_clusters(c, DEGENERACY_CLUSTER_TOL):
         if hi - lo > 1:
             block = v[:, lo:hi]
             k = block.conj().T @ sin_part @ block
@@ -207,32 +209,27 @@ def exp_from_eig(w, v, t, v_h=None) -> np.ndarray:
     return out
 
 
-def matrix_exp_hermitian(h, t: float, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """exp(-i H t) for Hermitian H via eigendecomposition."""
+def matrix_exp_hermitian(h, t: float) -> np.ndarray:
+    """exp(-i H t) for H Hermitian within HERMITIAN_TOL, via eigendecomposition."""
     h = as_complex_matrix(h)
-    require_hermitian(h, tol)
+    require_hermitian(h)
     w, v = np.linalg.eigh(h)
     return exp_from_eig(w, v, t)
 
 
-def principal_log_hamiltonian(
-    u,
-    dt: float,
-    tol: float = UNITARY_TOL,
-    branch_tol: float = BRANCH_CUT_TOL,
-) -> np.ndarray:
+def principal_log_hamiltonian(u, dt: float) -> np.ndarray:
     """Hermitian generator H with exp(-i H dt) = U, eigenphases in (-pi, pi].
 
     Emits :class:`BranchAmbiguityWarning` when an eigenphase sits within
-    branch_tol of the cut at +/- pi; the result is still returned so callers
-    can observe large-step breakdown instead of dying on it.
+    BRANCH_CUT_TOL of the cut at +/- pi; the result is still returned so
+    callers can observe large-step breakdown instead of dying on it.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    theta, v = unitary_eig(u, tol)
-    if np.any(np.pi - np.abs(theta) < branch_tol):
+    theta, v = unitary_eig(u)
+    if np.any(np.pi - np.abs(theta) < BRANCH_CUT_TOL):
         warnings.warn(
-            f"eigenphase within {branch_tol:.1e} of the +/-pi branch cut; "
+            f"eigenphase within {BRANCH_CUT_TOL:.1e} of the +/-pi branch cut; "
             "the recovered generator depends on the branch choice",
             BranchAmbiguityWarning,
             stacklevel=2,
@@ -241,12 +238,13 @@ def principal_log_hamiltonian(
     return (h + h.conj().T) / 2
 
 
-def ground_state(h, gap_tol: float = DEGENERACY_CLUSTER_TOL) -> np.ndarray:
-    """Lowest eigenvector of a Hermitian matrix; unique ground state required."""
+def ground_state(h) -> np.ndarray:
+    """Lowest eigenvector of a Hermitian matrix; raises
+    :class:`DegenerateGround` when the ground gap is at or below GAP_FLOOR."""
     dec = hermitian_eig(h)
-    if dec.dim > 1 and dec.eigenvalues[1] - dec.eigenvalues[0] <= gap_tol:
+    if dec.dim > 1 and dec.eigenvalues[1] - dec.eigenvalues[0] <= GAP_FLOOR:
         raise DegenerateGround(
             f"ground gap {dec.eigenvalues[1] - dec.eigenvalues[0]:.3e} "
-            f"below tol {gap_tol:.3e}"
+            f"at or below GAP_FLOOR {GAP_FLOOR:.3e}"
         )
     return dec.eigenvectors[:, 0].copy()

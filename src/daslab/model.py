@@ -32,6 +32,14 @@ MAX_SITES = 12
 STACK_ENTRIES = 1 << 22
 
 
+def stack_chunks(count: int, dim: int):
+    """Slices that split ``count`` frames of dim x dim matrices into stacks
+    of at most ``STACK_ENTRIES`` entries (at least one frame each)."""
+    chunk = max(1, STACK_ENTRIES // dim**2)
+    for start in range(0, count, chunk):
+        yield slice(start, min(start + chunk, count))
+
+
 @dataclass(frozen=True)
 class PauliTerm:
     """A real coefficient times a product of single-site Pauli factors."""

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateGround, GapClosure, WrongDimension
-from .linalg import hermitian_eig, operator_norm
+from .linalg import GAP_FLOOR, hermitian_eig, operator_norm
 from .model import AdiabaticPath, HermitianOperator, path_at, spectral_gap
 
-GAP_TOL = 1e-9
+# Gap floor of derivative_identity_residuals at its probes s - h, s, s + h.
+DERIVATIVE_PROBE_GAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -37,18 +38,18 @@ def _matrix_of(h) -> np.ndarray:
     return np.asarray(h, dtype=complex)
 
 
-def projector_frame(h, gap_tol: float = GAP_TOL) -> ProjectorFrame:
+def projector_frame(h) -> ProjectorFrame:
     """Build the projector frame of a Hermitian operator.
 
     Requires a unique ground state: raises :class:`DegenerateGround` when
-    the first gap is at or below gap_tol.
+    the first gap is at or below GAP_FLOOR.
     """
     dec = hermitian_eig(_matrix_of(h))
     w, v = dec.eigenvalues, dec.eigenvectors
-    if len(w) < 2 or w[1] - w[0] <= gap_tol:
+    if len(w) < 2 or w[1] - w[0] <= GAP_FLOOR:
         raise DegenerateGround(
             f"ground gap {(w[1] - w[0]) if len(w) > 1 else 0.0:.3e} "
-            f"at or below {gap_tol:.1e}"
+            f"at or below {GAP_FLOOR:.1e}"
         )
     ground = v[:, 0]
     projector = np.outer(ground, ground.conj())
@@ -71,19 +72,23 @@ def shifted_derivative(path: AdiabaticPath, s: float) -> np.ndarray:
 
 
 def derivative_identity_residuals(
-    path: AdiabaticPath, s: float, h: float, gap_tol: float = 1e-6
+    path: AdiabaticPath, s: float, h: float
 ) -> tuple[float, float]:
     """Residual norms of the closed-form P' and G' against central differences.
 
     P' = -G H' P - P H' G and G' = P H' G^2 - G H' G + G^2 H' P with H' the
     shifted derivative.  Both residuals are O(h^2) for smooth gapped paths.
+    Raises :class:`GapClosure` when the gap at s - h, s or s + h is at or
+    below DERIVATIVE_PROBE_GAP.
     """
     if not (0.0 <= s - h and s + h <= 1.0):
         raise ValueError(f"need [s - h, s + h] inside [0, 1], got s = {s}, h = {h}")
     for probe in (s - h, s, s + h):
         gap = spectral_gap(path, probe)
-        if gap <= gap_tol:
-            raise GapClosure(f"gap {gap:.3e} at s = {probe:g} below {gap_tol:.1e}")
+        if gap <= DERIVATIVE_PROBE_GAP:
+            raise GapClosure(
+                f"gap {gap:.3e} at s = {probe:g} below {DERIVATIVE_PROBE_GAP:.1e}"
+            )
 
     forward = projector_frame(path_at(path, s + h).matrix)
     backward = projector_frame(path_at(path, s - h).matrix)

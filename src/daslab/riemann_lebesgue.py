@@ -19,11 +19,26 @@ from scipy.integrate import cumulative_simpson, simpson
 from scipy.interpolate import CubicSpline
 
 from .exceptions import GapClosure, NoConvergence, OmegaZero
-from .linalg import operator_norm
-from .model import AdiabaticPath, path_at, path_matrix, spectral_gap
+from .linalg import GAP_FLOOR, operator_norm
+from .model import AdiabaticPath, path_at, path_matrix, stack_chunks
 
 RESONANCE_THRESHOLD = 3.78
 OMEGA_ZERO_RTOL = 1e-12
+
+# Node doubling of total_variation: first and largest grid, and the default
+# relative change between two grids that counts as converged.
+VARIATION_START_NODES = 1024
+VARIATION_MAX_NODES = 2**21
+VARIATION_REL_TOL = 1e-6
+
+# Node doubling of oscillatory_integral, likewise.
+INTEGRAL_START_NODES = 512
+INTEGRAL_MAX_NODES = 2**22
+INTEGRAL_REL_TOL = 1e-8
+
+# Points of the uniform s grid on which robust_adiabatic_bound samples the
+# spectrum.
+ROBUST_S_SAMPLES = 101
 
 
 def _as_callable(values, s_nodes=None) -> Callable:
@@ -149,20 +164,19 @@ def total_variation(
     lam: Callable,
     dt: float,
     lo: float = 0.0,
-    hi: float = 1.0,
-    rel_tol: float = 1e-6,
-    start_nodes: int = 1024,
-    max_nodes: int = 2**21,
+    rel_tol: float = VARIATION_REL_TOL,
 ) -> float:
-    """Integral of |(g/omega)'| over [lo, hi], self-converged by node doubling.
+    """Integral of |(g/omega)'| over [lo, 1], self-converged by node doubling.
 
-    The derivative comes from dense central differences, so g only needs to
-    be evaluable, not differentiable in closed form.
+    The grid doubles from VARIATION_START_NODES until two successive values
+    agree to rel_tol; past VARIATION_MAX_NODES :class:`NoConvergence` is
+    raised.  The derivative comes from dense central differences, so g only
+    needs to be evaluable, not differentiable in closed form.
     """
     previous = None
-    nodes = start_nodes
-    while nodes <= max_nodes:
-        s = np.linspace(lo, hi, nodes + 1)
+    nodes = VARIATION_START_NODES
+    while nodes <= VARIATION_MAX_NODES:
+        s = np.linspace(lo, 1.0, nodes + 1)
         ratio = np.asarray(g(s), dtype=complex) / _checked_frequency(lam(s), dt)
         derivative = np.gradient(ratio, s)
         value = float(np.trapezoid(np.abs(derivative), s))
@@ -171,37 +185,33 @@ def total_variation(
         previous = value
         nodes *= 2
     raise NoConvergence(
-        f"total variation did not self-converge within {max_nodes} nodes"
+        f"total variation did not self-converge within {VARIATION_MAX_NODES} nodes"
     )
 
 
-def oscillatory_integral(
-    f: Callable,
-    lam: Callable,
-    total_time: float,
-    rel_tol: float = 1e-8,
-    start_nodes: int = 512,
-    max_nodes: int = 2**22,
-) -> complex:
+def oscillatory_integral(f: Callable, lam: Callable, total_time: float) -> complex:
     """Continuum integral of f(s) exp[-i T int_0^s lambda] over [0, 1].
 
     Composite Simpson with the accumulated phase from cumulative Simpson,
-    refined by node doubling until self-convergence.
+    on grids doubled from INTEGRAL_START_NODES until two successive values
+    agree to INTEGRAL_REL_TOL; past INTEGRAL_MAX_NODES
+    :class:`NoConvergence` is raised.
     """
     previous = None
-    nodes = start_nodes
-    while nodes <= max_nodes:
+    nodes = INTEGRAL_START_NODES
+    while nodes <= INTEGRAL_MAX_NODES:
         s = np.linspace(0.0, 1.0, nodes + 1)
         h = s[1] - s[0]
         phase = cumulative_simpson(np.asarray(lam(s), dtype=float), dx=h, initial=0.0)
         integrand = np.asarray(f(s), dtype=complex) * np.exp(-1j * total_time * phase)
         value = complex(simpson(integrand, dx=h))
-        if previous is not None and abs(value - previous) <= rel_tol * max(1.0, abs(value)):
+        tol = INTEGRAL_REL_TOL * max(1.0, abs(value))
+        if previous is not None and abs(value - previous) <= tol:
             return value
         previous = value
         nodes *= 2
     raise NoConvergence(
-        f"oscillatory integral did not self-converge within {max_nodes} nodes"
+        f"oscillatory integral did not self-converge within {INTEGRAL_MAX_NODES} nodes"
     )
 
 
@@ -233,14 +243,15 @@ class OscillatorySumBounds:
             raise ValueError("threshold flag inconsistent with max lambda * dt")
 
 
-def sum_bounds(spec: OscillatorySumSpec, variation_rel_tol: float = 1e-6) -> OscillatorySumBounds:
+def sum_bounds(spec: OscillatorySumSpec) -> OscillatorySumBounds:
     """Evaluate J, the continuum integral, and both decay bounds.
 
     The boundary eta value at the left end uses the first in-range backward
     difference (s = 1/L), which is the term summation by parts actually
     produces there.  At a resonance (lambda * dt on 2 pi Z) the bound
     expressions are vacuous and reported as infinity; J and the continuum
-    integral are still evaluated.
+    integral are still evaluated.  Both total variations converge to
+    VARIATION_REL_TOL.
     """
     value = oscillatory_sum(spec)
     continuum = oscillatory_integral(spec.f, spec.lam, spec.total_time)
@@ -258,7 +269,6 @@ def sum_bounds(spec: OscillatorySumSpec, variation_rel_tol: float = 1e-6) -> Osc
             lambda s: np.asarray(spec.f(s), dtype=complex),
             lambda s: np.asarray(spec.lam(s), dtype=float),
             spec.dt,
-            rel_tol=variation_rel_tol,
         )
         variation_bound = f_variation / t
 
@@ -275,7 +285,6 @@ def sum_bounds(spec: OscillatorySumSpec, variation_rel_tol: float = 1e-6) -> Osc
             lambda s: np.asarray(spec.lam(s), dtype=float),
             spec.dt,
             lo=s_first,
-            rel_tol=variation_rel_tol,
         )
         first_order = boundary + variation_bound
         second_order = boundary + eta_boundary + eta_variation / t**2
@@ -310,39 +319,42 @@ class RobustnessReport:
 
 
 def robust_adiabatic_bound(
-    path: AdiabaticPath,
-    total_time: float,
-    dt: float,
-    s_samples: int = 101,
-    gap_floor: float = 1e-9,
+    path: AdiabaticPath, total_time: float, dt: float
 ) -> RobustnessReport:
     """Endpoint bound max_{s in {0,1}} ||H'(s)|| / (T gap^2(s)) with flags.
 
-    threshold_ok records whether every level spacing above the ground state
-    stays below the resonance threshold over the sampled grid; spacing_ok
-    records whether all level pairs stay separated there.
+    The spectrum is sampled on ROBUST_S_SAMPLES uniform points of [0, 1]
+    by ``eigvalsh`` over :func:`stack_chunks` stacks; its first and last
+    rows give the endpoint gaps, and an endpoint gap at or below GAP_FLOOR
+    raises :class:`GapClosure`.  threshold_ok records whether every level
+    spacing above the ground state stays below the resonance threshold over
+    the grid; spacing_ok records whether all adjacent levels stay more than
+    GAP_FLOOR apart there.
     """
-    s_values = np.linspace(0.0, 1.0, s_samples)
-    energies = np.linalg.eigvalsh(path_matrix(path, s_values))
+    s_values = np.linspace(0.0, 1.0, ROBUST_S_SAMPLES)
+    energies = np.concatenate(
+        [
+            np.linalg.eigvalsh(path_matrix(path, s_values[part]))
+            for part in stack_chunks(ROBUST_S_SAMPLES, path.dim)
+        ]
+    )
     lambdas = energies - energies[:, :1]
     max_lambda_dt = float(lambdas.max() * dt)
     min_spacing = float(np.diff(energies, axis=1).min())
 
-    endpoint_gaps = []
-    for s in (0.0, 1.0):
-        gap = spectral_gap(path, s)
-        if gap <= gap_floor:
+    endpoints = ((0.0, float(lambdas[0, 1])), (1.0, float(lambdas[-1, 1])))
+    for s, gap in endpoints:
+        if gap <= GAP_FLOOR:
             raise GapClosure(f"endpoint gap {gap:.3e} at s = {s:g}")
-        endpoint_gaps.append(gap)
 
     bound = max(
         operator_norm(path_at(path, s, 1).matrix) / (total_time * gap**2)
-        for s, gap in zip((0.0, 1.0), endpoint_gaps)
+        for s, gap in endpoints
     )
     return RobustnessReport(
         bound=float(bound),
         threshold_ok=max_lambda_dt < RESONANCE_THRESHOLD,
-        spacing_ok=min_spacing > gap_floor,
+        spacing_ok=min_spacing > GAP_FLOOR,
         max_lambda_dt=max_lambda_dt,
         min_level_spacing=min_spacing,
     )

@@ -218,12 +218,12 @@ def critical_step_search(
     dt_values,
     threshold: float = DEFAULT_THRESHOLD,
     steps: int = DEFAULT_STEPS,
-    layers=(),
-    initial_state: np.ndarray | None = None,
 ) -> CriticalStepResult:
     """Run the near-degeneracy test on the effective family across a dt grid.
 
-    The critical step is the midpoint between the last passing and the first
+    Each trace starts from the ground state of H(0) and follows the
+    two-layer interpolation step (see :func:`effective_family`).  The
+    critical step is the midpoint between the last passing and the first
     failing dt.  Monotonicity of the pattern is not assumed: every grid
     point is evaluated and a non-monotone pattern is reported via the
     ``monotone`` flag.
@@ -231,12 +231,11 @@ def critical_step_search(
     dts = np.asarray(dt_values, dtype=float)
     if len(dts) == 0 or np.any(np.diff(dts) <= 0):
         raise ValueError("dt grid must be nonempty and strictly ascending")
-    if initial_state is None:
-        initial_state = ground_state(path_at(path, 0.0).matrix)
+    initial_state = ground_state(path_at(path, 0.0).matrix)
 
     traces = []
     for dt in dts:
-        family = effective_family(path, float(dt), layers)
+        family = effective_family(path, float(dt))
         traces.append(
             near_degeneracy_test(
                 family, steps=steps, threshold=threshold, initial_state=initial_state

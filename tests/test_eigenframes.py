@@ -23,7 +23,7 @@ from daslab.eigenframes import (
     transition_amplitudes,
     transition_matrices,
 )
-from daslab import eigenframes
+from daslab import model
 from daslab.riemann_lebesgue import oscillatory_integral
 
 
@@ -176,7 +176,7 @@ class TestTransitionAmplitudes:
         energies, bases = np.linalg.eigh(path_matrix(tfim2, s_values))
 
         def frames_from(raw_bases):
-            fixed = _transport_gauge(energies, raw_bases, 1e-9)
+            fixed = _transport_gauge(energies, raw_bases)
             return [
                 EigenFrame(s=float(s_values[j]), energies=energies[j], basis=fixed[j])
                 for j in range(len(s_values))
@@ -229,7 +229,7 @@ class TestContinuum:
     def test_chunked_grid_matches_one_batch(self, tfim2, monkeypatch):
         whole = transition_amplitude_continuum(tfim2, 50.0, 1)
         # 1000 frames a stack: the first 2049-node grid takes three stacks.
-        monkeypatch.setattr(eigenframes, "STACK_ENTRIES", 1000 * tfim2.dim**2)
+        monkeypatch.setattr(model, "STACK_ENTRIES", 1000 * tfim2.dim**2)
         assert transition_amplitude_continuum(tfim2, 50.0, 1) == whole
 
     def test_gap_closure_raises(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from daslab import model
 from daslab.exceptions import GapClosure, OmegaZero
 from daslab.linalg import operator_norm
 from daslab.model import AdiabaticPath, HermitianOperator, linear_schedule, path_at
@@ -312,6 +313,24 @@ class TestRobustBound:
         gap1 = np.diff(np.linalg.eigvalsh(tfim2.h_final.matrix))[0]
         expected = max(dh / (40.0 * gap0**2), dh / (40.0 * gap1**2))
         assert report.bound == pytest.approx(expected, rel=1e-12)
+
+    def test_chunked_spectrum_matches_one_batch(self, tfim4, monkeypatch):
+        whole = robust_adiabatic_bound(tfim4, 40.0, 0.2)
+        stacks = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            stacks.append(len(a))
+            return eigvalsh(a)
+
+        def forbidden(*args):
+            raise AssertionError("endpoint gaps must come from the sampled rows")
+
+        monkeypatch.setattr(model, "STACK_ENTRIES", 7 * tfim4.dim**2)  # 7 frames a stack
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        monkeypatch.setattr(model, "hermitian_eig", forbidden)
+        assert robust_adiabatic_bound(tfim4, 40.0, 0.2) == whole
+        assert max(stacks) == 7 and sum(stacks) == 101
 
     def test_measured_error_within_bound_factor(self, tfim2):
         for total_time in (20.0, 50.0, 100.0, 200.0):
