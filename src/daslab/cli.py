@@ -42,6 +42,7 @@ from .evolve import (
     discrete_product,
     exact_state_evolution,
     grid_points,
+    interpolation_layers,
     trotter_evolution,
     trotter_state,
 )
@@ -224,6 +225,15 @@ def load_config(path: str | None, seed: None, threads: int | None) -> RunConfig:
     return RunConfig.from_dict(data)
 
 
+def _shared_layers(path: AdiabaticPath):
+    """The path's interpolation layers, each diagonalized here once, so that
+    every sweep point, on any worker, reuses the same eigendata."""
+    layers = interpolation_layers(path)
+    for layer in layers:
+        layer.rows  # forms and caches layer.eig too
+    return layers
+
+
 def _parallel(fn, items, threads: int):
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
@@ -262,12 +272,14 @@ def fig1_rows(config: RunConfig) -> list[dict]:
     path = config.build_path()
     psi_i, _ = endpoint_states(path)
     spectrum = path_spectrum(path, grid_points(config.steps, config.grid))
+    layers = _shared_layers(path)
 
     def one(total_time: float) -> dict:
         dt = total_time / config.steps
         a_d = discrete_product(spectrum, dt)
         spec = EvolutionSpec(
-            path=path, total_time=total_time, steps=config.steps, grid=config.grid
+            path=path, total_time=total_time, steps=config.steps, grid=config.grid,
+            layers=layers,
         )
         a_tro = trotter_evolution(spec).matrix
         return {
@@ -290,10 +302,12 @@ def fig2_rows(config: RunConfig) -> tuple[list[dict], float]:
     """
     path = config.build_path()
     psi_i, psi_f = endpoint_states(path)
+    layers = _shared_layers(path)
 
     def one(total_time: float) -> dict:
         spec = EvolutionSpec(
-            path=path, total_time=total_time, steps=config.steps, grid=config.grid
+            path=path, total_time=total_time, steps=config.steps, grid=config.grid,
+            layers=layers,
         )
         exact = exact_state_evolution(path, total_time, psi_i, rtol=config.ode_rtol)
         tro_state = trotter_state(spec, psi_i)
@@ -318,10 +332,11 @@ def fig3_rows(config: RunConfig) -> tuple[list[dict], dict]:
     """
     path = config.build_path()
     psi_i, _ = endpoint_states(path)
+    layers = _shared_layers(path)
 
     def trace_at(dt: float):
         return near_degeneracy_test(
-            effective_family(path, dt),
+            effective_family(path, dt, layers),
             steps=config.zeno_steps,
             threshold=config.zeno_threshold,
             initial_state=psi_i,

@@ -6,6 +6,10 @@ propagator as a product of diagonal phase matrices and near-identity
 transition matrices.  The expansion of that product in the off-diagonal
 parts of the transitions gives the first-order transition amplitudes into
 excited levels and the exact discrete adiabatic error.
+
+The eigenframes are a :class:`~daslab.model.PathSpectrum` whose bases are in
+the parallel-transport gauge (see :func:`transported_frames`); every routine
+here reads its arrays directly.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from scipy.integrate import cumulative_simpson, simpson
 
 from .exceptions import DegeneratePath, GapClosure, NoConvergence
 from .linalg import (
-    DEGENERACY_CLUSTER_TOL,
     GAP_FLOOR,
     _eigenvalue_clusters,
     _fix_column_phases,
@@ -31,28 +34,6 @@ from .evolve import UNITARY_RESULT_TOL, EvolutionSpec
 CONTINUUM_START_NODES = 2048
 CONTINUUM_MAX_NODES = 2**20
 CONTINUUM_REL_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class EigenFrame:
-    """Eigendecomposition of H(s_j) in the transported gauge."""
-
-    s: float
-    energies: np.ndarray
-    basis: np.ndarray
-
-    @property
-    def ground_energy(self) -> float:
-        return float(self.energies[0])
-
-    @property
-    def lambdas(self) -> np.ndarray:
-        """Level spacings above the ground state; lambdas[0] = 0."""
-        return self.energies - self.energies[0]
-
-    @property
-    def dim(self) -> int:
-        return len(self.energies)
 
 
 def _align_block(reference: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -77,13 +58,13 @@ def _transport_gauge(energies: np.ndarray, bases: np.ndarray) -> np.ndarray:
     bases[0] = _fix_column_phases(bases[0])
     if n_frames == 1:
         return bases
-    for lo, hi in _eigenvalue_clusters(energies[0], DEGENERACY_CLUSTER_TOL):
+    for lo, hi in _eigenvalue_clusters(energies[0]):
         if hi - lo > 1:
             bases[0][:, lo:hi] = _align_block(bases[1][:, lo:hi], bases[0][:, lo:hi])
     for j in range(1, n_frames):
         prev = bases[j - 1]
         cur = bases[j]
-        for lo, hi in _eigenvalue_clusters(energies[j], DEGENERACY_CLUSTER_TOL):
+        for lo, hi in _eigenvalue_clusters(energies[j]):
             if hi - lo > 1:
                 cur[:, lo:hi] = _align_block(prev[:, lo:hi], cur[:, lo:hi])
             else:
@@ -94,15 +75,16 @@ def _transport_gauge(energies: np.ndarray, bases: np.ndarray) -> np.ndarray:
     return bases
 
 
-def eigenframe_sequence(spec: EvolutionSpec, strict: bool = False) -> list[EigenFrame]:
+def eigenframe_sequence(spec: EvolutionSpec, strict: bool = False) -> PathSpectrum:
     """Transported eigenframes of H(s_j) over the spec's grid; see
     :func:`transported_frames`."""
     spectrum = path_spectrum(spec.path, spec.grid_points())
     return transported_frames(spectrum, strict)
 
 
-def transported_frames(spectrum: PathSpectrum, strict: bool = False) -> list[EigenFrame]:
-    """Eigenframes of a grid spectrum in the parallel-transport gauge.
+def transported_frames(spectrum: PathSpectrum, strict: bool = False) -> PathSpectrum:
+    """Eigenframes of a grid spectrum: the same grid and energies, with the
+    bases in the parallel-transport gauge.
 
     Raises :class:`DegeneratePath` when the ground gap is at or below
     GAP_FLOOR anywhere on the grid.  With strict=True any pair of levels at
@@ -127,19 +109,17 @@ def transported_frames(spectrum: PathSpectrum, strict: bool = False) -> list[Eig
                 level_a=level,
                 level_b=level + 1,
             )
-    bases = _transport_gauge(energies, spectrum.bases)
-    return [
-        EigenFrame(s=float(s_values[j]), energies=energies[j], basis=bases[j])
-        for j in range(len(s_values))
-    ]
+    return PathSpectrum(s_values, energies, _transport_gauge(energies, spectrum.bases))
 
 
-def transition_matrices(frames: list[EigenFrame]) -> list[np.ndarray]:
-    """Overlap matrices between consecutive frames: S_j = B_{j+1}^dag B_j."""
-    return [
-        frames[j + 1].basis.conj().T @ frames[j].basis
-        for j in range(len(frames) - 1)
-    ]
+def transition_matrices(frames: PathSpectrum) -> np.ndarray:
+    """Overlap matrices between consecutive frames, S_j = B_{j+1}^dag B_j,
+    stacked in one batched product.
+
+    The adjoints are formed for this product only: cached on the frames,
+    which a T sweep keeps, they would hold one more stack for the sweep.
+    """
+    return np.conj(np.swapaxes(frames.bases[1:], -1, -2)) @ frames.bases[:-1]
 
 
 @dataclass(frozen=True)
@@ -181,8 +161,8 @@ class PropagatorExpansion:
 
 
 def propagator_expansion(
-    frames: list[EigenFrame],
-    transitions: list[np.ndarray],
+    frames: PathSpectrum,
+    transitions: np.ndarray,
     total_time: float,
     amplitudes: np.ndarray | None = None,
 ) -> PropagatorExpansion:
@@ -193,13 +173,13 @@ def propagator_expansion(
     phase.  The first-order term keeps the step-k phase factor on the
     incoming side, which is where it lands when the product is expanded.
     """
-    n_frames = len(frames)
+    energies = frames.energies
+    n_frames, dim = energies.shape
     if len(transitions) != n_frames - 1:
         raise ValueError(
             f"expected {n_frames - 1} transition matrices, got {len(transitions)}"
         )
     dt = total_time / n_frames
-    energies = np.stack([frame.energies for frame in frames])
     phases = np.exp(-1j * dt * energies)
 
     gamma = np.diag(phases[0]).astype(complex)
@@ -208,7 +188,6 @@ def propagator_expansion(
 
     zeroth = np.diag(np.exp(-1j * dt * energies.sum(axis=0)))
 
-    dim = frames[0].dim
     first = np.zeros((dim, dim), dtype=complex)
     if n_frames > 1:
         cumulative = np.cumsum(energies, axis=0)
@@ -231,12 +210,12 @@ def propagator_expansion(
     )
 
 
-def reconstruct_discrete(frames: list[EigenFrame], expansion: PropagatorExpansion) -> np.ndarray:
+def reconstruct_discrete(frames: PathSpectrum, expansion: PropagatorExpansion) -> np.ndarray:
     """Rebuild the discrete propagator from the frame-basis product."""
-    return frames[-1].basis @ expansion.matrix @ frames[0].basis.conj().T
+    return frames.bases[-1] @ expansion.matrix @ frames.bases[0].conj().T
 
 
-def transition_amplitudes(spec: EvolutionSpec, frames: list[EigenFrame]) -> np.ndarray:
+def transition_amplitudes(spec: EvolutionSpec, frames: PathSpectrum) -> np.ndarray:
     """First-order transition amplitudes into levels l = 1..dim-1.
 
     Discrete oscillatory sum of the coupling matrix elements
@@ -245,22 +224,21 @@ def transition_amplitudes(spec: EvolutionSpec, frames: list[EigenFrame]) -> np.n
     step-k phase sits in the expanded product; the weight is the actual grid
     spacing.
     """
-    n_frames = len(frames)
-    dim = frames[0].dim
+    s_values, energies, bases = frames.s_values, frames.energies, frames.bases
+    n_frames, dim = energies.shape
     if n_frames < 2 or dim < 2:
         return np.zeros(max(dim - 1, 0), dtype=complex)
     dt = spec.total_time / n_frames
-    spacing = frames[1].s - frames[0].s
+    spacing = s_values[1] - s_values[0]
 
-    lambdas = np.stack([frame.lambdas for frame in frames])
+    lambdas = energies - energies[:, :1]
     prefix = np.cumsum(lambdas, axis=0)
 
     diff = spec.path.h_final.matrix - spec.path.h_initial.matrix
     amplitudes = np.zeros(dim - 1, dtype=complex)
     for k in range(n_frames - 1):
-        frame = frames[k]
-        dp = float(spec.path.schedule.dp(frame.s))
-        coupling = (frame.basis[:, 0].conj() @ diff @ frame.basis[:, 1:]) * dp
+        dp = float(spec.path.schedule.dp(s_values[k]))
+        coupling = (bases[k][:, 0].conj() @ diff @ bases[k][:, 1:]) * dp
         theta = coupling / lambdas[k, 1:]
         amplitudes += theta * np.exp(-1j * dt * prefix[k, 1:])
     return spacing * amplitudes

@@ -73,8 +73,9 @@ class Layer:
 
     The common case is a fixed matrix with a scalar weight, H_k(s) =
     weight(s) * matrix, which lets the step exponentials reuse a single
-    eigendecomposition.  A callable ``generate`` overrides that for layers
-    that are not scalar multiples of a fixed operator.
+    eigendecomposition, made on first use and cached on the layer, so every
+    spec sharing the layer shares it.  A callable ``generate`` overrides that
+    for layers that are not scalar multiples of a fixed operator.
     """
 
     matrix: np.ndarray | None = None
@@ -90,6 +91,17 @@ class Layer:
         if self.generate is not None:
             return self.generate(s)
         return float(self.weight(s)) * self.matrix
+
+    @cached_property
+    def eig(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(w, V) of the fixed matrix; None for a ``generate`` layer."""
+        return None if self.matrix is None else np.linalg.eigh(self.matrix)
+
+    @cached_property
+    def rows(self) -> np.ndarray | None:
+        """``_diagonal_order`` of the fixed eigenbasis: the eigenvalue index
+        of each diagonal entry for a diagonal layer, None for any other."""
+        return None if self.eig is None else _diagonal_order(self.eig[1])
 
 
 def interpolation_layers(path: AdiabaticPath) -> tuple[Layer, Layer]:
@@ -134,34 +146,15 @@ class EvolutionSpec:
         return grid_points(self.steps, self.grid)
 
     @cached_property
-    def _layer_eigs(self):
-        """Eigendecompositions of fixed layer matrices (None for generate layers)."""
-        out = []
-        for layer in self.layers:
-            if layer.matrix is None:
-                out.append(None)
-            else:
-                w, v = np.linalg.eigh(layer.matrix)
-                out.append((w, v))
-        return tuple(out)
-
-    @cached_property
-    def _layer_rows(self):
-        """Per layer, ``_diagonal_order`` of its fixed eigenbasis: the
-        eigenvalue index of each diagonal entry for a diagonal layer, None
-        for any other layer."""
-        return tuple(None if eig is None else _diagonal_order(eig[1]) for eig in self._layer_eigs)
-
-    @cached_property
     def strang_symmetric(self) -> bool:
         """True for a step of two fixed layers, the first real and the last
         diagonal: its Strang form (see :func:`strang_step`) is then a
         symmetric unitary."""
         return (
             len(self.layers) == 2
-            and all(eig is not None for eig in self._layer_eigs)
+            and all(layer.eig is not None for layer in self.layers)
             and not np.imag(self.layers[0].matrix).any()
-            and self._layer_rows[1] is not None
+            and self.layers[1].rows is not None
         )
 
 
@@ -334,11 +327,11 @@ def _layer_spectra(spec: EvolutionSpec, s_values) -> list[tuple[np.ndarray, np.n
     if not spec.layers:
         raise ValueError("trotter evolution needs at least one layer")
     out = []
-    for layer, eig in zip(spec.layers, spec._layer_eigs):
-        if eig is None:
+    for layer in spec.layers:
+        if layer.eig is None:
             out.append(np.linalg.eigh(np.stack([layer.operator_at(s) for s in s_values])))
         else:
-            w, v = eig
+            w, v = layer.eig
             # Scale the energies before dt multiplies them: the phase rounds
             # as (w * weight) * dt, never as w * (weight * dt).
             out.append((np.outer([float(layer.weight(s)) for s in s_values], w), v))
@@ -349,7 +342,8 @@ def trotter_steps(spec: EvolutionSpec, s_values) -> np.ndarray:
     """Stack of Trotter step unitaries, one per s; in each step layer k = 1
     acts first (rightmost factor).  A diagonal layer scales the rows."""
     steps = None
-    for (w, v), rows in zip(_layer_spectra(spec, s_values), spec._layer_rows):
+    for (w, v), layer in zip(_layer_spectra(spec, s_values), spec.layers):
+        rows = layer.rows
         if rows is None:
             factors = exp_from_eig(w, v, spec.dt)
             steps = factors if steps is None else factors @ steps
@@ -409,7 +403,7 @@ def strang_step(spec: EvolutionSpec, s: float) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("strang_step needs two fixed layers, the first real, the last diagonal")
     step = trotter_step_unitary(spec, s)
     w, _ = _layer_spectra(spec, [s])[1]
-    half = _diagonal_phases(w[0], spec._layer_rows[1], spec.dt / 2)
+    half = _diagonal_phases(w[0], spec.layers[1].rows, spec.dt / 2)
     strang = half.conj()[:, None] * step * half[None, :]
     return (strang + strang.T) / 2, half
 

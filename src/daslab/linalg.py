@@ -11,7 +11,6 @@ cluster.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,12 +82,13 @@ def normalized_state(v) -> np.ndarray:
     return v / norm
 
 
-def _eigenvalue_clusters(values: np.ndarray, tol: float):
-    """Yield (start, stop) index ranges of eigenvalues closer than tol."""
+def _eigenvalue_clusters(values: np.ndarray):
+    """Yield (start, stop) index ranges of ascending eigenvalues closer than
+    DEGENERACY_CLUSTER_TOL."""
     n = len(values)
     start = 0
     for i in range(1, n + 1):
-        if i == n or values[i] - values[i - 1] >= tol:
+        if i == n or values[i] - values[i - 1] >= DEGENERACY_CLUSTER_TOL:
             yield start, i
             start = i
 
@@ -107,26 +107,12 @@ def _fix_column_phases(v: np.ndarray) -> np.ndarray:
     return v * phases.conj()[None, :]
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Ascending eigenvalues with an orthonormal eigenbasis whose columns
-    have their largest-magnitude entry real positive."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
-
-
-def hermitian_eig(h) -> SpectralDecomposition:
+def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a Hermitian matrix as H = V diag(w) V^dag.
 
-    H must be Hermitian within HERMITIAN_TOL.  Eigenvalues come back
-    ascending.  Columns inside a degenerate cluster (spacing below
-    DEGENERACY_CLUSTER_TOL) are re-orthonormalized by QR, then every column
-    gets the deterministic largest-entry phase gauge.
+    H must be Hermitian within HERMITIAN_TOL.  Returns (w, V) with w
+    ascending, exactly as ``eigh`` returns it, and every column of V
+    rotated to the deterministic largest-entry phase gauge.
     """
     h = as_complex_matrix(h)
     require_hermitian(h)
@@ -134,14 +120,7 @@ def hermitian_eig(h) -> SpectralDecomposition:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigh failed to converge: {exc}") from exc
-    for lo, hi in _eigenvalue_clusters(w, DEGENERACY_CLUSTER_TOL):
-        if hi - lo > 1:
-            q, r = np.linalg.qr(v[:, lo:hi])
-            diag = np.diag(r).copy()
-            diag[diag == 0] = 1.0
-            v[:, lo:hi] = q * (diag / np.abs(diag))[None, :]
-    v = _fix_column_phases(v)
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
+    return w, _fix_column_phases(v)
 
 
 def unitary_eig(u) -> tuple[np.ndarray, np.ndarray]:
@@ -170,7 +149,7 @@ def unitary_eig(u) -> tuple[np.ndarray, np.ndarray]:
         c, v = np.linalg.eigh(cos_part)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigh failed to converge: {exc}") from exc
-    for lo, hi in _eigenvalue_clusters(c, DEGENERACY_CLUSTER_TOL):
+    for lo, hi in _eigenvalue_clusters(c):
         if hi - lo > 1:
             block = v[:, lo:hi]
             k = block.conj().T @ sin_part @ block
@@ -241,10 +220,9 @@ def principal_log_hamiltonian(u, dt: float) -> np.ndarray:
 def ground_state(h) -> np.ndarray:
     """Lowest eigenvector of a Hermitian matrix; raises
     :class:`DegenerateGround` when the ground gap is at or below GAP_FLOOR."""
-    dec = hermitian_eig(h)
-    if dec.dim > 1 and dec.eigenvalues[1] - dec.eigenvalues[0] <= GAP_FLOOR:
+    w, v = hermitian_eig(h)
+    if len(w) > 1 and w[1] - w[0] <= GAP_FLOOR:
         raise DegenerateGround(
-            f"ground gap {dec.eigenvalues[1] - dec.eigenvalues[0]:.3e} "
-            f"at or below GAP_FLOOR {GAP_FLOOR:.3e}"
+            f"ground gap {w[1] - w[0]:.3e} at or below GAP_FLOOR {GAP_FLOOR:.3e}"
         )
-    return dec.eigenvectors[:, 0].copy()
+    return v[:, 0].copy()

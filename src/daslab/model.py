@@ -212,11 +212,13 @@ def path_matrix(path: AdiabaticPath, s_values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PathSpectrum:
-    """Eigendata of H(s) on an s grid from one batched ``eigh``.
+    """Eigendata of H(s) on an s grid: ``energies[j]`` ascending, and
+    ``bases[j]`` the eigenvectors of H(s_j) as columns.
 
-    ``bases[j]`` holds the eigenvectors of H(s_j) as columns, exactly as
-    LAPACK returns them (no gauge fixing); ``energies[j]`` is ascending.
-    The bases are real when :func:`path_matrix` is.
+    :func:`path_spectrum` leaves the bases exactly as LAPACK returns them
+    (no gauge fixing); ``eigenframes.transported_frames`` returns the same
+    grid and energies with the bases in the parallel-transport gauge.  The
+    bases are real when :func:`path_matrix` is.
     """
 
     s_values: np.ndarray
@@ -242,8 +244,8 @@ def spectral_gap(path: AdiabaticPath, s: float, level: int = 1) -> float:
     """E_level(s) - E_0(s) from the dense eigendecomposition."""
     if level < 1 or level >= path.dim:
         raise OutOfRange(f"level {level} outside [1, {path.dim})")
-    values = hermitian_eig(path_at(path, s).matrix).eigenvalues
-    return float(values[level] - values[0])
+    w, _ = hermitian_eig(path_at(path, s).matrix)
+    return float(w[level] - w[0])
 
 
 _SCHEDULE_NAMES = ("linear", "custom-polynomial")

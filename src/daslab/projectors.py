@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DegenerateGround, GapClosure, WrongDimension
+from .exceptions import DegenerateGround, GapClosure, OutOfRange, WrongDimension
 from .linalg import GAP_FLOOR, hermitian_eig, operator_norm
-from .model import AdiabaticPath, HermitianOperator, path_at, spectral_gap
+from .model import AdiabaticPath, HermitianOperator, path_at
 
 # Gap floor of derivative_identity_residuals at its probes s - h, s, s + h.
 DERIVATIVE_PROBE_GAP = 1e-6
@@ -44,8 +44,11 @@ def projector_frame(h) -> ProjectorFrame:
     Requires a unique ground state: raises :class:`DegenerateGround` when
     the first gap is at or below GAP_FLOOR.
     """
-    dec = hermitian_eig(_matrix_of(h))
-    w, v = dec.eigenvalues, dec.eigenvectors
+    return _frame_from_eig(*hermitian_eig(_matrix_of(h)))
+
+
+def _frame_from_eig(w: np.ndarray, v: np.ndarray) -> ProjectorFrame:
+    """:func:`projector_frame` from the eigenpairs (w, V) of the operator."""
     if len(w) < 2 or w[1] - w[0] <= GAP_FLOOR:
         raise DegenerateGround(
             f"ground gap {(w[1] - w[0]) if len(w) > 1 else 0.0:.3e} "
@@ -65,8 +68,13 @@ def projector_frame(h) -> ProjectorFrame:
 
 def shifted_derivative(path: AdiabaticPath, s: float) -> np.ndarray:
     """H'(s) minus its ground expectation value times the identity."""
+    _, v = hermitian_eig(path_at(path, s).matrix)
+    return _shift(path, s, v[:, 0])
+
+
+def _shift(path: AdiabaticPath, s: float, ground: np.ndarray) -> np.ndarray:
+    """:func:`shifted_derivative` given the ground vector of H(s)."""
     dh = path_at(path, s, 1).matrix
-    ground = hermitian_eig(path_at(path, s).matrix).eigenvectors[:, 0]
     drift = float(np.real(ground.conj() @ dh @ ground))
     return dh - drift * np.eye(len(dh))
 
@@ -79,26 +87,28 @@ def derivative_identity_residuals(
     P' = -G H' P - P H' G and G' = P H' G^2 - G H' G + G^2 H' P with H' the
     shifted derivative.  Both residuals are O(h^2) for smooth gapped paths.
     Raises :class:`GapClosure` when the gap at s - h, s or s + h is at or
-    below DERIVATIVE_PROBE_GAP.
+    below DERIVATIVE_PROBE_GAP.  Each of the three H is diagonalized once.
     """
     if not (0.0 <= s - h and s + h <= 1.0):
         raise ValueError(f"need [s - h, s + h] inside [0, 1], got s = {s}, h = {h}")
-    for probe in (s - h, s, s + h):
-        gap = spectral_gap(path, probe)
+    if path.dim < 2:
+        raise OutOfRange(f"level 1 outside [1, {path.dim})")
+    probes = (s - h, s, s + h)
+    eigs = [hermitian_eig(path_at(path, probe).matrix) for probe in probes]
+    for probe, (w, _) in zip(probes, eigs):
+        gap = float(w[1] - w[0])
         if gap <= DERIVATIVE_PROBE_GAP:
             raise GapClosure(
                 f"gap {gap:.3e} at s = {probe:g} below {DERIVATIVE_PROBE_GAP:.1e}"
             )
 
-    forward = projector_frame(path_at(path, s + h).matrix)
-    backward = projector_frame(path_at(path, s - h).matrix)
-    center = projector_frame(path_at(path, s).matrix)
+    backward, center, forward = (_frame_from_eig(w, v) for w, v in eigs)
 
     dP = (forward.projector - backward.projector) / (2 * h)
     dG = (forward.pseudo_inverse - backward.pseudo_inverse) / (2 * h)
 
     p, g = center.projector, center.pseudo_inverse
-    dh_s = shifted_derivative(path, s)
+    dh_s = _shift(path, s, eigs[1][1][:, 0])
     p_closed = -g @ dh_s @ p - p @ dh_s @ g
     g_closed = p @ dh_s @ g @ g - g @ dh_s @ g + g @ g @ dh_s @ p
 
@@ -107,8 +117,9 @@ def derivative_identity_residuals(
 
 def commutator_norm(path: AdiabaticPath, s: float) -> float:
     """Norm of [G, H' P H'] at s, with H' the shifted derivative."""
-    frame = projector_frame(path_at(path, s).matrix)
-    dh_s = shifted_derivative(path, s)
+    w, v = hermitian_eig(path_at(path, s).matrix)
+    frame = _frame_from_eig(w, v)
+    dh_s = _shift(path, s, v[:, 0])
     sandwich = dh_s @ frame.projector @ dh_s
     commutator = frame.pseudo_inverse @ sandwich - sandwich @ frame.pseudo_inverse
     return operator_norm(commutator)

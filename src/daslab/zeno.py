@@ -17,7 +17,7 @@ import numpy as np
 from .exceptions import AllFail, AllPass
 from .linalg import _fix_column_phases, ground_state, unitary_eig
 from .model import AdiabaticPath, path_at
-from .evolve import EvolutionSpec, strang_step, trotter_step_unitary
+from .evolve import EvolutionSpec, interpolation_layers, strang_step, trotter_step_unitary
 
 DEFAULT_THRESHOLD = 0.99
 
@@ -232,10 +232,11 @@ def critical_step_search(
     if len(dts) == 0 or np.any(np.diff(dts) <= 0):
         raise ValueError("dt grid must be nonempty and strictly ascending")
     initial_state = ground_state(path_at(path, 0.0).matrix)
+    layers = interpolation_layers(path)
 
     traces = []
     for dt in dts:
-        family = effective_family(path, float(dt))
+        family = effective_family(path, float(dt), layers)
         traces.append(
             near_degeneracy_test(
                 family, steps=steps, threshold=threshold, initial_state=initial_state

@@ -29,6 +29,28 @@ def random_state(rng, dim):
     return v / np.linalg.norm(v)
 
 
+def record_eigh(monkeypatch) -> list:
+    """Record a copy of every matrix or stack passed to np.linalg.eigh from
+    now on."""
+    seen = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return seen
+
+
+def endpoint_solves(seen: list, path) -> list[int]:
+    """How many recorded eigh inputs equal H_i, and how many equal H_f."""
+    return [
+        sum(a.shape == m.shape and np.array_equal(a, m) for a in seen)
+        for m in (path.h_initial.matrix, path.h_final.matrix)
+    ]
+
+
 @pytest.fixture(scope="session")
 def tfim2():
     return tfim_path(2)

@@ -23,6 +23,8 @@ from daslab.cli import (
 )
 from daslab.exceptions import ConfigError
 
+from conftest import endpoint_solves, record_eigh
+
 
 def small_config(**overrides):
     base = {
@@ -336,6 +338,16 @@ class TestRows:
         batches = count_solver_batches(monkeypatch)
         gamma_rows(small_config(gamma_t_values=[5.0, 10.0]))
         assert batches.count((10,)) == 1
+
+    @pytest.mark.parametrize("rows", [fig1_rows, cli.fig2_rows, fig3_rows])
+    def test_layers_diagonalized_once_per_sweep(self, monkeypatch, rows):
+        # 4 T values, or 2 dt values plus an off-grid trace dt, on 2 workers:
+        # H_i and H_f are each diagonalized once for the endpoint ground
+        # state and once for their Trotter layer.
+        config = small_config(threads=2, trace_dts=[0.3, 0.5])
+        seen = record_eigh(monkeypatch)
+        rows(config)
+        assert endpoint_solves(seen, config.build_path()) == [2, 2]
 
     def test_bound_diagonalizes_its_nodes_once(self, monkeypatch):
         eigh_batches = count_solver_batches(monkeypatch)

@@ -6,14 +6,16 @@ from daslab.linalg import ground_state, operator_norm, unitarity_defect
 from daslab.model import (
     AdiabaticPath,
     HermitianOperator,
+    PathSpectrum,
     linear_schedule,
+    load_path_json,
     path_matrix,
+    path_spectrum,
     tfim_path,
 )
 from daslab.evolve import EvolutionSpec, discrete_evolution
 from daslab.errors import fidelity_error
 from daslab.eigenframes import (
-    EigenFrame,
     _transport_gauge,
     eigenframe_sequence,
     gamma_expansion,
@@ -22,6 +24,7 @@ from daslab.eigenframes import (
     transition_amplitude_continuum,
     transition_amplitudes,
     transition_matrices,
+    transported_frames,
 )
 from daslab import model
 from daslab.riemann_lebesgue import oscillatory_integral
@@ -38,10 +41,11 @@ class TestEigenframeSequence:
     def test_two_frames_shifted_spectra(self, tfim2):
         spec = EvolutionSpec(path=tfim2, total_time=1.0, steps=2)
         frames = eigenframe_sequence(spec)
-        assert len(frames) == 2
-        for frame in frames:
-            assert frame.lambdas[0] == 0.0
-            assert np.all(frame.lambdas[1:] > 0)
+        assert len(frames.s_values) == 2
+        for energies in frames.energies:
+            lambdas = energies - energies[0]
+            assert lambdas[0] == 0.0
+            assert np.all(lambdas[1:] > 0)
 
     def test_constant_path_transitions_identity(self):
         path = constant_path()
@@ -53,9 +57,9 @@ class TestEigenframeSequence:
     def test_transport_overlaps_real_nonnegative(self, tfim4):
         spec = EvolutionSpec(path=tfim4, total_time=10.0, steps=50)
         frames = eigenframe_sequence(spec)
-        for j in range(len(frames) - 1):
+        for j in range(len(frames.s_values) - 1):
             overlaps = np.einsum(
-                "ij,ij->j", frames[j].basis.conj(), frames[j + 1].basis
+                "ij,ij->j", frames.bases[j].conj(), frames.bases[j + 1]
             )
             assert np.all(overlaps.imag <= 1e-10)
             assert np.all(overlaps.real >= -1e-10)
@@ -94,6 +98,53 @@ class TestEigenframeSequence:
         eigenframe_sequence(spec)  # tolerated by default
         with pytest.raises(DegeneratePath):
             eigenframe_sequence(spec, strict=True)
+
+
+def rotated_field_path():
+    """A 3-site path whose H_i mixes X and Y fields: complex H(s) and bases."""
+    field = [
+        {"coeff": -np.cos(0.7), "factors": [[j, "X"]]} for j in range(3)
+    ] + [{"coeff": -np.sin(0.7), "factors": [[j, "Y"]]} for j in range(3)]
+    coupling = [{"coeff": -1.0, "factors": [[j, "Z"], [j + 1, "Z"]]} for j in range(2)]
+    coupling += [{"coeff": -0.5, "factors": [[j, "Z"]]} for j in range(3)]
+    return load_path_json({"n_sites": 3, "h_initial": field, "h_final": coupling})
+
+
+class TestTransportedFramesContract:
+    @pytest.mark.parametrize("make_path", [lambda: tfim_path(4), rotated_field_path])
+    def test_same_grid_and_energies(self, make_path):
+        spectrum = path_spectrum(make_path(), np.linspace(0.0, 1.0, 21))
+        frames = transported_frames(spectrum)
+        assert isinstance(frames, PathSpectrum)
+        assert np.array_equal(frames.s_values, spectrum.s_values)
+        assert np.array_equal(frames.energies, spectrum.energies)
+        assert frames.bases.shape == spectrum.bases.shape
+
+    @pytest.mark.parametrize("make_path", [lambda: tfim_path(4), rotated_field_path])
+    def test_bases_rebuild_each_hamiltonian(self, make_path):
+        path = make_path()
+        s_values = np.linspace(0.0, 1.0, 21)
+        frames = transported_frames(path_spectrum(path, s_values))
+        rebuilt = (frames.bases * frames.energies[:, None, :]) @ frames.adjoints
+        worst = max(
+            operator_norm(r - h) for r, h in zip(rebuilt, path_matrix(path, s_values))
+        )
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize(
+        "make_path,real", [(lambda: tfim_path(4), True), (rotated_field_path, False)]
+    )
+    def test_transitions_equal_the_pairwise_products(self, make_path, real):
+        frames = transported_frames(path_spectrum(make_path(), np.linspace(0.0, 1.0, 21)))
+        assert np.isrealobj(frames.bases) == real
+        batched = transition_matrices(frames)
+        pairwise = [
+            frames.bases[j + 1].conj().T @ frames.bases[j]
+            for j in range(len(frames.s_values) - 1)
+        ]
+        assert len(batched) == len(pairwise)
+        for stacked, single in zip(batched, pairwise):
+            assert np.array_equal(stacked, single)
 
 
 class TestPropagatorExpansion:
@@ -176,11 +227,7 @@ class TestTransitionAmplitudes:
         energies, bases = np.linalg.eigh(path_matrix(tfim2, s_values))
 
         def frames_from(raw_bases):
-            fixed = _transport_gauge(energies, raw_bases)
-            return [
-                EigenFrame(s=float(s_values[j]), energies=energies[j], basis=fixed[j])
-                for j in range(len(s_values))
-            ]
+            return PathSpectrum(s_values, energies, _transport_gauge(energies, raw_bases))
 
         rng = np.random.default_rng(11)
         scrambled = bases.astype(complex)  # the real TFIM bases, rephased below

@@ -35,6 +35,8 @@ from daslab.evolve import (
     trotter_steps,
 )
 
+from conftest import endpoint_solves, record_eigh
+
 
 def diagonal_path(values_i, values_f):
     return AdiabaticPath(
@@ -246,13 +248,23 @@ class TestTrotterEvolution:
         s_values = [0.0, 0.3, 1.0]
         for layers in (interpolation_layers(tfim4), interpolation_layers(tfim4)[::-1]):
             spec = EvolutionSpec(path=tfim4, total_time=6.0, steps=5, layers=layers)
-            diagonal = [rows is not None for rows in spec._layer_rows]
+            diagonal = [layer.rows is not None for layer in spec.layers]
             assert diagonal == [layer.label == "final" for layer in layers]
             for s, step in zip(s_values, trotter_steps(spec, s_values)):
                 first, second = (
                     matrix_exp_hermitian(layer.operator_at(s), spec.dt) for layer in layers
                 )
                 assert operator_norm(step - second @ first) <= 1e-12
+
+    def test_specs_sharing_layers_share_their_eigendata(self, tfim4, monkeypatch):
+        layers = interpolation_layers(tfim4)
+        seen = record_eigh(monkeypatch)
+        for total_time in (2.0, 4.0, 8.0):
+            spec = EvolutionSpec(path=tfim4, total_time=total_time, steps=5, layers=layers)
+            trotter_steps(spec, spec.grid_points())
+        assert len(seen) == 2
+        assert endpoint_solves(seen, tfim4) == [1, 1]
+        assert all(layer.eig is not None for layer in layers)
 
     def test_strang_step_is_the_symmetric_half_step_conjugate(self, tfim4):
         spec = EvolutionSpec(path=tfim4, total_time=6.0, steps=5)

@@ -8,7 +8,6 @@ from daslab.exceptions import (
     NotUnitary,
 )
 from daslab.linalg import (
-    DEGENERACY_CLUSTER_TOL,
     _eigenvalue_clusters,
     _fix_column_phases,
     as_complex_matrix,
@@ -45,43 +44,48 @@ def taylor_expm(h, t, squarings=12):
 
 class TestHermitianEig:
     def test_already_diagonal(self):
-        dec = hermitian_eig(np.diag([1.0, 2.0]))
-        assert np.allclose(dec.eigenvalues, [1.0, 2.0])
-        assert np.allclose(dec.eigenvectors, np.eye(2))
+        w, v = hermitian_eig(np.diag([1.0, 2.0]))
+        assert np.allclose(w, [1.0, 2.0])
+        assert np.allclose(v, np.eye(2))
 
     def test_pauli_x(self):
-        dec = hermitian_eig(PAULI_X)
-        assert np.allclose(dec.eigenvalues, [-1.0, 1.0])
+        w, _ = hermitian_eig(PAULI_X)
+        assert np.allclose(w, [-1.0, 1.0])
 
     def test_reconstruction_random(self):
         rng = np.random.default_rng(7)
         for dim in (3, 8, 32):
             h = random_hermitian(rng, dim)
-            dec = hermitian_eig(h)
-            rebuilt = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.conj().T
+            w, v = hermitian_eig(h)
+            rebuilt = (v * w) @ v.conj().T
             assert operator_norm(rebuilt - h) <= 1e-10
-            assert np.abs(
-                dec.eigenvectors.conj().T @ dec.eigenvectors - np.eye(dim)
-            ).max() <= 1e-10
+            assert np.abs(v.conj().T @ v - np.eye(dim)).max() <= 1e-10
 
     def test_reconstruction_dim_256(self):
         rng = np.random.default_rng(11)
         h = random_hermitian(rng, 256)
-        dec = hermitian_eig(h)
-        rebuilt = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.conj().T
+        w, v = hermitian_eig(h)
+        rebuilt = (v * w) @ v.conj().T
         assert operator_norm(rebuilt - h) <= 1e-10
+
+    def test_eigenvalues_are_eighs(self):
+        rng = np.random.default_rng(13)
+        for h in (random_hermitian(rng, 16), build_tfim(4)[0].matrix):
+            w, v = hermitian_eig(h)
+            assert np.array_equal(w, np.linalg.eigh(h)[0])
+            assert operator_norm((v * w) @ v.conj().T - h) <= 1e-12
 
     def test_gauge_deterministic(self):
         rng = np.random.default_rng(3)
         h = random_hermitian(rng, 12)
-        first = hermitian_eig(h.copy())
-        second = hermitian_eig(h.copy())
-        assert np.array_equal(first.eigenvectors, second.eigenvectors)
-        assert np.array_equal(first.eigenvalues, second.eigenvalues)
+        first_w, first_v = hermitian_eig(h.copy())
+        second_w, second_v = hermitian_eig(h.copy())
+        assert np.array_equal(first_v, second_v)
+        assert np.array_equal(first_w, second_w)
 
     def test_gauge_pivot_real_positive(self):
         rng = np.random.default_rng(5)
-        v = hermitian_eig(random_hermitian(rng, 9)).eigenvectors
+        _, v = hermitian_eig(random_hermitian(rng, 9))
         pivots = v[np.argmax(np.abs(v), axis=0), np.arange(9)]
         assert np.all(np.abs(pivots.imag) <= 1e-12)
         assert np.all(pivots.real > 0)
@@ -91,9 +95,9 @@ class TestHermitianEig:
         q = random_unitary(rng, 6)
         h = (q * np.array([0.0, 0.0, 0.0, 1.0, 2.0, 3.0])) @ q.conj().T
         h = (h + h.conj().T) / 2
-        dec = hermitian_eig(h)
-        assert np.abs(dec.eigenvectors.conj().T @ dec.eigenvectors - np.eye(6)).max() <= 1e-10
-        rebuilt = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.conj().T
+        w, v = hermitian_eig(h)
+        assert np.abs(v.conj().T @ v - np.eye(6)).max() <= 1e-10
+        rebuilt = (v * w) @ v.conj().T
         assert operator_norm(rebuilt - h) <= 1e-10
 
     def test_rejects_non_hermitian(self):
@@ -156,7 +160,7 @@ def generic_unitary_eig(u):
     cos_part = (u + u.conj().T) / 2
     sin_part = (u - u.conj().T) / 2j
     c, v = np.linalg.eigh(cos_part)
-    for lo, hi in _eigenvalue_clusters(c, DEGENERACY_CLUSTER_TOL):
+    for lo, hi in _eigenvalue_clusters(c):
         if hi - lo > 1:
             block = v[:, lo:hi]
             k = block.conj().T @ sin_part @ block

@@ -12,7 +12,7 @@ from daslab.projectors import (
     two_level_commutator_norm,
 )
 
-from conftest import random_hermitian
+from conftest import random_hermitian, record_eigh
 
 
 def random_two_level_path(rng):
@@ -114,6 +114,14 @@ class TestDerivativeIdentities:
         with pytest.raises(GapClosure):
             derivative_identity_residuals(path, 0.5, 1e-4)
 
+    def test_each_probe_diagonalized_once(self, tfim4, monkeypatch):
+        seen = record_eigh(monkeypatch)
+        derivative_identity_residuals(tfim4, 0.5, 1e-3)
+        assert [a.shape for a in seen] == [(16, 16)] * 3
+        seen.clear()
+        commutator_norm(tfim4, 0.5)
+        assert [a.shape for a in seen] == [(16, 16)]
+
     def test_domain_guard(self, tfim4):
         with pytest.raises(ValueError):
             derivative_identity_residuals(tfim4, 0.0, 1e-3)
@@ -123,7 +131,7 @@ class TestDerivativeIdentities:
 
         s = 0.4
         dh = shifted_derivative(tfim4, s)
-        ground = hermitian_eig(path_at(tfim4, s).matrix).eigenvectors[:, 0]
+        ground = hermitian_eig(path_at(tfim4, s).matrix)[1][:, 0]
         assert abs(ground.conj() @ dh @ ground) <= 1e-10
 
 

@@ -15,6 +15,8 @@ from daslab.zeno import (
     near_degeneracy_test,
 )
 
+from conftest import endpoint_solves, record_eigh
+
 
 def constant_family(dim=4, seed=1):
     rng = np.random.default_rng(seed)
@@ -131,6 +133,14 @@ class TestCriticalStepSearch:
             critical_step_search(
                 tfim2, [0.1, 0.2], threshold=1.0 - 1e-15, steps=5
             )
+
+    def test_layers_diagonalized_once_for_the_whole_grid(self, tfim2, monkeypatch):
+        # H_i is diagonalized for the initial state and for its layer, H_f
+        # for its layer only, however many dt values the grid has.
+        seen = record_eigh(monkeypatch)
+        with pytest.raises(AllPass):
+            critical_step_search(tfim2, [0.01, 0.02, 0.03], steps=30)
+        assert endpoint_solves(seen, tfim2) == [2, 1]
 
     def test_grid_validation(self, tfim2):
         with pytest.raises(ValueError):
