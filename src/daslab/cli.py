@@ -163,6 +163,14 @@ class RunConfig:
                 raise ConfigError(f"{f.name} must be {wanted.format(low, high)}, got {value!r}")
         if self.t_max < self.t_min:
             raise ConfigError("t_max must be >= t_min")
+        if np.any(np.diff(self.t_grid()) <= 0):
+            raise ConfigError(
+                "the T grid must be strictly increasing: t_values in order, or"
+                " t_min < t_max when t_points > 1"
+            )
+        trace_dts = set(map(float, self.trace_dts))
+        if len({trace_csv_name("fig3", dt) for dt in trace_dts}) < len(trace_dts):
+            raise ConfigError("two trace_dts share one trace file name (6 significant digits)")
         if self.dt_max < self.dt_min:
             raise ConfigError("dt_max must be >= dt_min")
         if not (self.dt_max - self.dt_min) / self.dt_step < MAX_DT_POINTS:
@@ -207,6 +215,11 @@ class RunConfig:
         return tfim_path(self.n_sites, self.periodic, schedule)
 
 
+def trace_csv_name(command: str, dt: float) -> str:
+    """File name of a command's overlap trace at step dt."""
+    return f"{command}_trace_dt{dt:g}.csv"
+
+
 def load_config(path: str | None, seed: None, threads: int | None) -> RunConfig:
     # The middle slot held the removed seed option; positional callers keep working.
     if seed is not None:
@@ -230,7 +243,7 @@ def _shared_layers(path: AdiabaticPath):
     every sweep point, on any worker, reuses the same eigendata."""
     layers = interpolation_layers(path)
     for layer in layers:
-        layer.rows  # forms and caches layer.eig too
+        layer.eig
     return layers
 
 
@@ -548,7 +561,7 @@ def run_command(name: str, config: RunConfig, out: Path, want_svg: bool) -> None
     rows, comments, traces = command.run(config)
     write_csv(out / f"{name}.csv", command.columns, rows, config, comments)
     for dt, trace in sorted(traces.items()):
-        write_csv(out / f"{name}_trace_dt{dt:g}.csv", TRACE_COLUMNS, _trace_rows(trace), config)
+        write_csv(out / trace_csv_name(name, dt), TRACE_COLUMNS, _trace_rows(trace), config)
     if want_svg:
         xs = [r[command.x] for r in rows]
         svgmod.write_line_plot(

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import (
-    ConvergenceFailure,
     DegenerateEndpoint,
     DegenerateGround,
     DimensionMismatch,
@@ -17,7 +16,7 @@ from .exceptions import (
     NonFiniteResult,
 )
 from .linalg import GAP_FLOOR, ground_state, operator_norm
-from .model import AdiabaticPath, path_matrix, stack_chunks
+from .model import AdiabaticPath, path_energies
 from .evolve import (
     EvolutionSpec,
     discrete_evolution,
@@ -143,8 +142,8 @@ def bound_profile(path: AdiabaticPath, quad_points: int = 201) -> BoundProfile:
     """Gaps and Simpson integral of the adiabatic bound over s in [0, 1].
 
     Composite Simpson quadrature; the node count is forced odd.  The node
-    gaps come from batched ``eigvalsh`` calls over :func:`stack_chunks`
-    stacks; a gap at or below GAP_FLOOR raises :class:`GapClosure`.
+    gaps come from :func:`path_energies`; a gap at or below GAP_FLOOR raises
+    :class:`GapClosure`.
     """
     if quad_points < 3:
         raise ValueError("need at least 3 quadrature points")
@@ -158,13 +157,8 @@ def bound_profile(path: AdiabaticPath, quad_points: int = 201) -> BoundProfile:
     d1 = dp * diff_norm
     d2 = ddp * diff_norm
 
-    gaps = np.empty(quad_points)
-    for part in stack_chunks(quad_points, path.dim):
-        try:
-            energies = np.linalg.eigvalsh(path_matrix(path, s_nodes[part]))
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(f"eigvalsh failed to converge: {exc}") from exc
-        gaps[part] = energies[:, 1] - energies[:, 0]
+    energies = path_energies(path, s_nodes)
+    gaps = energies[:, 1] - energies[:, 0]
     closed = np.flatnonzero(gaps <= GAP_FLOOR)
     if closed.size:
         i = closed[0]

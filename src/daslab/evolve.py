@@ -32,7 +32,6 @@ from .model import (
     AdiabaticPath,
     HermitianOperator,
     PathSpectrum,
-    path_at,
     path_matrix,
     path_spectrum,
     stack_chunks,
@@ -69,39 +68,29 @@ def grid_points(steps: int, grid: str = "endpoints") -> np.ndarray:
 
 @dataclass(frozen=True)
 class Layer:
-    """One term H_k(s) of the step Hamiltonian.
+    """One term H_k(s) = weight(s) * matrix of the step Hamiltonian.
 
-    The common case is a fixed matrix with a scalar weight, H_k(s) =
-    weight(s) * matrix, which lets the step exponentials reuse a single
-    eigendecomposition, made on first use and cached on the layer, so every
-    spec sharing the layer shares it.  A callable ``generate`` overrides that
-    for layers that are not scalar multiples of a fixed operator.
+    The step exponentials reuse a single eigendecomposition of the fixed
+    matrix, made on first use and cached on the layer, so every spec sharing
+    the layer shares it.
     """
 
-    matrix: np.ndarray | None = None
-    weight: Callable | None = None
-    generate: Callable | None = None
+    matrix: np.ndarray
+    weight: Callable
     label: str = ""
 
-    def __post_init__(self):
-        if self.generate is None and (self.matrix is None or self.weight is None):
-            raise ValueError("layer needs either (matrix, weight) or generate")
-
     def operator_at(self, s: float) -> np.ndarray:
-        if self.generate is not None:
-            return self.generate(s)
         return float(self.weight(s)) * self.matrix
 
     @cached_property
-    def eig(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(w, V) of the fixed matrix; None for a ``generate`` layer."""
-        return None if self.matrix is None else np.linalg.eigh(self.matrix)
-
-    @cached_property
-    def rows(self) -> np.ndarray | None:
-        """``_diagonal_order`` of the fixed eigenbasis: the eigenvalue index
-        of each diagonal entry for a diagonal layer, None for any other."""
-        return None if self.eig is None else _diagonal_order(self.eig[1])
+    def eig(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """(w, V) of the fixed matrix.  A matrix whose off-diagonal entries
+        are exactly zero is its own eigenbasis: (its real diagonal, None),
+        with no ``eigh``."""
+        diagonal = np.diagonal(self.matrix)
+        if np.count_nonzero(self.matrix) == np.count_nonzero(diagonal):
+            return diagonal.real.copy(), None
+        return np.linalg.eigh(self.matrix)
 
 
 def interpolation_layers(path: AdiabaticPath) -> tuple[Layer, Layer]:
@@ -111,11 +100,6 @@ def interpolation_layers(path: AdiabaticPath) -> tuple[Layer, Layer]:
         Layer(matrix=path.h_initial.matrix, weight=lambda s: 1.0 - float(p(s)), label="initial"),
         Layer(matrix=path.h_final.matrix, weight=lambda s: float(p(s)), label="final"),
     )
-
-
-def full_hamiltonian_layer(path: AdiabaticPath) -> tuple[Layer]:
-    """Single layer equal to the whole H(s); Trotterization becomes exact."""
-    return (Layer(generate=lambda s: path_at(path, s).matrix, label="full"),)
 
 
 @dataclass
@@ -147,25 +131,15 @@ class EvolutionSpec:
 
     @cached_property
     def strang_symmetric(self) -> bool:
-        """True for a step of two fixed layers, the first real and the last
+        """True for a step of two layers, the first real and the last
         diagonal: its Strang form (see :func:`strang_step`) is then a
-        symmetric unitary."""
+        symmetric unitary.  Every layer's eigendata is formed here."""
+        eigendata = [layer.eig for layer in self.layers]
         return (
-            len(self.layers) == 2
-            and all(layer.eig is not None for layer in self.layers)
+            len(eigendata) == 2
+            and eigendata[1][1] is None
             and not np.imag(self.layers[0].matrix).any()
-            and self.layers[1].rows is not None
         )
-
-
-def _diagonal_order(v: np.ndarray) -> np.ndarray | None:
-    """For V a permutation matrix up to unit phases, the eigenbasis of a
-    diagonal H = V diag(w) V^dag, the column of each row's unit entry, so
-    that H[k, k] = w[rows[k]].  None for any other V."""
-    rows = np.argmax(np.abs(v), axis=1)
-    if np.count_nonzero(v) == len(v) and np.all(np.abs(v[np.arange(len(v)), rows]) == 1):
-        return rows
-    return None
 
 
 @dataclass
@@ -318,23 +292,15 @@ def discrete_evolution(spec: EvolutionSpec) -> UnitaryOperator:
     return UnitaryOperator(discrete_product(spectrum, spec.dt), "discrete", spec)
 
 
-def _layer_spectra(spec: EvolutionSpec, s_values) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per layer, in layer order, the eigenpairs (w, V) of H_k(s) for each s.
-
-    w has one row per s.  A fixed layer shares its one V across all s; a
-    ``generate`` layer has one V per s.
-    """
-    if not spec.layers:
-        raise ValueError("trotter evolution needs at least one layer")
+def _layer_spectra(spec: EvolutionSpec, s_values) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """Per layer, in layer order, the energies of H_k(s), one row per s, and
+    the layer's fixed eigenbasis V, None for a diagonal layer."""
     out = []
     for layer in spec.layers:
-        if layer.eig is None:
-            out.append(np.linalg.eigh(np.stack([layer.operator_at(s) for s in s_values])))
-        else:
-            w, v = layer.eig
-            # Scale the energies before dt multiplies them: the phase rounds
-            # as (w * weight) * dt, never as w * (weight * dt).
-            out.append((np.outer([float(layer.weight(s)) for s in s_values], w), v))
+        w, v = layer.eig
+        # Scale the energies before dt multiplies them: the phase rounds
+        # as (w * weight) * dt, never as w * (weight * dt).
+        out.append((np.outer([float(layer.weight(s)) for s in s_values], w), v))
     return out
 
 
@@ -342,29 +308,23 @@ def trotter_steps(spec: EvolutionSpec, s_values) -> np.ndarray:
     """Stack of Trotter step unitaries, one per s; in each step layer k = 1
     acts first (rightmost factor).  A diagonal layer scales the rows."""
     steps = None
-    for (w, v), layer in zip(_layer_spectra(spec, s_values), spec.layers):
-        rows = layer.rows
-        if rows is None:
+    for w, v in _layer_spectra(spec, s_values):
+        if v is None:
+            phases = np.exp(-1j * w * spec.dt)[..., None]
+            steps = phases * (np.eye(w.shape[-1]) if steps is None else steps)
+        else:
             factors = exp_from_eig(w, v, spec.dt)
             steps = factors if steps is None else factors @ steps
-        else:
-            phases = _diagonal_phases(w, rows, spec.dt)[..., None]
-            steps = phases * (np.eye(len(rows)) if steps is None else steps)
     return steps
-
-
-def _diagonal_phases(w: np.ndarray, rows: np.ndarray, dt: float) -> np.ndarray:
-    """Diagonal of e^{-i H dt} for a diagonal layer H with energies w (one
-    row per s) and ``_diagonal_order`` rows."""
-    return np.exp(-1j * w[..., rows] * dt)
 
 
 def trotter_state(spec: EvolutionSpec, psi: np.ndarray) -> np.ndarray:
     """``trotter_evolution(spec).matrix @ psi`` by matrix-vector products.
 
-    Each layer exponential acts on the state as V (e^{-i w dt} * (V^dag psi)).
-    The norm must be preserved within UNITARY_RESULT_TOL, the state-level
-    stand-in for the unitarity check of :class:`UnitaryOperator`.
+    Each layer exponential acts on the state as V (e^{-i w dt} * (V^dag psi)),
+    a diagonal layer as e^{-i w dt} * psi.  The norm must be preserved within
+    UNITARY_RESULT_TOL, the state-level stand-in for the unitarity check of
+    :class:`UnitaryOperator`.
     """
     psi = np.asarray(psi, dtype=np.complex128)
     layers = [
@@ -374,9 +334,11 @@ def trotter_state(spec: EvolutionSpec, psi: np.ndarray) -> np.ndarray:
     out = psi
     for j in range(spec.steps):
         for phases, v in layers:
-            vj = v[j] if v.ndim == 3 else v
-            # V^dag psi as (psi^dag V)^dag, without forming V^dag.
-            out = vj @ (phases[j] * np.conj(np.conj(out) @ vj))
+            if v is None:
+                out = phases[j] * out
+            else:
+                # V^dag psi as (psi^dag V)^dag, without forming V^dag.
+                out = v @ (phases[j] * np.conj(np.conj(out) @ v))
     defect = abs(np.linalg.norm(out) - np.linalg.norm(psi))
     if not defect <= UNITARY_RESULT_TOL:  # NaN fails too
         raise ValueError(f"trotter state evolution not unitary: norm defect {defect:.3e}")
@@ -400,10 +362,10 @@ def strang_step(spec: EvolutionSpec, s: float) -> tuple[np.ndarray, np.ndarray]:
     Returns (S, half), with half the diagonal of e^{-iA dt/2}.
     """
     if not spec.strang_symmetric:
-        raise ValueError("strang_step needs two fixed layers, the first real, the last diagonal")
+        raise ValueError("strang_step needs two layers, the first real, the last diagonal")
     step = trotter_step_unitary(spec, s)
-    w, _ = _layer_spectra(spec, [s])[1]
-    half = _diagonal_phases(w[0], spec.layers[1].rows, spec.dt / 2)
+    last = spec.layers[1]
+    half = np.exp(-1j * (float(last.weight(s)) * last.eig[0]) * (spec.dt / 2))
     strang = half.conj()[:, None] * step * half[None, :]
     return (strang + strang.T) / 2, half
 

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exceptions import DimensionTooLarge, OutOfRange
+from .exceptions import ConvergenceFailure, DimensionTooLarge, OutOfRange
 from .linalg import as_complex_matrix, hermitian_eig, require_hermitian
 
 PAULI = {
@@ -238,6 +238,20 @@ def path_spectrum(path: AdiabaticPath, s_values) -> PathSpectrum:
     s_values = np.asarray(s_values, dtype=float)
     energies, bases = np.linalg.eigh(path_matrix(path, s_values))
     return PathSpectrum(s_values, energies, bases)
+
+
+def path_energies(path: AdiabaticPath, s_values) -> np.ndarray:
+    """Ascending eigenvalues of H(s), one row per s, from batched
+    ``eigvalsh`` calls over :func:`stack_chunks` stacks; a solver that fails
+    to converge raises :class:`ConvergenceFailure`."""
+    s_values = np.asarray(s_values, dtype=float)
+    energies = np.empty((len(s_values), path.dim))
+    for part in stack_chunks(len(s_values), path.dim):
+        try:
+            energies[part] = np.linalg.eigvalsh(path_matrix(path, s_values[part]))
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(f"eigvalsh failed to converge: {exc}") from exc
+    return energies
 
 
 def spectral_gap(path: AdiabaticPath, s: float, level: int = 1) -> float:

@@ -20,7 +20,7 @@ from scipy.interpolate import CubicSpline
 
 from .exceptions import GapClosure, NoConvergence, OmegaZero
 from .linalg import GAP_FLOOR, operator_norm
-from .model import AdiabaticPath, path_at, path_matrix, stack_chunks
+from .model import AdiabaticPath, path_at, path_energies
 
 RESONANCE_THRESHOLD = 3.78
 OMEGA_ZERO_RTOL = 1e-12
@@ -324,20 +324,15 @@ def robust_adiabatic_bound(
     """Endpoint bound max_{s in {0,1}} ||H'(s)|| / (T gap^2(s)) with flags.
 
     The spectrum is sampled on ROBUST_S_SAMPLES uniform points of [0, 1]
-    by ``eigvalsh`` over :func:`stack_chunks` stacks; its first and last
-    rows give the endpoint gaps, and an endpoint gap at or below GAP_FLOOR
-    raises :class:`GapClosure`.  threshold_ok records whether every level
+    by :func:`path_energies`; its first and last rows give the endpoint
+    gaps, and an endpoint gap at or below GAP_FLOOR raises
+    :class:`GapClosure`.  threshold_ok records whether every level
     spacing above the ground state stays below the resonance threshold over
     the grid; spacing_ok records whether all adjacent levels stay more than
     GAP_FLOOR apart there.
     """
     s_values = np.linspace(0.0, 1.0, ROBUST_S_SAMPLES)
-    energies = np.concatenate(
-        [
-            np.linalg.eigvalsh(path_matrix(path, s_values[part]))
-            for part in stack_chunks(ROBUST_S_SAMPLES, path.dim)
-        ]
-    )
+    energies = path_energies(path, s_values)
     lambdas = energies - energies[:, :1]
     max_lambda_dt = float(lambdas.max() * dt)
     min_spacing = float(np.diff(energies, axis=1).min())

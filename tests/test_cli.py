@@ -117,6 +117,9 @@ class TestConfig:
             {"threads": 1.5},
             {"n_sites": 13},
             {"t_values": [10**400]},
+            {"t_values": [50.0, 40.0, 30.0, 20.0, 10.0]},
+            {"t_values": [10.0, 10.0, 20.0, 30.0, 40.0]},
+            {"t_min": 10.0, "t_max": 10.0, "t_points": 4},
         ],
     )
     def test_fig2_inputs_rejected_before_propagation(self, tmp_path, monkeypatch, bad):
@@ -151,6 +154,7 @@ class TestConfig:
             ("zeno", {"zeno_steps": 0}),
             ("zeno", {"zeno_steps": 2.5}),
             ("zeno", {"zeno_steps": True}),
+            ("fig3", {"trace_dts": [0.8, 0.8000001]}),
         ],
     )
     def test_fig3_zeno_inputs_rejected_before_continuation(
@@ -343,11 +347,12 @@ class TestRows:
     def test_layers_diagonalized_once_per_sweep(self, monkeypatch, rows):
         # 4 T values, or 2 dt values plus an off-grid trace dt, on 2 workers:
         # H_i and H_f are each diagonalized once for the endpoint ground
-        # state and once for their Trotter layer.
+        # state, and H_i once more for its Trotter layer; H_f's layer is
+        # diagonal and needs no eigh.
         config = small_config(threads=2, trace_dts=[0.3, 0.5])
         seen = record_eigh(monkeypatch)
         rows(config)
-        assert endpoint_solves(seen, config.build_path()) == [2, 2]
+        assert endpoint_solves(seen, config.build_path()) == [2, 1]
 
     def test_bound_diagonalizes_its_nodes_once(self, monkeypatch):
         eigh_batches = count_solver_batches(monkeypatch)

@@ -58,6 +58,16 @@ BOUND = {
     "bound_quad_points": st.integers(3, 31),
 }
 
+# T up to 100 and rtol no finer than 1e-9 keep each fig2 example well under
+# a second at 2 sites; T = 1000 at rtol 1e-12 takes about 4 s.
+FIG2 = {
+    **COMMON,
+    "ode_rtol": st.floats(1e-9, 0.5),
+    "t_min": st.floats(0.1, 100.0),
+    "t_values": positive_list(0.1, 100.0, max_size=5),
+    "robust_dt_cut": st.floats(0.01, 10.0),
+}
+
 RL = {
     **COMMON,
     "n_sites": st.just(2),
@@ -68,9 +78,13 @@ RL = {
 
 @st.composite
 def fuzzed(draw, valid: dict, fixed=None):
-    """A config dict: the fixed entries, any subset of the valid fields, and
-    up to two fields replaced by an invalid value."""
-    fixed = {name: st.just(value) for name, value in (fixed or {}).items()}
+    """A config dict: the fixed entries (values or strategies), any subset
+    of the valid fields, and up to two valid fields replaced by an invalid
+    value."""
+    fixed = {
+        name: value if isinstance(value, st.SearchStrategy) else st.just(value)
+        for name, value in (fixed or {}).items()
+    }
     config = draw(st.fixed_dictionaries(fixed, optional=valid))
     for name in draw(st.lists(st.sampled_from(sorted(valid)), max_size=2, unique=True)):
         config[name] = draw(BAD)
@@ -118,3 +132,14 @@ def test_rl_config_fuzz(config):
 @given(fuzzed(BOUND, fixed={"n_sites": 2}))
 def test_bound_config_fuzz(config):
     run("bound", config)
+
+
+@FUZZ
+@given(
+    fuzzed(
+        FIG2,
+        fixed={"n_sites": 2, "t_max": st.floats(0.1, 100.0), "t_points": st.integers(1, 5)},
+    )
+)
+def test_fig2_config_fuzz(config):
+    run("fig2", config)

@@ -24,7 +24,6 @@ from daslab.evolve import (
     effective_hamiltonian,
     exact_evolution,
     exact_state_evolution,
-    full_hamiltonian_layer,
     grid_points,
     interpolation_layers,
     strang_step,
@@ -35,7 +34,7 @@ from daslab.evolve import (
     trotter_steps,
 )
 
-from conftest import endpoint_solves, record_eigh
+from conftest import endpoint_solves, random_hermitian, record_eigh
 
 
 def diagonal_path(values_i, values_f):
@@ -44,6 +43,15 @@ def diagonal_path(values_i, values_f):
         HermitianOperator(np.diag(np.asarray(values_f, dtype=float))),
         linear_schedule(),
     )
+
+
+def proportional_path(c=2.5, dim=4, seed=3):
+    """A path with H_f = c H_i, so H(s) = (1 + (c - 1) p(s)) H_i, and its
+    one layer covering all of H(s)."""
+    h = random_hermitian(np.random.default_rng(seed), dim)
+    path = AdiabaticPath(HermitianOperator(h), HermitianOperator(c * h), linear_schedule())
+    p = path.schedule.p
+    return path, (Layer(matrix=h, weight=lambda s: 1.0 + (c - 1.0) * float(p(s))),)
 
 
 @pytest.fixture(scope="module")
@@ -194,9 +202,9 @@ class TestDiscreteEvolution:
 
 
 class TestTrotterEvolution:
-    def test_single_layer_equals_discrete(self, tfim2):
-        layers = full_hamiltonian_layer(tfim2)
-        spec = EvolutionSpec(path=tfim2, total_time=3.0, steps=12, layers=layers)
+    def test_single_layer_equals_discrete(self):
+        path, layers = proportional_path()
+        spec = EvolutionSpec(path=path, total_time=3.0, steps=12, layers=layers)
         a_d = discrete_evolution(spec)
         a_t = trotter_evolution(spec)
         assert operator_norm(a_d.matrix - a_t.matrix) <= 1e-12
@@ -248,7 +256,7 @@ class TestTrotterEvolution:
         s_values = [0.0, 0.3, 1.0]
         for layers in (interpolation_layers(tfim4), interpolation_layers(tfim4)[::-1]):
             spec = EvolutionSpec(path=tfim4, total_time=6.0, steps=5, layers=layers)
-            diagonal = [layer.rows is not None for layer in spec.layers]
+            diagonal = [layer.eig[1] is None for layer in spec.layers]
             assert diagonal == [layer.label == "final" for layer in layers]
             for s, step in zip(s_values, trotter_steps(spec, s_values)):
                 first, second = (
@@ -262,9 +270,27 @@ class TestTrotterEvolution:
         for total_time in (2.0, 4.0, 8.0):
             spec = EvolutionSpec(path=tfim4, total_time=total_time, steps=5, layers=layers)
             trotter_steps(spec, spec.grid_points())
-        assert len(seen) == 2
-        assert endpoint_solves(seen, tfim4) == [1, 1]
-        assert all(layer.eig is not None for layer in layers)
+        # H_f is diagonal, so only H_i goes through eigh.
+        assert len(seen) == 1
+        assert endpoint_solves(seen, tfim4) == [1, 0]
+        assert all("eig" in vars(layer) for layer in layers)
+
+    def test_diagonal_layer_is_read_from_its_matrix(self, tfim4, monkeypatch):
+        seen = record_eigh(monkeypatch)
+        layer = Layer(matrix=tfim4.h_final.matrix, weight=lambda s: s)
+        w, v = layer.eig
+        assert v is None
+        np.testing.assert_array_equal(w, np.diag(tfim4.h_final.matrix).real)
+        assert seen == []
+
+    def test_one_off_diagonal_pair_takes_eigh(self, monkeypatch):
+        matrix = np.diag([1.0, -2.0, 0.5]).astype(complex)
+        matrix[0, 2] = 1e-300j
+        matrix[2, 0] = -1e-300j
+        seen = record_eigh(monkeypatch)
+        w, v = Layer(matrix=matrix, weight=lambda s: s).eig
+        assert len(seen) == 1 and v is not None
+        assert np.allclose((v * w) @ v.conj().T, matrix, atol=1e-14)
 
     def test_strang_step_is_the_symmetric_half_step_conjugate(self, tfim4):
         spec = EvolutionSpec(path=tfim4, total_time=6.0, steps=5)
@@ -311,7 +337,7 @@ class TestTrotterEvolution:
             UnitaryOperator(np.full((2, 2), np.nan), "exact")
 
     def test_layer_requires_parts(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             Layer(matrix=np.eye(2))
 
 
@@ -332,11 +358,12 @@ class TestStateKernels:
         expected = trotter_evolution(spec).matrix @ psi
         assert np.abs(trotter_state(spec, psi) - expected).max() <= 1e-12
 
-    def test_trotter_state_matches_propagator_generated_layer(self, tfim4):
+    def test_trotter_state_matches_propagator_diagonal_first(self, tfim4):
+        # H_Z applied first: the state kernel starts with a diagonal layer
+        layers = interpolation_layers(tfim4)[::-1]
+        assert layers[0].eig[1] is None
         psi = ground_state(tfim4.h_initial.matrix)
-        spec = EvolutionSpec(
-            path=tfim4, total_time=8.0, steps=16, layers=full_hamiltonian_layer(tfim4)
-        )
+        spec = EvolutionSpec(path=tfim4, total_time=30.0, steps=40, layers=layers)
         expected = trotter_evolution(spec).matrix @ psi
         assert np.abs(trotter_state(spec, psi) - expected).max() <= 1e-12
 
@@ -363,13 +390,15 @@ class TestEffectiveHamiltonian:
             eff = effective_hamiltonian(spec, s)
             assert operator_norm(eff.matrix - path_at(tfim2, s).matrix) < 1e-2
 
-    def test_single_layer_exact(self, tfim2):
+    def test_single_layer_exact(self):
         # one layer covering all of H(s): the step generator is H(s) itself
-        layers = full_hamiltonian_layer(tfim2)
-        spec = EvolutionSpec(path=tfim2, total_time=4.0, steps=8, layers=layers)
+        path, layers = proportional_path()
+        spec = EvolutionSpec(path=path, total_time=2.0, steps=8, layers=layers)
         for s in (0.0, 0.5, 1.0):
-            eff = effective_hamiltonian(spec, s)  # ||H(s)|| dt = 1.5 < pi
-            assert operator_norm(eff.matrix - path_at(tfim2, s).matrix) <= 1e-8
+            h = path_at(path, s).matrix
+            assert operator_norm(h) * spec.dt < np.pi  # inside the principal branch
+            eff = effective_hamiltonian(spec, s)
+            assert operator_norm(eff.matrix - h) <= 1e-8
 
     def test_boundary_recovers_initial(self, tfim4):
         spec = EvolutionSpec(path=tfim4, total_time=4.0, steps=40)  # dt = 0.1

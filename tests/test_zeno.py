@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from daslab.evolve import Layer, full_hamiltonian_layer, interpolation_layers
+from daslab.evolve import Layer, interpolation_layers
 from daslab.exceptions import AllFail, AllPass
-from daslab.linalg import ground_state, operator_norm, unitary_eig
+from daslab.linalg import ground_state, matrix_exp_hermitian, operator_norm, unitary_eig
 from daslab.model import load_path_json, path_at, path_matrix, polynomial_schedule, tfim_path
 from daslab.zeno import (
     UNITARY_FAMILY,
@@ -80,13 +80,16 @@ class TestNearDegeneracyTest:
         assert np.allclose(a.overlaps, b.overlaps, atol=1e-12)
 
     def test_single_layer_family_passes_below_branch(self, tfim4):
-        from daslab.evolve import full_hamiltonian_layer
-
         lambdas = np.max(
             np.linalg.eigvalsh(path_matrix(tfim4, np.linspace(0, 1, 51))), axis=1
         ) - np.min(np.linalg.eigvalsh(path_matrix(tfim4, np.linspace(0, 1, 51))), axis=1)
         dt = 0.9 * np.pi / lambdas.max()
-        family = effective_family(tfim4, float(dt), layers=full_hamiltonian_layer(tfim4))
+        # one step of the whole H(s): no Trotter splitting
+        family = OperatorFamily(
+            evaluate=lambda s: matrix_exp_hermitian(path_at(tfim4, s).matrix, dt),
+            kind=UNITARY_FAMILY,
+            dt=float(dt),
+        )
         psi = ground_state(tfim4.h_initial.matrix)
         trace = near_degeneracy_test(family, steps=80, initial_state=psi)
         assert trace.passed
@@ -136,11 +139,12 @@ class TestCriticalStepSearch:
 
     def test_layers_diagonalized_once_for_the_whole_grid(self, tfim2, monkeypatch):
         # H_i is diagonalized for the initial state and for its layer, H_f
-        # for its layer only, however many dt values the grid has.
+        # never: its layer is diagonal.  That holds however many dt values
+        # the grid has.
         seen = record_eigh(monkeypatch)
         with pytest.raises(AllPass):
             critical_step_search(tfim2, [0.01, 0.02, 0.03], steps=30)
-        assert endpoint_solves(seen, tfim2) == [2, 1]
+        assert endpoint_solves(seen, tfim2) == [2, 0]
 
     def test_grid_validation(self, tfim2):
         with pytest.raises(ValueError):
@@ -296,9 +300,7 @@ class TestSymmetrizedFamily:
             Layer(matrix=h_z, weight=half),
             Layer(matrix=h_x, weight=half),
         )
-        generated = (Layer(matrix=h_x, weight=half), Layer(generate=lambda s: s * h_z))
-        for layers in (full_hamiltonian_layer(tfim4), three, generated):
-            assert effective_family(tfim4, 0.4, layers).diagonalize is None
+        assert effective_family(tfim4, 0.4, three).diagonalize is None
         assert hermitian_family(tfim4).diagonalize is None
 
 
