@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import ConfigError, DimensionTooLarge, SimulationError
-from .linalg import operator_norm
+from .linalg import ground_state, operator_norm
 from .model import (
     MAX_SITES,
     MIN_SITES,
@@ -32,8 +32,10 @@ from .model import (
     AdiabaticPath,
     linear_schedule,
     load_path_json,
+    path_at,
     path_spectrum,
     polynomial_schedule,
+    reversal_sector,
     tfim_path,
 )
 from .evolve import (
@@ -86,21 +88,26 @@ _KINDS = {
 }
 
 
-def _rule(default, kind, low=-np.inf, high=np.inf):
+def _rule(default, kind, low=-np.inf, high=np.inf, length=None):
     """A config field: its default and what it accepts.
 
     ``kind`` is int, float, bool, Path, tuple (a list of finite numbers) or
     a tuple of the allowed names.  An integer lies in [low, high]; a number,
-    and every entry of a list, in (low, high).
+    and every entry of a list, in (low, high).  A list holds at most
+    ``length`` entries when that is given.
     """
-    return field(default=default, metadata={"rule": (kind, low, high)})
+    return field(default=default, metadata={"rule": (kind, low, high, length)})
 
 
-def _accepts(value, kind, low, high) -> bool:
+def _accepts(value, kind, low, high, length=None) -> bool:
     if isinstance(kind, tuple):
         return isinstance(value, str) and value in kind
     if kind is tuple:
-        return isinstance(value, tuple) and all(_accepts(v, float, low, high) for v in value)
+        return (
+            isinstance(value, tuple)
+            and (length is None or len(value) <= length)
+            and all(_accepts(v, float, low, high) for v in value)
+        )
     if kind is bool or isinstance(value, bool):  # a JSON true/false is never a number
         return kind is bool and isinstance(value, bool)
     if kind is Path:
@@ -126,19 +133,19 @@ class RunConfig:
     t_min: float = _rule(4.0, float, 0)
     t_max: float = _rule(200.0, float, 0)
     t_points: int = _rule(40, int, 1, MAX_T_POINTS)
-    t_values: tuple = _rule((), tuple, 0)
+    t_values: tuple = _rule((), tuple, 0, length=MAX_T_POINTS)
     dt_min: float = _rule(0.1, float, 0)
     dt_max: float = _rule(1.5, float, 0)
     dt_step: float = _rule(0.05, float, 0)
-    dt_values: tuple = _rule((), tuple, 0)
+    dt_values: tuple = _rule((), tuple, 0, length=MAX_DT_POINTS)
     zeno_threshold: float = _rule(0.99, float, 0, 1)
     zeno_steps: int = _rule(100, int, 1, MAX_ZENO_STEPS)
     zeno_family: str = _rule(UNITARY_FAMILY, (HERMITIAN_FAMILY, UNITARY_FAMILY))
     zeno_dt: float = _rule(0.8, float, 0)
-    trace_dts: tuple = _rule((0.8, 1.0, 1.2), tuple, 0)
+    trace_dts: tuple = _rule((0.8, 1.0, 1.2), tuple, 0, length=MAX_DT_POINTS)
     rl_steps: int = _rule(100, int, 2, MAX_RL_STEPS)
-    rl_dt_values: tuple = _rule((0.5, 1.0, 2 * np.pi), tuple, 0)
-    gamma_t_values: tuple = _rule((10.0, 50.0), tuple, 0)
+    rl_dt_values: tuple = _rule((0.5, 1.0, 2 * np.pi), tuple, 0, length=MAX_DT_POINTS)
+    gamma_t_values: tuple = _rule((10.0, 50.0), tuple, 0, length=MAX_T_POINTS)
     bound_quad_points: int = _rule(201, int, 3, MAX_QUAD_POINTS)
     ode_rtol: float = _rule(1e-9, float, 0, 1)
     robust_dt_cut: float = _rule(0.8, float, 0)
@@ -157,10 +164,15 @@ class RunConfig:
 
     def validate(self) -> None:
         for f in fields(self):
-            value, (kind, low, high) = getattr(self, f.name), f.metadata["rule"]
-            if not _accepts(value, kind, low, high):
+            value, (kind, low, high, length) = getattr(self, f.name), f.metadata["rule"]
+            if not _accepts(value, kind, low, high, length):
                 wanted = "one of " + ", ".join(kind) if isinstance(kind, tuple) else _KINDS[kind]
-                raise ConfigError(f"{f.name} must be {wanted.format(low, high)}, got {value!r}")
+                got = repr(value)
+                if length is not None:
+                    wanted += f", at most {length} of them"
+                    if isinstance(value, tuple) and len(value) > length:
+                        got = f"{len(value)} entries"
+                raise ConfigError(f"{f.name} must be {wanted.format(low, high)}, got {got}")
         if self.t_max < self.t_min:
             raise ConfigError("t_max must be >= t_min")
         if np.any(np.diff(self.t_grid()) <= 0):
@@ -341,10 +353,13 @@ def fig2_rows(config: RunConfig) -> tuple[list[dict], float]:
 def fig3_rows(config: RunConfig) -> tuple[list[dict], dict]:
     """Near-degeneracy pass/fail over the dt grid plus per-dt overlap traces.
 
-    A trace dt on the grid reuses that grid point's trace.
+    The continuation runs inside the site-reversal sector of the initial
+    state (see :func:`~daslab.model.reversal_sector`).  A trace dt on the
+    grid reuses that grid point's trace.
     """
     path = config.build_path()
     psi_i, _ = endpoint_states(path)
+    path, psi_i = reversal_sector(path, psi_i)
     layers = _shared_layers(path)
 
     def trace_at(dt: float):
@@ -447,19 +462,22 @@ def bound_rows(config: RunConfig) -> list[dict]:
 
 
 def zeno_rows(config: RunConfig) -> list[dict]:
-    """Single near-degeneracy trace for the configured family."""
+    """Single near-degeneracy trace for the configured family, continued
+    inside the site-reversal sector of the initial state."""
     path = config.build_path()
-    if config.zeno_family == HERMITIAN_FAMILY:
+    hermitian = config.zeno_family == HERMITIAN_FAMILY
+    # The Hermitian family does not need a unique ground state of H_f.
+    psi_i = ground_state(path_at(path, 0.0).matrix) if hermitian else endpoint_states(path)[0]
+    path, psi_i = reversal_sector(path, psi_i)
+    if hermitian:
         family = hermitian_family(path)
-        initial = None
     else:
-        family = effective_family(path, config.zeno_dt)
-        initial, _ = endpoint_states(path)
+        family = effective_family(path, config.zeno_dt, _shared_layers(path))
     trace = near_degeneracy_test(
         family,
         steps=config.zeno_steps,
         threshold=config.zeno_threshold,
-        initial_state=initial,
+        initial_state=psi_i,
     )
     return _trace_rows(trace)
 

@@ -179,6 +179,63 @@ def tfim_path(
     return AdiabaticPath(h_x, h_z, schedule or linear_schedule())
 
 
+# A state counts as a site-reversal eigenvector when |R psi - p psi| is at
+# most this, for p = +1 or -1.
+PARITY_TOL = 1e-12
+
+
+def reversal_sector(path: AdiabaticPath, state: np.ndarray) -> tuple[AdiabaticPath, np.ndarray]:
+    """The path restricted to the site-reversal sector that holds ``state``,
+    and the state in that sector's basis.
+
+    Site reversal R maps site j to N - 1 - j, so on the 2^N basis it is the
+    bit-reversal permutation z -> Rz.  When R maps H_i and H_f to themselves
+    exactly, every H(s) and every Trotter step is block diagonal in the
+    real orthonormal basis (|z> + p|Rz>)/sqrt(2) of parity p = +-1, plus the
+    palindromes z = Rz when p = +1 (symmetry-adapted exact diagonalization:
+    A. W. Sandvik, AIP Conf. Proc. 1297, 135 (2010), arXiv:1101.3281).  The
+    block is gathered by orbit, H_p[a, b] = (H[z, y] + p H[z, Ry]) w_z w_y
+    with w = 1/sqrt(2) on palindromes and 1 elsewhere, so a diagonal H keeps
+    an exactly diagonal block.  Representatives z <= Rz are in ascending
+    order.
+
+    Returns ``(path, state)`` unchanged when the dimension is not a power of
+    two, when R does not map both endpoints to themselves exactly, or when
+    the state is not an R eigenvector within PARITY_TOL.
+    """
+    dim = path.dim
+    psi = np.asarray(state).ravel()
+    n_sites = dim.bit_length() - 1
+    if dim != 1 << n_sites:
+        return path, state
+    index = np.arange(dim)
+    r = np.zeros(dim, dtype=int)
+    for bit in range(n_sites):
+        r |= ((index >> bit) & 1) << (n_sites - 1 - bit)
+    ends = (path.h_initial.matrix, path.h_final.matrix)
+    if not all(np.array_equal(h[np.ix_(r, r)], h) for h in ends):
+        return path, state
+    parity = next(
+        (p for p in (1, -1) if np.linalg.norm(psi[r] - p * psi) <= PARITY_TOL), None
+    )
+    if parity is None:
+        return path, state
+    reps = index[(index < r) | ((index == r) & (parity == 1))]
+    mirrored = r[reps]
+    # 2 on palindromes, 1 on pairs: w_z w_y = 1 / sqrt(m_z m_y), and a
+    # state's component is (psi_z + p psi_Rz) / sqrt(2 m_z).
+    multiplicity = np.where(reps == mirrored, 2.0, 1.0)
+    scale = 1.0 / np.sqrt(np.outer(multiplicity, multiplicity))
+
+    def block(h: HermitianOperator) -> HermitianOperator:
+        m = h.matrix
+        gathered = (m[np.ix_(reps, reps)] + parity * m[np.ix_(reps, mirrored)]) * scale
+        return HermitianOperator(gathered, label=f"{h.label}[R={parity:+d}]")
+
+    sector = AdiabaticPath(block(path.h_initial), block(path.h_final), path.schedule)
+    return sector, (psi[reps] + parity * psi[mirrored]) / np.sqrt(2 * multiplicity)
+
+
 def path_at(path: AdiabaticPath, s: float, order: int = 0) -> HermitianOperator:
     """H(s), H'(s) or H''(s) depending on order in {0, 1, 2}."""
     if not 0.0 <= s <= 1.0:

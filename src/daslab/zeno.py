@@ -16,7 +16,7 @@ import numpy as np
 
 from .exceptions import AllFail, AllPass
 from .linalg import _fix_column_phases, ground_state, unitary_eig
-from .model import AdiabaticPath, path_at
+from .model import AdiabaticPath, path_at, reversal_sector
 from .evolve import EvolutionSpec, interpolation_layers, strang_step, trotter_step_unitary
 
 DEFAULT_THRESHOLD = 0.99
@@ -111,6 +111,11 @@ class ZenoTrace:
     itself is ill-conditioned, since rounding of size e turns an
     eigenvector by about e / gap, and at a zero gap the eigensolver picks
     the basis of the eigenspace.
+
+    The sweeps continue within the initial state's site-reversal sector
+    (see :func:`~daslab.model.reversal_sector`), so there both records are
+    measured within the sector: a crossing with a level of the other
+    parity is symmetry-protected and counts in neither.
     """
 
     overlaps: np.ndarray
@@ -222,7 +227,9 @@ def critical_step_search(
     """Run the near-degeneracy test on the effective family across a dt grid.
 
     Each trace starts from the ground state of H(0) and follows the
-    two-layer interpolation step (see :func:`effective_family`).  The
+    two-layer interpolation step (see :func:`effective_family`) inside the
+    ground state's site-reversal sector (see
+    :func:`~daslab.model.reversal_sector`).  The
     critical step is the midpoint between the last passing and the first
     failing dt.  Monotonicity of the pattern is not assumed: every grid
     point is evaluated and a non-monotone pattern is reported via the
@@ -231,7 +238,7 @@ def critical_step_search(
     dts = np.asarray(dt_values, dtype=float)
     if len(dts) == 0 or np.any(np.diff(dts) <= 0):
         raise ValueError("dt grid must be nonempty and strictly ascending")
-    initial_state = ground_state(path_at(path, 0.0).matrix)
+    path, initial_state = reversal_sector(path, ground_state(path_at(path, 0.0).matrix))
     layers = interpolation_layers(path)
 
     traces = []

@@ -51,6 +51,25 @@ def endpoint_solves(seen: list, path) -> list[int]:
     ]
 
 
+def odd_ground_json() -> dict:
+    """A 3-site Hamiltonian file, symmetric under site reversal, whose ground
+    state is odd under reversal along the whole path.
+
+    H_i = X0 X2 + Y0 Y2 - X1 has a nondegenerate ground state (gap 2): the
+    singlet of sites 0 and 2 times |+> on site 1.  H_f = X0 X2 + Y0 Y2 +
+    Z0 Z2 - Z1 keeps that singlet, so the ground state of H(s) stays the
+    singlet times the ground state of site 1, with gap at least sqrt(2).
+    """
+    def term(coeff, *factors):
+        return {"coeff": coeff, "factors": [list(f) for f in factors]}
+
+    return {
+        "n_sites": 3,
+        "h_initial": [term(1.0, (0, "X"), (2, "X")), term(1.0, (0, "Y"), (2, "Y")), term(-1.0, (1, "X"))],
+        "h_final": [term(1.0, (0, a), (2, a)) for a in "XYZ"] + [term(-1.0, (1, "Z"))],
+    }
+
+
 @pytest.fixture(scope="session")
 def tfim2():
     return tfim_path(2)

@@ -21,6 +21,7 @@ from daslab.cli import (
     write_csv,
     zeno_rows,
 )
+from daslab.errors import endpoint_states
 from daslab.exceptions import ConfigError
 
 from conftest import endpoint_solves, record_eigh
@@ -38,6 +39,11 @@ def small_config(**overrides):
     }
     base.update(overrides)
     return RunConfig.from_dict(base)
+
+
+def ascending(count: int) -> list[float]:
+    """A valid list of positive, distinct, increasing values of the given length."""
+    return [float(k) for k in range(1, count + 1)]
 
 
 def two_site_hamiltonian(coupling: float) -> dict:
@@ -193,6 +199,11 @@ class TestConfig:
             ("fig2", {"t_points": cli.MAX_T_POINTS + 1}),
             ("zeno", {"zeno_steps": cli.MAX_ZENO_STEPS + 1}),
             ("bound", {"bound_quad_points": cli.MAX_QUAD_POINTS + 1}),
+            ("fig2", {"t_values": ascending(cli.MAX_T_POINTS + 1)}),
+            ("fig3", {"dt_values": ascending(cli.MAX_DT_POINTS + 1)}),
+            ("fig3", {"trace_dts": ascending(cli.MAX_DT_POINTS + 1)}),
+            ("rl", {"rl_dt_values": ascending(cli.MAX_DT_POINTS + 1)}),
+            ("gamma", {"gamma_t_values": ascending(cli.MAX_T_POINTS + 1)}),
         ],
     )
     def test_inputs_rejected_before_any_sweep(self, tmp_path, monkeypatch, command, bad):
@@ -207,6 +218,22 @@ class TestConfig:
         config_path.write_text(json.dumps(data))
         assert main([command, "--config", str(config_path), "--out", str(tmp_path)]) == 2
         assert not (tmp_path / f"{command}.csv").exists()
+
+    @pytest.mark.parametrize(
+        "name, cap",
+        [
+            ("t_values", cli.MAX_T_POINTS),
+            ("dt_values", cli.MAX_DT_POINTS),
+            ("trace_dts", cli.MAX_DT_POINTS),
+            ("rl_dt_values", cli.MAX_DT_POINTS),
+            ("gamma_t_values", cli.MAX_T_POINTS),
+        ],
+    )
+    def test_list_length_caps(self, name, cap):
+        assert len(getattr(RunConfig.from_dict({name: ascending(cap)}), name)) == cap
+        message = f"{name} must be .*, at most {cap} of them, got {cap + 1} entries$"
+        with pytest.raises(ConfigError, match=message):
+            RunConfig.from_dict({name: ascending(cap + 1)})
 
     @pytest.mark.parametrize(
         "extra, hamiltonian",
@@ -343,16 +370,25 @@ class TestRows:
         gamma_rows(small_config(gamma_t_values=[5.0, 10.0]))
         assert batches.count((10,)) == 1
 
-    @pytest.mark.parametrize("rows", [fig1_rows, cli.fig2_rows, fig3_rows])
-    def test_layers_diagonalized_once_per_sweep(self, monkeypatch, rows):
+    @pytest.mark.parametrize(
+        "rows, full, sector",
+        [(fig1_rows, [2, 1], [0, 0]), (cli.fig2_rows, [2, 1], [0, 0]), (fig3_rows, [1, 1], [1, 0])],
+        ids=["fig1_rows", "fig2_rows", "fig3_rows"],
+    )
+    def test_layers_diagonalized_once_per_sweep(self, monkeypatch, rows, full, sector):
         # 4 T values, or 2 dt values plus an off-grid trace dt, on 2 workers:
         # H_i and H_f are each diagonalized once for the endpoint ground
         # state, and H_i once more for its Trotter layer; H_f's layer is
-        # diagonal and needs no eigh.
+        # diagonal and needs no eigh.  fig3's layers are the blocks of H_i
+        # and H_f in the initial state's reversal sector, so there the
+        # block of H_i takes the place of H_i.
         config = small_config(threads=2, trace_dts=[0.3, 0.5])
+        path = config.build_path()
+        blocks, _ = model.reversal_sector(path, endpoint_states(path)[0])
         seen = record_eigh(monkeypatch)
         rows(config)
-        assert endpoint_solves(seen, config.build_path()) == [2, 1]
+        assert endpoint_solves(seen, path) == full
+        assert endpoint_solves(seen, blocks) == sector
 
     def test_bound_diagonalizes_its_nodes_once(self, monkeypatch):
         eigh_batches = count_solver_batches(monkeypatch)

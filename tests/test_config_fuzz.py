@@ -1,8 +1,9 @@
 """Fuzz the CLI contract: any config dict exits 0, 2 or 3, prints no
 traceback, and writes only finite cells.
 
-Valid values are drawn small (2 sites, a few T points, few quadrature
-nodes) so each example runs in milliseconds; invalid ones cover wrong
+Valid values are drawn small (2 sites, a few T or dt points, few
+quadrature nodes or continuation steps) so each example runs in
+milliseconds; invalid ones cover wrong
 kinds, NaN and infinities, negatives, bools and strings.
 """
 
@@ -68,6 +69,26 @@ FIG2 = {
     "robust_dt_cut": st.floats(0.01, 10.0),
 }
 
+# fig3 and zeno: at most 5 dts and 20 continuation steps, each step a 3x3
+# or 4x4 eigenproblem at 2 sites.  dt_values and zeno_steps are always
+# drawn, so the 29-point default grid and 100 default steps never run.
+ZENO = {
+    **COMMON,
+    "schedule": st.sampled_from(["linear", "custom-polynomial"]),
+    "schedule_coefficients": st.sampled_from([[0.0, 1.0], [0.0, 2.0, -1.0], [0.0, 2.0]]),
+    "dt_min": st.floats(0.01, 2.0),
+    "dt_max": st.floats(0.01, 2.0),
+    "dt_step": st.floats(0.01, 2.0),
+    "trace_dts": positive_list(0.01, 2.0, max_size=5),
+    "zeno_family": st.sampled_from(["hermitian-path", "trotter-unitary"]),
+    "zeno_dt": st.floats(0.01, 2.0),
+}
+ZENO_FIXED = {
+    "n_sites": 2,
+    "dt_values": st.lists(st.floats(0.01, 2.0), min_size=1, max_size=5),
+    "zeno_steps": st.integers(1, 20),
+}
+
 RL = {
     **COMMON,
     "n_sites": st.just(2),
@@ -101,16 +122,16 @@ def run(command: str, config: dict) -> None:
             code = main([command, "--config", str(config_path), "--out", str(out)])
         assert code in (0, 2, 3), (code, stderr.getvalue())
         assert "Traceback" not in stderr.getvalue()
-        csv = out / f"{command}.csv"
-        assert csv.exists() == (code == 0)
-        if code == 0:
+        assert (out / f"{command}.csv").exists() == (code == 0)
+        # every CSV written, fig3's trace files included
+        for csv in out.glob("*.csv") if code == 0 else ():
             lines = [line for line in csv.read_text().splitlines() if not line.startswith("#")]
             header = lines[0].split(",")
             for line in lines[1:]:
                 for column, cell in zip(header, line.split(",")):
                     value = float(cell)
                     allowed = column in MAY_BE_INFINITE.get(command, ()) and value == math.inf
-                    assert math.isfinite(value) or allowed, (column, cell, config)
+                    assert math.isfinite(value) or allowed, (csv.name, column, cell, config)
 
 
 FUZZ = settings(
@@ -143,3 +164,15 @@ def test_bound_config_fuzz(config):
 )
 def test_fig2_config_fuzz(config):
     run("fig2", config)
+
+
+@FUZZ
+@given(fuzzed(ZENO, fixed=ZENO_FIXED))
+def test_fig3_config_fuzz(config):
+    run("fig3", config)
+
+
+@FUZZ
+@given(fuzzed(ZENO, fixed=ZENO_FIXED))
+def test_zeno_config_fuzz(config):
+    run("zeno", config)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from daslab.exceptions import DimensionTooLarge, OutOfRange
-from daslab.linalg import operator_norm
+from daslab.linalg import ground_state, operator_norm
 from daslab.model import (
     AdiabaticPath,
     HermitianOperator,
@@ -12,12 +12,16 @@ from daslab.model import (
     load_path_json,
     path_at,
     path_matrix,
+    path_energies,
     path_spectrum,
     pauli_sum_matrix,
     polynomial_schedule,
+    reversal_sector,
     spectral_gap,
     tfim_path,
 )
+
+from conftest import odd_ground_json
 
 
 def ising_diagonal_oracle(n_sites, periodic=False):
@@ -228,3 +232,104 @@ class TestPathJson:
         h4 = HermitianOperator(np.eye(4))
         with pytest.raises(ValueError):
             AdiabaticPath(h2, h4)
+
+
+def reversal(n_sites):
+    """Bit-reversal permutation of the 2^N basis, read off the bit strings."""
+    return np.array([int(format(z, f"0{n_sites}b")[::-1], 2) for z in range(2**n_sites)])
+
+
+def parity_state(n_sites, z, parity):
+    """(|z> + parity |Rz>) / 2: an R eigenvector, zero for an odd palindrome."""
+    state = np.zeros(2**n_sites, dtype=complex)
+    state[z] += 0.5
+    state[reversal(n_sites)[z]] += 0.5 * parity
+    return state
+
+
+def both_sectors(path, n_sites):
+    """The even sector of the TFIM ground state |+>^N and the odd sector of
+    (|0..01> - |10..0>) / 2."""
+    even = reversal_sector(path, ground_state(path.h_initial.matrix))[0]
+    odd = reversal_sector(path, parity_state(n_sites, 1, -1))[0]
+    return even, odd
+
+
+def sector_basis(path, n_sites, parity, sector_dim):
+    """The sector basis Q (one column per sector state), recovered from the
+    state map: the image of the parity projection (e_k + parity e_Rk) / 2
+    is row k of Q."""
+    rows = []
+    for z in range(2**n_sites):
+        state = parity_state(n_sites, z, parity)
+        rows.append(reversal_sector(path, state)[1] if state.any() else np.zeros(sector_dim))
+    return np.array(rows)
+
+
+class TestReversalSector:
+    @pytest.mark.parametrize("n_sites, dims", [(4, (10, 6)), (6, (36, 28))])
+    def test_sector_dims(self, n_sites, dims):
+        path = tfim_path(n_sites)
+        assert tuple(sector.dim for sector in both_sectors(path, n_sites)) == dims
+
+    @pytest.mark.parametrize("n_sites", [4, 6])
+    def test_basis_orthonormal_and_blocks_project(self, n_sites):
+        path = tfim_path(n_sites)
+        for parity, sector in zip((1, -1), both_sectors(path, n_sites)):
+            q = sector_basis(path, n_sites, parity, sector.dim)
+            assert np.abs(q.conj().T @ q - np.eye(sector.dim)).max() <= 1e-15
+            for full, block in ((path.h_initial, sector.h_initial), (path.h_final, sector.h_final)):
+                assert np.abs(q.conj().T @ full.matrix @ q - block.matrix).max() <= 1e-13
+
+    @pytest.mark.parametrize("n_sites", [4, 6])
+    def test_diagonal_layer_block_exactly_diagonal(self, n_sites):
+        path = tfim_path(n_sites)
+        for sector in both_sectors(path, n_sites):
+            h_z = sector.h_final.matrix
+            assert np.count_nonzero(h_z - np.diag(np.diag(h_z))) == 0
+
+    @pytest.mark.parametrize("n_sites", [4, 6])
+    def test_block_spectra_merge_to_full_spectrum(self, n_sites):
+        path = tfim_path(n_sites)
+        s_values = np.linspace(0.0, 1.0, 21)
+        merged = np.sort(
+            np.concatenate([path_energies(sector, s_values) for sector in both_sectors(path, n_sites)], axis=1),
+            axis=1,
+        )
+        assert np.abs(merged - path_energies(path, s_values)).max() <= 1e-13
+
+    def test_state_maps_to_unit_sector_state(self, tfim4):
+        psi = ground_state(tfim4.h_initial.matrix)
+        sector, phi = reversal_sector(tfim4, psi)
+        assert np.linalg.norm(phi) == pytest.approx(1.0, abs=1e-15)
+        # the full ground state of H_i is the sector ground state, up to phase
+        assert abs(np.vdot(ground_state(sector.h_initial.matrix), phi)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_asymmetric_path_comes_back_unchanged(self):
+        path = load_path_json(
+            {
+                "n_sites": 3,
+                "h_initial": [{"coeff": -1.0, "factors": [[j, "X"]]} for j in range(3)],
+                "h_final": [{"coeff": -1.0, "factors": [[0, "Z"]]}],
+            }
+        )
+        psi = ground_state(path.h_initial.matrix)
+        sector, state = reversal_sector(path, psi)
+        assert sector is path and state is psi
+
+    def test_state_without_parity_comes_back_unchanged(self, tfim4):
+        state = np.zeros(16, dtype=complex)
+        state[1] = 1.0
+        sector, out = reversal_sector(tfim4, state)
+        assert sector is tfim4 and out is state
+
+    def test_odd_ground_state_picks_the_odd_sector(self):
+        path = load_path_json(odd_ground_json())
+        energies = np.linalg.eigvalsh(path.h_initial.matrix)
+        assert energies[1] - energies[0] == pytest.approx(2.0, abs=1e-12)
+        psi = ground_state(path.h_initial.matrix)
+        assert np.linalg.norm(psi[reversal(3)] + psi) <= 1e-12
+        sector, phi = reversal_sector(path, psi)
+        assert sector.dim == 2
+        assert np.linalg.norm(phi) == pytest.approx(1.0, abs=1e-15)
+        assert np.linalg.eigvalsh(sector.h_initial.matrix)[0] == pytest.approx(energies[0], abs=1e-13)

@@ -4,7 +4,14 @@ import pytest
 from daslab.evolve import Layer, interpolation_layers
 from daslab.exceptions import AllFail, AllPass
 from daslab.linalg import ground_state, matrix_exp_hermitian, operator_norm, unitary_eig
-from daslab.model import load_path_json, path_at, path_matrix, polynomial_schedule, tfim_path
+from daslab.model import (
+    load_path_json,
+    path_at,
+    path_matrix,
+    polynomial_schedule,
+    reversal_sector,
+    tfim_path,
+)
 from daslab.zeno import (
     UNITARY_FAMILY,
     OperatorFamily,
@@ -15,7 +22,7 @@ from daslab.zeno import (
     near_degeneracy_test,
 )
 
-from conftest import endpoint_solves, record_eigh
+from conftest import endpoint_solves, odd_ground_json, record_eigh
 
 
 def constant_family(dim=4, seed=1):
@@ -138,13 +145,17 @@ class TestCriticalStepSearch:
             )
 
     def test_layers_diagonalized_once_for_the_whole_grid(self, tfim2, monkeypatch):
-        # H_i is diagonalized for the initial state and for its layer, H_f
-        # never: its layer is diagonal.  That holds however many dt values
-        # the grid has.
+        # H_i is diagonalized for the initial state, and its block in that
+        # state's reversal sector for the layer; H_f and its block never:
+        # the layer is diagonal.  That holds however many dt values the
+        # grid has.
+        sector, _ = reversal_sector(tfim2, ground_state(tfim2.h_initial.matrix))
+        assert sector.dim == 3
         seen = record_eigh(monkeypatch)
         with pytest.raises(AllPass):
             critical_step_search(tfim2, [0.01, 0.02, 0.03], steps=30)
-        assert endpoint_solves(seen, tfim2) == [2, 0]
+        assert endpoint_solves(seen, tfim2) == [1, 0]
+        assert endpoint_solves(seen, sector) == [1, 0]
 
     def test_grid_validation(self, tfim2):
         with pytest.raises(ValueError):
@@ -338,3 +349,24 @@ class TestMargins:
                 family="hermitian-path",
                 **{record: np.array([0.1])},
             )
+
+
+class TestReversalSectorContinuation:
+    """The sweeps continue inside the initial state's reversal sector; at a
+    passing dt that gives the full-space overlaps."""
+
+    @pytest.mark.parametrize(
+        "hamiltonian, dt",
+        [(odd_ground_json(), 0.8), (None, 0.4), (rotated_tfim_json(6), 0.4)],
+        ids=["odd-sector", "tfim6", "rotated6"],
+    )
+    def test_sector_matches_full_space(self, hamiltonian, dt):
+        path = tfim_path(6) if hamiltonian is None else load_path_json(hamiltonian)
+        psi = ground_state(path_at(path, 0.0).matrix)
+        sector, phi = reversal_sector(path, psi)
+        assert sector.dim < path.dim
+        for make in (lambda p: effective_family(p, dt), hermitian_family):
+            full = near_degeneracy_test(make(path), initial_state=psi)
+            blocked = near_degeneracy_test(make(sector), initial_state=phi)
+            assert full.passed and blocked.passed
+            assert np.abs(blocked.overlaps - full.overlaps).max() <= 1e-12
