@@ -3,9 +3,10 @@
 Subcommands: fig1, fig2, fig3, rl, gamma, bound, zeno.  Every CSV starts
 with a comment line carrying the hash of the resolved configuration.  On one
 machine and BLAS thread count, identical configs reproduce identical files
-byte for byte; across them, fig3's failing rows and traces, gamma's
-eps_first_order and the last digits of fig1 and fig2 can move (see the
-README).
+byte for byte; across them, fig3's failing rows and traces and the last
+digits of fig1 and fig2 can move, and so can gamma's eps_first_order on a
+path without exact site-reversal symmetry (see the README).  fig2, fig3,
+gamma and zeno run inside the site-reversal sector of the initial state.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -322,11 +323,13 @@ def fig2_rows(config: RunConfig) -> tuple[list[dict], float]:
 
     All three errors compare states, so only psi_i is evolved: the exact
     dynamics by adaptive state integration and the Trotter steps by
-    matrix-vector products; no propagator matrix is formed.  The robust
-    window is T in [t_min, steps * robust_dt_cut].
+    matrix-vector products; no propagator matrix is formed.  Both run inside
+    the site-reversal sector of psi_i, and psi_f is projected onto it (see
+    :func:`~daslab.model.reversal_sector`), which keeps every overlap.  The
+    robust window is T in [t_min, steps * robust_dt_cut].
     """
     path = config.build_path()
-    psi_i, psi_f = endpoint_states(path)
+    path, psi_i, psi_f = reversal_sector(path, *endpoint_states(path))
     layers = _shared_layers(path)
 
     def one(total_time: float) -> dict:
@@ -416,9 +419,12 @@ def gamma_rows(config: RunConfig) -> list[dict]:
     The grid is diagonalized once; its frames and transitions do not depend
     on T.  The fidelity check's discrete propagator comes from the raw
     (untransported) bases, so it stays independent of the frame expansion.
+    Everything runs inside the site-reversal sector of psi_i, with psi_f
+    projected onto it (see :func:`~daslab.model.reversal_sector`), so the
+    frames, and the gap the frames check, are the sector's.
     """
     path = config.build_path()
-    psi_i, psi_f = endpoint_states(path)
+    path, psi_i, psi_f = reversal_sector(path, *endpoint_states(path))
     spectrum = path_spectrum(path, grid_points(config.steps, config.grid))
     frames = transported_frames(spectrum)
     transitions = transition_matrices(frames)

@@ -184,9 +184,9 @@ def tfim_path(
 PARITY_TOL = 1e-12
 
 
-def reversal_sector(path: AdiabaticPath, state: np.ndarray) -> tuple[AdiabaticPath, np.ndarray]:
+def reversal_sector(path: AdiabaticPath, state: np.ndarray, *others: np.ndarray) -> tuple:
     """The path restricted to the site-reversal sector that holds ``state``,
-    and the state in that sector's basis.
+    and ``state`` and each of ``others`` in that sector's basis.
 
     Site reversal R maps site j to N - 1 - j, so on the 2^N basis it is the
     bit-reversal permutation z -> Rz.  When R maps H_i and H_f to themselves
@@ -199,27 +199,33 @@ def reversal_sector(path: AdiabaticPath, state: np.ndarray) -> tuple[AdiabaticPa
     an exactly diagonal block.  Representatives z <= Rz are in ascending
     order.
 
-    Returns ``(path, state)`` unchanged when the dimension is not a power of
-    two, when R does not map both endpoints to themselves exactly, or when
-    the state is not an R eigenvector within PARITY_TOL.
+    Only ``state`` picks the sector.  Each of ``others`` goes through the
+    same map, which is its projection onto the sector: a state of the other
+    parity maps to zero, so its overlap with any sector state is the
+    full-space value, 0.
+
+    Returns ``(path, state, *others)`` unchanged when the dimension is not a
+    power of two, when R does not map both endpoints to themselves exactly,
+    or when ``state`` is not an R eigenvector within PARITY_TOL.
     """
     dim = path.dim
     psi = np.asarray(state).ravel()
     n_sites = dim.bit_length() - 1
+    unchanged = (path, state, *others)
     if dim != 1 << n_sites:
-        return path, state
+        return unchanged
     index = np.arange(dim)
     r = np.zeros(dim, dtype=int)
     for bit in range(n_sites):
         r |= ((index >> bit) & 1) << (n_sites - 1 - bit)
     ends = (path.h_initial.matrix, path.h_final.matrix)
     if not all(np.array_equal(h[np.ix_(r, r)], h) for h in ends):
-        return path, state
+        return unchanged
     parity = next(
         (p for p in (1, -1) if np.linalg.norm(psi[r] - p * psi) <= PARITY_TOL), None
     )
     if parity is None:
-        return path, state
+        return unchanged
     reps = index[(index < r) | ((index == r) & (parity == 1))]
     mirrored = r[reps]
     # 2 on palindromes, 1 on pairs: w_z w_y = 1 / sqrt(m_z m_y), and a
@@ -232,8 +238,12 @@ def reversal_sector(path: AdiabaticPath, state: np.ndarray) -> tuple[AdiabaticPa
         gathered = (m[np.ix_(reps, reps)] + parity * m[np.ix_(reps, mirrored)]) * scale
         return HermitianOperator(gathered, label=f"{h.label}[R={parity:+d}]")
 
+    def project(v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v).ravel()
+        return (v[reps] + parity * v[mirrored]) / np.sqrt(2 * multiplicity)
+
     sector = AdiabaticPath(block(path.h_initial), block(path.h_final), path.schedule)
-    return sector, (psi[reps] + parity * psi[mirrored]) / np.sqrt(2 * multiplicity)
+    return (sector, *map(project, (psi, *others)))
 
 
 def path_at(path: AdiabaticPath, s: float, order: int = 0) -> HermitianOperator:

@@ -70,6 +70,33 @@ def odd_ground_json() -> dict:
     }
 
 
+def singlet_target_json() -> dict:
+    """A 2-site Hamiltonian file, symmetric under site reversal, from
+    H_i = -(X0 + X1), whose ground state |++> is even under reversal, to
+    H_f = X0 X1 + Y0 Y1 + Z0 Z1, whose ground state, the singlet, is odd."""
+    return {
+        "n_sites": 2,
+        "h_initial": [{"coeff": -1.0, "factors": [[j, "X"]]} for j in range(2)],
+        "h_final": [{"coeff": 1.0, "factors": [[0, a], [1, a]]} for a in "XYZ"],
+    }
+
+
+def rotated_tfim_json(n_sites, phi=0.7):
+    """The TFIM rotated about z: H_i gains Y terms and a complex matrix."""
+    return {
+        "n_sites": n_sites,
+        "h_initial": [
+            {"coeff": -np.cos(phi), "factors": [[j, "X"]]} for j in range(n_sites)
+        ]
+        + [{"coeff": -np.sin(phi), "factors": [[j, "Y"]]} for j in range(n_sites)],
+        "h_final": [{"coeff": -1.0, "factors": [[j, "Z"]]} for j in range(n_sites)]
+        + [
+            {"coeff": -1.0, "factors": [[j, "Z"], [j + 1, "Z"]]}
+            for j in range(n_sites - 1)
+        ],
+    }
+
+
 @pytest.fixture(scope="session")
 def tfim2():
     return tfim_path(2)

@@ -24,7 +24,7 @@ from daslab.cli import (
 from daslab.errors import endpoint_states
 from daslab.exceptions import ConfigError
 
-from conftest import endpoint_solves, record_eigh
+from conftest import endpoint_solves, record_eigh, rotated_tfim_json, singlet_target_json
 
 
 def small_config(**overrides):
@@ -372,16 +372,16 @@ class TestRows:
 
     @pytest.mark.parametrize(
         "rows, full, sector",
-        [(fig1_rows, [2, 1], [0, 0]), (cli.fig2_rows, [2, 1], [0, 0]), (fig3_rows, [1, 1], [1, 0])],
+        [(fig1_rows, [2, 1], [0, 0]), (cli.fig2_rows, [1, 1], [1, 0]), (fig3_rows, [1, 1], [1, 0])],
         ids=["fig1_rows", "fig2_rows", "fig3_rows"],
     )
     def test_layers_diagonalized_once_per_sweep(self, monkeypatch, rows, full, sector):
         # 4 T values, or 2 dt values plus an off-grid trace dt, on 2 workers:
         # H_i and H_f are each diagonalized once for the endpoint ground
         # state, and H_i once more for its Trotter layer; H_f's layer is
-        # diagonal and needs no eigh.  fig3's layers are the blocks of H_i
-        # and H_f in the initial state's reversal sector, so there the
-        # block of H_i takes the place of H_i.
+        # diagonal and needs no eigh.  fig2's and fig3's layers are the
+        # blocks of H_i and H_f in the initial state's reversal sector, so
+        # there the block of H_i takes the place of H_i.
         config = small_config(threads=2, trace_dts=[0.3, 0.5])
         path = config.build_path()
         blocks, _ = model.reversal_sector(path, endpoint_states(path)[0])
@@ -421,6 +421,109 @@ class TestRows:
         serial = fig1_rows(small_config())
         threaded = fig1_rows(small_config(threads=4))
         assert [r["norm_dist"] for r in serial] == [r["norm_dist"] for r in threaded]
+
+
+def csv_rows(path: Path) -> list[dict]:
+    """A written CSV's rows, each a dict of floats by column."""
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    header = lines[0].split(",")
+    return [dict(zip(header, map(float, line.split(",")))) for line in lines[1:]]
+
+
+def full_space(monkeypatch) -> None:
+    """Make the sweeps skip the reversal sector, so that they run the same
+    kernels on the full space."""
+    monkeypatch.setattr(cli, "reversal_sector", lambda path, *states: (path, *states))
+
+
+def sweep_config(tmp_path, hamiltonian=None) -> RunConfig:
+    """A 4-site config, on the TFIM or on the given Hamiltonian file."""
+    data = {"n_sites": 4, "steps": 20, "t_values": [2.0, 8.0, 32.0], "gamma_t_values": [5.0, 20.0]}
+    if hamiltonian is not None:
+        target = tmp_path / "hamiltonian.json"
+        target.write_text(json.dumps(hamiltonian))
+        data["hamiltonian_file"] = str(target)
+    return RunConfig.from_dict(data)
+
+
+def site0_field_json(n_sites: int) -> dict:
+    """The TFIM with the longitudinal field on site 0 only: site reversal
+    does not map H_f to itself."""
+    return {
+        "n_sites": n_sites,
+        "h_initial": [{"coeff": -1.0, "factors": [[j, "X"]]} for j in range(n_sites)],
+        "h_final": [{"coeff": -1.0, "factors": [[0, "Z"]]}]
+        + [{"coeff": -1.0, "factors": [[j, "Z"], [j + 1, "Z"]]} for j in range(n_sites - 1)],
+    }
+
+
+class TestSectorSweeps:
+    """fig2 and gamma evolve psi_i inside its site-reversal sector.  Every
+    column is an overlap of psi_i's evolved state or an element of its frame
+    propagator, so the full space gives the same rows."""
+
+    @pytest.mark.parametrize(
+        "hamiltonian", [None, rotated_tfim_json(4)], ids=["tfim4", "rotated4"]
+    )
+    def test_rows_match_the_full_space(self, tmp_path, monkeypatch, hamiltonian):
+        config = sweep_config(tmp_path, hamiltonian)
+        path = config.build_path()
+        assert model.reversal_sector(path, endpoint_states(path)[0])[0].dim == 10
+        fig2, index = cli.fig2_rows(config)
+        gamma = gamma_rows(config)
+        full_space(monkeypatch)
+        full_fig2, full_index = cli.fig2_rows(config)
+        full_gamma = gamma_rows(config)
+        for mine, theirs in zip(fig2, full_fig2, strict=True):
+            assert mine["T"] == theirs["T"]
+            # the DOP853 step sequence depends on the basis at ode_rtol
+            assert abs(mine["eps_adb"] - theirs["eps_adb"]) <= 2e-9
+            assert abs(mine["eps_tro"] - theirs["eps_tro"]) <= 2e-9
+            assert abs(mine["eps_tot"] - theirs["eps_tot"]) <= 1e-11
+        assert np.isnan(index) and np.isnan(full_index)
+        for mine, theirs in zip(gamma, full_gamma, strict=True):
+            assert mine.keys() == theirs.keys()
+            for key in ("eps_adb_exact", "eps_first_order", "fidelity_check"):
+                assert abs(mine[key] - theirs[key]) <= 1e-12, key
+
+    def test_path_without_the_symmetry_runs_unchanged(self, tmp_path, monkeypatch):
+        config = sweep_config(tmp_path, site0_field_json(4))
+        path = config.build_path()
+        assert model.reversal_sector(path, endpoint_states(path)[0])[0] is path
+        rows = cli.fig2_rows(config)[0], gamma_rows(config)
+        full_space(monkeypatch)
+        assert rows == (cli.fig2_rows(config)[0], gamma_rows(config))
+
+    def test_target_in_the_other_sector(self, tmp_path):
+        # psi_f, the singlet, projects to zero in the even sector of psi_i,
+        # so every overlap with it is 0.
+        (tmp_path / "ham.json").write_text(json.dumps(singlet_target_json()))
+        config = {"hamiltonian_file": str(tmp_path / "ham.json"), "steps": 10, "t_values": [4.0, 8.0]}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["fig2", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 0
+        rows = csv_rows(out / "fig2.csv")
+        assert [r["T"] for r in rows] == [4.0, 8.0]
+        assert all(r["eps_adb"] == r["eps_tot"] == 1.0 for r in rows)
+
+    def test_gamma_independent_of_blas_threads(self, tmp_path):
+        # the default config: 8 sites, L = 100, T in {10, 50}
+        cells = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = dict(package_env(), OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "daslab", "gamma", "--out", str(out)],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            cells.append(csv_rows(out / "gamma.csv"))
+        one, two = cells
+        assert len(one) == len(two) == 2
+        for a, b in zip(one, two):
+            assert a["eps_adb_exact"] == b["eps_adb_exact"]
+            assert a["eps_first_order"] == b["eps_first_order"]
+            assert abs(a["fidelity_check"] - b["fidelity_check"]) <= 1e-12
 
 
 class TestCsv:

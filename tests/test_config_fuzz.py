@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 
 from daslab.cli import main
 
+from conftest import singlet_target_json
+
 # rl's bound columns are infinite by design at a resonance (see sum_bounds).
 MAY_BE_INFINITE = {"rl": {"boundary_bound", "first_order_bound", "second_order_bound"}}
 
@@ -89,6 +91,33 @@ ZENO_FIXED = {
     "zeno_steps": st.integers(1, 20),
 }
 
+# fig1 and gamma: at most 5 T points and 3 gamma_t_values, and steps <= 20
+# when drawn (COMMON), each step one 4x4 eigenproblem at 2 sites.  A
+# Hamiltonian file may put the initial state in the odd reversal sector,
+# which has dim 1 at 2 sites.
+SWEEP = {
+    **COMMON,
+    "schedule": st.sampled_from(["linear", "custom-polynomial"]),
+    "schedule_coefficients": st.sampled_from([[0.0, 1.0], [0.0, 2.0, -1.0], [0.0, 2.0]]),
+    "hamiltonian_file": st.sampled_from(["", "odd-singlet.json", "even-to-singlet.json"]),
+    "t_min": st.floats(0.1, 100.0),
+    "t_values": positive_list(0.1, 100.0, max_size=5),
+}
+SWEEP_FIXED = {"n_sites": 2, "t_max": st.floats(0.1, 100.0), "t_points": st.integers(1, 5)}
+
+# Hamiltonian files a fuzzed config may name; run() writes them next to it.
+# In the first, psi_i is the singlet, alone in the odd sector; in the
+# second, psi_i is |++> and psi_f the singlet, in the other sector.
+HEISENBERG = singlet_target_json()["h_final"]
+HAMILTONIANS = {
+    "odd-singlet.json": {
+        "n_sites": 2,
+        "h_initial": HEISENBERG,
+        "h_final": HEISENBERG + [{"coeff": -0.5, "factors": [[j, "Z"]]} for j in range(2)],
+    },
+    "even-to-singlet.json": singlet_target_json(),
+}
+
 RL = {
     **COMMON,
     "n_sites": st.just(2),
@@ -114,6 +143,10 @@ def fuzzed(draw, valid: dict, fixed=None):
 
 def run(command: str, config: dict) -> None:
     with tempfile.TemporaryDirectory() as tmp:
+        name = config.get("hamiltonian_file")
+        if isinstance(name, str) and name in HAMILTONIANS:
+            (Path(tmp) / name).write_text(json.dumps(HAMILTONIANS[name]))
+            config = dict(config, hamiltonian_file=str(Path(tmp) / name))
         config_path = Path(tmp) / "config.json"
         config_path.write_text(json.dumps(config))
         out = Path(tmp) / "out"
@@ -176,3 +209,15 @@ def test_fig3_config_fuzz(config):
 @given(fuzzed(ZENO, fixed=ZENO_FIXED))
 def test_zeno_config_fuzz(config):
     run("zeno", config)
+
+
+@FUZZ
+@given(fuzzed(SWEEP, fixed=SWEEP_FIXED))
+def test_fig1_config_fuzz(config):
+    run("fig1", config)
+
+
+@FUZZ
+@given(fuzzed(SWEEP, fixed=SWEEP_FIXED))
+def test_gamma_config_fuzz(config):
+    run("gamma", config)

@@ -305,6 +305,31 @@ class TestReversalSector:
         # the full ground state of H_i is the sector ground state, up to phase
         assert abs(np.vdot(ground_state(sector.h_initial.matrix), phi)) == pytest.approx(1.0, abs=1e-12)
 
+    def test_further_states_take_the_first_states_map(self, tfim4):
+        rng = np.random.default_rng(5)
+        psi = ground_state(tfim4.h_initial.matrix)
+        mixed = rng.normal(size=16) + 1j * rng.normal(size=16)
+        mirrored = mixed[reversal(4)]
+        even, odd = (mixed + mirrored) / 2, (mixed - mirrored) / 2
+        sector, phi, *mapped = reversal_sector(tfim4, psi, mixed, even, odd)
+        assert sector.dim == 10
+        np.testing.assert_array_equal(phi, reversal_sector(tfim4, psi)[1])
+        # the map is the projection onto the sector: a state and its even
+        # part land on the same sector state, and the odd part on zero
+        np.testing.assert_array_equal(mapped[1], reversal_sector(tfim4, even)[1])
+        assert np.abs(mapped[0] - mapped[1]).max() <= 1e-15
+        assert not mapped[2].any()
+        for full, reduced in zip((mixed, even, odd), mapped):
+            assert abs(np.vdot(phi, reduced) - np.vdot(psi, full)) <= 1e-14
+
+    def test_first_state_picks_the_sector(self, tfim4):
+        psi = ground_state(tfim4.h_initial.matrix)
+        odd = parity_state(4, 1, -1)
+        sector, phi, even = reversal_sector(tfim4, odd, psi)
+        assert sector.dim == 6
+        assert np.linalg.norm(phi) == pytest.approx(np.linalg.norm(odd), abs=1e-15)
+        assert np.linalg.norm(even) <= 1e-15
+
     def test_asymmetric_path_comes_back_unchanged(self):
         path = load_path_json(
             {
@@ -314,14 +339,20 @@ class TestReversalSector:
             }
         )
         psi = ground_state(path.h_initial.matrix)
+        psi_f = ground_state(path.h_final.matrix + 0.1 * path.h_initial.matrix)
         sector, state = reversal_sector(path, psi)
         assert sector is path and state is psi
+        sector, state, other = reversal_sector(path, psi, psi_f)
+        assert sector is path and state is psi and other is psi_f
 
     def test_state_without_parity_comes_back_unchanged(self, tfim4):
         state = np.zeros(16, dtype=complex)
         state[1] = 1.0
+        psi = ground_state(tfim4.h_initial.matrix)
         sector, out = reversal_sector(tfim4, state)
         assert sector is tfim4 and out is state
+        sector, out, other = reversal_sector(tfim4, state, psi)
+        assert sector is tfim4 and out is state and other is psi
 
     def test_odd_ground_state_picks_the_odd_sector(self):
         path = load_path_json(odd_ground_json())

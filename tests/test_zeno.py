@@ -22,7 +22,7 @@ from daslab.zeno import (
     near_degeneracy_test,
 )
 
-from conftest import endpoint_solves, odd_ground_json, record_eigh
+from conftest import endpoint_solves, odd_ground_json, record_eigh, rotated_tfim_json
 
 
 def constant_family(dim=4, seed=1):
@@ -209,22 +209,6 @@ def count_complex_eigh(monkeypatch) -> list:
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     return sizes
-
-
-def rotated_tfim_json(n_sites, phi=0.7):
-    """The TFIM rotated about z: H_i gains Y terms and a complex matrix."""
-    return {
-        "n_sites": n_sites,
-        "h_initial": [
-            {"coeff": -np.cos(phi), "factors": [[j, "X"]]} for j in range(n_sites)
-        ]
-        + [{"coeff": -np.sin(phi), "factors": [[j, "Y"]]} for j in range(n_sites)],
-        "h_final": [{"coeff": -1.0, "factors": [[j, "Z"]]} for j in range(n_sites)]
-        + [
-            {"coeff": -1.0, "factors": [[j, "Z"], [j + 1, "Z"]]}
-            for j in range(n_sites - 1)
-        ],
-    }
 
 
 TFIM_CASES = [
