@@ -5,8 +5,9 @@ with a comment line carrying the hash of the resolved configuration.  On one
 machine and BLAS thread count, identical configs reproduce identical files
 byte for byte; across them, fig3's failing rows and traces and the last
 digits of fig1 and fig2 can move, and so can gamma's eps_first_order on a
-path without exact site-reversal symmetry (see the README).  fig2, fig3,
-gamma and zeno run inside the site-reversal sector of the initial state.
+path without exact site-reversal symmetry (see the README).  fig2, fig3
+and zeno run inside the site-reversal sector of the initial state, and
+gamma does where that sector holds the ground level on the whole grid.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -25,15 +26,18 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import ConfigError, DimensionTooLarge, SimulationError
-from .linalg import ground_state, operator_norm
+from .linalg import GAP_FLOOR, ground_state, operator_norm
 from .model import (
     MAX_SITES,
     MIN_SITES,
+    PARITY_TOL,
     _SCHEDULE_NAMES,
     AdiabaticPath,
+    complementary_sector,
     linear_schedule,
     load_path_json,
     path_at,
+    path_energies,
     path_spectrum,
     polynomial_schedule,
     reversal_sector,
@@ -420,12 +424,13 @@ def gamma_rows(config: RunConfig) -> list[dict]:
     on T.  The fidelity check's discrete propagator comes from the raw
     (untransported) bases, so it stays independent of the frame expansion.
     Everything runs inside the site-reversal sector of psi_i, with psi_f
-    projected onto it (see :func:`~daslab.model.reversal_sector`), so the
-    frames, and the gap the frames check, are the sector's.
+    projected onto it, where that sector holds the ground level at every
+    grid point (see :func:`_ground_sector`), and on the full space
+    otherwise.
     """
-    path = config.build_path()
-    path, psi_i, psi_f = reversal_sector(path, *endpoint_states(path))
-    spectrum = path_spectrum(path, grid_points(config.steps, config.grid))
+    path, spectrum, psi_i, psi_f = _ground_sector(
+        config.build_path(), grid_points(config.steps, config.grid)
+    )
     frames = transported_frames(spectrum)
     transitions = transition_matrices(frames)
     rows = []
@@ -447,6 +452,29 @@ def gamma_rows(config: RunConfig) -> list[dict]:
             }
         )
     return rows
+
+
+def _ground_sector(path: AdiabaticPath, s_values) -> tuple:
+    """``(path, spectrum, psi_i, psi_f)`` on psi_i's site-reversal sector
+    when that sector holds the ground level of H(s) on the whole grid, and
+    on the full path otherwise; the spectrum is the path's on ``s_values``.
+
+    The sector is kept when psi_f's projection keeps its norm within
+    PARITY_TOL and the other sector's lowest level lies more than GAP_FLOOR
+    above the sector's ground level at every grid point.  Then the
+    full-space ground level is the sector's, the couplings to the other
+    sector vanish, and the full-space ground gap is above GAP_FLOOR exactly
+    when the sector's is, so the frames and their gap guard give the
+    full-space result.
+    """
+    psi_i, psi_f = endpoint_states(path)
+    sector, phi_i, phi_f = reversal_sector(path, psi_i, psi_f)
+    if sector is not path and abs(np.linalg.norm(phi_f) - 1.0) <= PARITY_TOL:
+        spectrum = path_spectrum(sector, s_values)
+        rival = path_energies(complementary_sector(path, psi_i), s_values)[:, 0]
+        if np.all(rival - spectrum.energies[:, 0] > GAP_FLOOR):
+            return sector, spectrum, phi_i, phi_f
+    return path, path_spectrum(path, s_values), psi_i, psi_f
 
 
 def bound_rows(config: RunConfig) -> list[dict]:

@@ -184,6 +184,52 @@ def tfim_path(
 PARITY_TOL = 1e-12
 
 
+def _site_reversal(path: AdiabaticPath) -> np.ndarray | None:
+    """The site-reversal permutation r of the 2^N basis, z -> Rz with bit j
+    moved to bit N - 1 - j, when R maps H_i and H_f to themselves exactly;
+    None when it does not or when the dimension is not a power of two."""
+    dim = path.dim
+    n_sites = dim.bit_length() - 1
+    if dim != 1 << n_sites:
+        return None
+    index = np.arange(dim)
+    r = np.zeros(dim, dtype=int)
+    for bit in range(n_sites):
+        r |= ((index >> bit) & 1) << (n_sites - 1 - bit)
+    ends = (path.h_initial.matrix, path.h_final.matrix)
+    return r if all(np.array_equal(h[np.ix_(r, r)], h) for h in ends) else None
+
+
+def _state_parity(r: np.ndarray | None, psi: np.ndarray) -> int | None:
+    """+1 or -1 when psi is an R eigenvector within PARITY_TOL, else None."""
+    if r is None:
+        return None
+    return next((p for p in (1, -1) if np.linalg.norm(psi[r] - p * psi) <= PARITY_TOL), None)
+
+
+def _reversal_block(path: AdiabaticPath, r: np.ndarray, parity: int):
+    """The path's block of the given parity, and the map of a full-space
+    state onto that block's basis."""
+    index = np.arange(path.dim)
+    reps = index[(index < r) | ((index == r) & (parity == 1))]
+    mirrored = r[reps]
+    # 2 on palindromes, 1 on pairs: w_z w_y = 1 / sqrt(m_z m_y), and a
+    # state's component is (psi_z + p psi_Rz) / sqrt(2 m_z).
+    multiplicity = np.where(reps == mirrored, 2.0, 1.0)
+    scale = 1.0 / np.sqrt(np.outer(multiplicity, multiplicity))
+
+    def block(h: HermitianOperator) -> HermitianOperator:
+        m = h.matrix
+        gathered = (m[np.ix_(reps, reps)] + parity * m[np.ix_(reps, mirrored)]) * scale
+        return HermitianOperator(gathered, label=f"{h.label}[R={parity:+d}]")
+
+    def project(v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v).ravel()
+        return (v[reps] + parity * v[mirrored]) / np.sqrt(2 * multiplicity)
+
+    return AdiabaticPath(block(path.h_initial), block(path.h_final), path.schedule), project
+
+
 def reversal_sector(path: AdiabaticPath, state: np.ndarray, *others: np.ndarray) -> tuple:
     """The path restricted to the site-reversal sector that holds ``state``,
     and ``state`` and each of ``others`` in that sector's basis.
@@ -208,42 +254,24 @@ def reversal_sector(path: AdiabaticPath, state: np.ndarray, *others: np.ndarray)
     power of two, when R does not map both endpoints to themselves exactly,
     or when ``state`` is not an R eigenvector within PARITY_TOL.
     """
-    dim = path.dim
     psi = np.asarray(state).ravel()
-    n_sites = dim.bit_length() - 1
-    unchanged = (path, state, *others)
-    if dim != 1 << n_sites:
-        return unchanged
-    index = np.arange(dim)
-    r = np.zeros(dim, dtype=int)
-    for bit in range(n_sites):
-        r |= ((index >> bit) & 1) << (n_sites - 1 - bit)
-    ends = (path.h_initial.matrix, path.h_final.matrix)
-    if not all(np.array_equal(h[np.ix_(r, r)], h) for h in ends):
-        return unchanged
-    parity = next(
-        (p for p in (1, -1) if np.linalg.norm(psi[r] - p * psi) <= PARITY_TOL), None
-    )
+    r = _site_reversal(path)
+    parity = _state_parity(r, psi)
     if parity is None:
-        return unchanged
-    reps = index[(index < r) | ((index == r) & (parity == 1))]
-    mirrored = r[reps]
-    # 2 on palindromes, 1 on pairs: w_z w_y = 1 / sqrt(m_z m_y), and a
-    # state's component is (psi_z + p psi_Rz) / sqrt(2 m_z).
-    multiplicity = np.where(reps == mirrored, 2.0, 1.0)
-    scale = 1.0 / np.sqrt(np.outer(multiplicity, multiplicity))
-
-    def block(h: HermitianOperator) -> HermitianOperator:
-        m = h.matrix
-        gathered = (m[np.ix_(reps, reps)] + parity * m[np.ix_(reps, mirrored)]) * scale
-        return HermitianOperator(gathered, label=f"{h.label}[R={parity:+d}]")
-
-    def project(v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v).ravel()
-        return (v[reps] + parity * v[mirrored]) / np.sqrt(2 * multiplicity)
-
-    sector = AdiabaticPath(block(path.h_initial), block(path.h_final), path.schedule)
+        return (path, state, *others)
+    sector, project = _reversal_block(path, r, parity)
     return (sector, *map(project, (psi, *others)))
+
+
+def complementary_sector(path: AdiabaticPath, state: np.ndarray) -> AdiabaticPath | None:
+    """The path restricted to the site-reversal sector that does not hold
+    ``state``: the block of the parity opposite to the one
+    :func:`reversal_sector` picks.  None where :func:`reversal_sector`
+    returns its inputs unchanged.  Both blocks are non-empty from two sites
+    on."""
+    r = _site_reversal(path)
+    parity = _state_parity(r, np.asarray(state).ravel())
+    return None if parity is None else _reversal_block(path, r, -parity)[0]
 
 
 def path_at(path: AdiabaticPath, s: float, order: int = 0) -> HermitianOperator:

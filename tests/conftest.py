@@ -70,14 +70,31 @@ def odd_ground_json() -> dict:
     }
 
 
-def singlet_target_json() -> dict:
+def singlet_target_json(field: float = 0.0) -> dict:
     """A 2-site Hamiltonian file, symmetric under site reversal, from
     H_i = -(X0 + X1), whose ground state |++> is even under reversal, to
-    H_f = X0 X1 + Y0 Y1 + Z0 Z1, whose ground state, the singlet, is odd."""
+    H_f = X0 X1 + Y0 Y1 + Z0 Z1 - field (Z0 + Z1), whose ground state, the
+    singlet, is odd for field < 2."""
+    heisenberg = [{"coeff": 1.0, "factors": [[0, a], [1, a]]} for a in "XYZ"]
+    zeeman = [{"coeff": -field, "factors": [[j, "Z"]]} for j in range(2)] if field else []
     return {
         "n_sites": 2,
         "h_initial": [{"coeff": -1.0, "factors": [[j, "X"]]} for j in range(2)],
-        "h_final": [{"coeff": 1.0, "factors": [[0, a], [1, a]]} for a in "XYZ"],
+        "h_final": heisenberg + zeeman,
+    }
+
+
+def mid_path_singlet_json() -> dict:
+    """A 2-site file whose ground state is even at both ends and the odd
+    singlet in the middle: H_i = -(X0 + X1) + 0.45 S and H_f = -(Z0 + Z1)
+    + 0.45 S with S = X0 X1 + Y0 Y1 + Z0 Z1.  The singlet sits at -1.35
+    for every s; the even ground level is -1.55 at both ends and -0.96 at
+    s = 1/2."""
+    coupling = [{"coeff": 0.45, "factors": [[0, a], [1, a]]} for a in "XYZ"]
+    return {
+        "n_sites": 2,
+        "h_initial": [{"coeff": -1.0, "factors": [[j, "X"]]} for j in range(2)] + coupling,
+        "h_final": [{"coeff": -1.0, "factors": [[j, "Z"]]} for j in range(2)] + coupling,
     }
 
 

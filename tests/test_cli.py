@@ -22,9 +22,16 @@ from daslab.cli import (
     zeno_rows,
 )
 from daslab.errors import endpoint_states
+from daslab.evolve import grid_points
 from daslab.exceptions import ConfigError
 
-from conftest import endpoint_solves, record_eigh, rotated_tfim_json, singlet_target_json
+from conftest import (
+    endpoint_solves,
+    mid_path_singlet_json,
+    record_eigh,
+    rotated_tfim_json,
+    singlet_target_json,
+)
 
 
 def small_config(**overrides):
@@ -469,6 +476,8 @@ class TestSectorSweeps:
         config = sweep_config(tmp_path, hamiltonian)
         path = config.build_path()
         assert model.reversal_sector(path, endpoint_states(path)[0])[0].dim == 10
+        grid = grid_points(config.steps, config.grid)
+        assert cli._ground_sector(path, grid)[0].dim == 10
         fig2, index = cli.fig2_rows(config)
         gamma = gamma_rows(config)
         full_space(monkeypatch)
@@ -494,9 +503,9 @@ class TestSectorSweeps:
         full_space(monkeypatch)
         assert rows == (cli.fig2_rows(config)[0], gamma_rows(config))
 
-    def test_target_in_the_other_sector(self, tmp_path):
+    def test_target_in_the_other_sector(self, tmp_path, monkeypatch):
         # psi_f, the singlet, projects to zero in the even sector of psi_i,
-        # so every overlap with it is 0.
+        # so every fig2 overlap with it is 0.
         (tmp_path / "ham.json").write_text(json.dumps(singlet_target_json()))
         config = {"hamiltonian_file": str(tmp_path / "ham.json"), "steps": 10, "t_values": [4.0, 8.0]}
         (tmp_path / "config.json").write_text(json.dumps(config))
@@ -505,6 +514,33 @@ class TestSectorSweeps:
         rows = csv_rows(out / "fig2.csv")
         assert [r["T"] for r in rows] == [4.0, 8.0]
         assert all(r["eps_adb"] == r["eps_tot"] == 1.0 for r in rows)
+        # gamma's frames follow the ground level, which ends in the odd
+        # sector, so gamma runs on the full space.  At steps 20 the even
+        # sector's triplet is degenerate at s = 1 (field 0); with the field
+        # it is split and the even sector ends at |00>.
+        for field in (0.0, 0.5):
+            config = sweep_config(tmp_path, singlet_target_json(field))
+            path = config.build_path()
+            assert cli._ground_sector(path, [0.0, 1.0])[0] is path
+            rows = gamma_rows(config)
+            assert all(r["eps_adb_exact"] == pytest.approx(1.0, abs=1e-12) for r in rows)
+            with monkeypatch.context() as patch:
+                full_space(patch)
+                assert rows == gamma_rows(config)
+
+    def test_ground_level_leaves_the_sector_mid_path(self, tmp_path, monkeypatch):
+        # psi_i and psi_f are even, but the odd singlet is the ground level
+        # in the middle of the path, so gamma runs on the full space.
+        config = sweep_config(tmp_path, mid_path_singlet_json())
+        path = config.build_path()
+        psi_i, psi_f = endpoint_states(path)
+        sector, _, phi_f = model.reversal_sector(path, psi_i, psi_f)
+        assert sector.dim == 3 and np.linalg.norm(phi_f) == pytest.approx(1.0, abs=1e-14)
+        assert cli._ground_sector(path, [0.0, 1.0])[0].dim == 3
+        assert cli._ground_sector(path, [0.0, 0.5, 1.0])[0] is path
+        rows = gamma_rows(config)
+        full_space(monkeypatch)
+        assert rows == gamma_rows(config)
 
     def test_gamma_independent_of_blas_threads(self, tmp_path):
         # the default config: 8 sites, L = 100, T in {10, 50}
@@ -520,10 +556,11 @@ class TestSectorSweeps:
             cells.append(csv_rows(out / "gamma.csv"))
         one, two = cells
         assert len(one) == len(two) == 2
+        # On the full space eps_first_order moved by about 1e-4 between the
+        # two; here the largest measured spread is 6e-14, in fidelity_check.
         for a, b in zip(one, two):
-            assert a["eps_adb_exact"] == b["eps_adb_exact"]
-            assert a["eps_first_order"] == b["eps_first_order"]
-            assert abs(a["fidelity_check"] - b["fidelity_check"]) <= 1e-12
+            for key in ("eps_adb_exact", "eps_first_order", "fidelity_check"):
+                assert abs(a[key] - b[key]) <= 1e-12, key
 
 
 class TestCsv:

@@ -8,6 +8,7 @@ from daslab.model import (
     HermitianOperator,
     PauliTerm,
     build_tfim,
+    complementary_sector,
     linear_schedule,
     load_path_json,
     path_at,
@@ -330,6 +331,17 @@ class TestReversalSector:
         assert np.linalg.norm(phi) == pytest.approx(np.linalg.norm(odd), abs=1e-15)
         assert np.linalg.norm(even) <= 1e-15
 
+    def test_complementary_sector_is_the_other_block(self, tfim4):
+        even, odd = both_sectors(tfim4, 4)
+        psi = ground_state(tfim4.h_initial.matrix)
+        for state, other in ((psi, odd), (parity_state(4, 1, -1), even)):
+            complement = complementary_sector(tfim4, state)
+            for mine, theirs in ((complement.h_initial, other.h_initial), (complement.h_final, other.h_final)):
+                np.testing.assert_array_equal(mine.matrix, theirs.matrix)
+        no_parity = np.zeros(16, dtype=complex)
+        no_parity[1] = 1.0
+        assert complementary_sector(tfim4, no_parity) is None
+
     def test_asymmetric_path_comes_back_unchanged(self):
         path = load_path_json(
             {
@@ -344,6 +356,7 @@ class TestReversalSector:
         assert sector is path and state is psi
         sector, state, other = reversal_sector(path, psi, psi_f)
         assert sector is path and state is psi and other is psi_f
+        assert complementary_sector(path, psi) is None
 
     def test_state_without_parity_comes_back_unchanged(self, tfim4):
         state = np.zeros(16, dtype=complex)
