@@ -8,6 +8,8 @@ digits of fig1 and fig2 can move, and so can gamma's eps_first_order on a
 path without exact site-reversal symmetry (see the README).  fig2, fig3
 and zeno run inside the site-reversal sector of the initial state, and
 gamma does where that sector holds the ground level on the whole grid.
+fig1 diagonalizes and multiplies its discretized propagator per sector and
+gathers its full-space Trotterized propagator into each.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -40,6 +42,7 @@ from .model import (
     path_energies,
     path_spectrum,
     polynomial_schedule,
+    reversal_blocks,
     reversal_sector,
     tfim_path,
 )
@@ -83,6 +86,10 @@ MAX_ZENO_STEPS = 10_000
 MAX_RL_STEPS = 10**6
 # Each Simpson node of the bound is one dim x dim eigvalsh, a few ms.
 MAX_QUAD_POINTS = 10_001
+# Each coefficient adds about 0.3 us to every evaluation of p(s), and fig2's
+# state route evaluates it about 5 * 10^4 times per T point at T = 200, so
+# 10^3 coefficients add about 16 s per point; p(s) = s has 2.
+MAX_SCHEDULE_COEFFICIENTS = 1_000
 
 _KINDS = {
     int: "an integer in [{}, {}]",
@@ -131,7 +138,7 @@ class RunConfig:
     n_sites: int = _rule(8, int, MIN_SITES, MAX_SITES)
     periodic: bool = _rule(False, bool)
     schedule: str = _rule("linear", _SCHEDULE_NAMES)
-    schedule_coefficients: tuple = _rule((), tuple)
+    schedule_coefficients: tuple = _rule((), tuple, length=MAX_SCHEDULE_COEFFICIENTS)
     hamiltonian_file: str = _rule("", Path)
     grid: str = _rule("endpoints", GRIDS)
     steps: int = _rule(100, int, 2, MAX_STEPS)
@@ -298,25 +305,39 @@ def fig1_rows(config: RunConfig) -> list[dict]:
     The fidelity column compares the discretized and Trotterized propagators
     on the initial state, isolating the Trotter split from discretization;
     the norm column is the spectral distance between the same two operators.
+
+    The discretized side is diagonalized and multiplied per site-reversal
+    block, psi_i's first (see :func:`~daslab.model.reversal_blocks`); the
+    Trotterized propagator is built on the full space once per T and
+    gathered into each block.  Both commute with site reversal, so the norm
+    is the larger block norm and the fidelity is taken in psi_i's block.  A
+    path without the symmetry is its own single block.
     """
     path = config.build_path()
     psi_i, _ = endpoint_states(path)
-    spectrum = path_spectrum(path, grid_points(config.steps, config.grid))
+    blocks = reversal_blocks(path, psi_i)
+    phi_i = blocks[0].project(psi_i)
+    s_values = grid_points(config.steps, config.grid)
+    spectra = [path_spectrum(block.path, s_values) for block in blocks]
     layers = _shared_layers(path)
 
     def one(total_time: float) -> dict:
         dt = total_time / config.steps
-        a_d = discrete_product(spectrum, dt)
         spec = EvolutionSpec(
             path=path, total_time=total_time, steps=config.steps, grid=config.grid,
             layers=layers,
         )
         a_tro = trotter_evolution(spec).matrix
+        pairs = [
+            (discrete_product(spectrum, dt), block.gather(a_tro))
+            for block, spectrum in zip(blocks, spectra)
+        ]
+        a_d, a_tro = pairs[0]  # psi_i's block
         return {
             "T": total_time,
             "dt": dt,
-            "norm_dist": operator_norm(a_d - a_tro),
-            "eps_tro": fidelity_error(a_d @ psi_i, a_tro @ psi_i),
+            "norm_dist": max(operator_norm(d - t) for d, t in pairs),
+            "eps_tro": fidelity_error(a_d @ phi_i, a_tro @ phi_i),
         }
 
     return _parallel(one, [float(t) for t in config.t_grid()], config.threads)

@@ -207,9 +207,37 @@ def _state_parity(r: np.ndarray | None, psi: np.ndarray) -> int | None:
     return next((p for p in (1, -1) if np.linalg.norm(psi[r] - p * psi) <= PARITY_TOL), None)
 
 
-def _reversal_block(path: AdiabaticPath, r: np.ndarray, parity: int):
-    """The path's block of the given parity, and the map of a full-space
-    state onto that block's basis."""
+@dataclass(frozen=True, eq=False)
+class ReversalBlock:
+    """A path restricted to one site-reversal block, and the maps of
+    full-space operators and states onto the block's basis Q.
+
+    ``gather(M)`` is Q^T M Q for a dim x dim M that commutes with site
+    reversal (H(s), a Trotter step or product), read off by orbit;
+    ``project(v)`` is Q^T v for any state, its projection onto the block.
+    Where the path has no block structure the block is the full path and
+    both maps are the identity.
+    """
+
+    path: AdiabaticPath
+    gather: Callable[[np.ndarray], np.ndarray]
+    project: Callable[[np.ndarray], np.ndarray]
+
+
+def _identity(x):
+    return x
+
+
+def _reversal_parity(path: AdiabaticPath, state: np.ndarray) -> tuple:
+    """The site-reversal permutation of the path and the parity of
+    ``state``; the parity is None where the path or the state lacks the
+    symmetry."""
+    r = _site_reversal(path)
+    return r, _state_parity(r, np.asarray(state).ravel())
+
+
+def _reversal_block(path: AdiabaticPath, r: np.ndarray, parity: int) -> ReversalBlock:
+    """The path's block of the given parity, with its gather and state map."""
     index = np.arange(path.dim)
     reps = index[(index < r) | ((index == r) & (parity == 1))]
     mirrored = r[reps]
@@ -218,60 +246,75 @@ def _reversal_block(path: AdiabaticPath, r: np.ndarray, parity: int):
     multiplicity = np.where(reps == mirrored, 2.0, 1.0)
     scale = 1.0 / np.sqrt(np.outer(multiplicity, multiplicity))
 
-    def block(h: HermitianOperator) -> HermitianOperator:
-        m = h.matrix
-        gathered = (m[np.ix_(reps, reps)] + parity * m[np.ix_(reps, mirrored)]) * scale
-        return HermitianOperator(gathered, label=f"{h.label}[R={parity:+d}]")
+    def gather(m: np.ndarray) -> np.ndarray:
+        return (m[np.ix_(reps, reps)] + parity * m[np.ix_(reps, mirrored)]) * scale
 
     def project(v: np.ndarray) -> np.ndarray:
         v = np.asarray(v).ravel()
         return (v[reps] + parity * v[mirrored]) / np.sqrt(2 * multiplicity)
 
-    return AdiabaticPath(block(path.h_initial), block(path.h_final), path.schedule), project
+    def block(h: HermitianOperator) -> HermitianOperator:
+        return HermitianOperator(gather(h.matrix), label=f"{h.label}[R={parity:+d}]")
+
+    sector = AdiabaticPath(block(path.h_initial), block(path.h_final), path.schedule)
+    return ReversalBlock(sector, gather, project)
 
 
-def reversal_sector(path: AdiabaticPath, state: np.ndarray, *others: np.ndarray) -> tuple:
-    """The path restricted to the site-reversal sector that holds ``state``,
-    and ``state`` and each of ``others`` in that sector's basis.
+def reversal_blocks(path: AdiabaticPath, state: np.ndarray) -> tuple[ReversalBlock, ...]:
+    """The site-reversal blocks of the path: the one that holds ``state``
+    first, then the other.
 
     Site reversal R maps site j to N - 1 - j, so on the 2^N basis it is the
     bit-reversal permutation z -> Rz.  When R maps H_i and H_f to themselves
     exactly, every H(s) and every Trotter step is block diagonal in the
     real orthonormal basis (|z> + p|Rz>)/sqrt(2) of parity p = +-1, plus the
     palindromes z = Rz when p = +1 (symmetry-adapted exact diagonalization:
-    A. W. Sandvik, AIP Conf. Proc. 1297, 135 (2010), arXiv:1101.3281).  The
-    block is gathered by orbit, H_p[a, b] = (H[z, y] + p H[z, Ry]) w_z w_y
-    with w = 1/sqrt(2) on palindromes and 1 elsewhere, so a diagonal H keeps
-    an exactly diagonal block.  Representatives z <= Rz are in ascending
-    order.
+    A. W. Sandvik, AIP Conf. Proc. 1297, 135 (2010), arXiv:1101.3281).  A
+    block is gathered by orbit, M_p[a, b] = (M[z, y] + p M[z, Ry]) w_z w_y
+    with w = 1/sqrt(2) on palindromes and 1 elsewhere, so a diagonal M keeps
+    an exactly diagonal block; the same gather forms the blocks of H_i and
+    H_f and of any operator that commutes with R.  Representatives z <= Rz
+    are in ascending order.  Both blocks are non-empty from two sites on.
+
+    Such an operator's spectrum is the union of its block spectra and its
+    operator norm the larger block norm.
+
+    A single block, the full path with identity maps, when the dimension is
+    not a power of two, when R does not map both endpoints to themselves
+    exactly, or when ``state`` is not an R eigenvector within PARITY_TOL.
+    """
+    r, parity = _reversal_parity(path, state)
+    if parity is None:
+        return (ReversalBlock(path, _identity, _identity),)
+    return tuple(_reversal_block(path, r, p) for p in (parity, -parity))
+
+
+def reversal_sector(path: AdiabaticPath, state: np.ndarray, *others: np.ndarray) -> tuple:
+    """The path restricted to the site-reversal sector that holds ``state``
+    (the first of :func:`reversal_blocks`), and ``state`` and each of
+    ``others`` in that sector's basis.
 
     Only ``state`` picks the sector.  Each of ``others`` goes through the
     same map, which is its projection onto the sector: a state of the other
     parity maps to zero, so its overlap with any sector state is the
     full-space value, 0.
 
-    Returns ``(path, state, *others)`` unchanged when the dimension is not a
-    power of two, when R does not map both endpoints to themselves exactly,
-    or when ``state`` is not an R eigenvector within PARITY_TOL.
+    Returns ``(path, state, *others)`` unchanged where the path has no block
+    structure or ``state`` no parity.
     """
-    psi = np.asarray(state).ravel()
-    r = _site_reversal(path)
-    parity = _state_parity(r, psi)
+    r, parity = _reversal_parity(path, state)
     if parity is None:
         return (path, state, *others)
-    sector, project = _reversal_block(path, r, parity)
-    return (sector, *map(project, (psi, *others)))
+    block = _reversal_block(path, r, parity)
+    return (block.path, *map(block.project, (state, *others)))
 
 
 def complementary_sector(path: AdiabaticPath, state: np.ndarray) -> AdiabaticPath | None:
     """The path restricted to the site-reversal sector that does not hold
-    ``state``: the block of the parity opposite to the one
-    :func:`reversal_sector` picks.  None where :func:`reversal_sector`
-    returns its inputs unchanged.  Both blocks are non-empty from two sites
-    on."""
-    r = _site_reversal(path)
-    parity = _state_parity(r, np.asarray(state).ravel())
-    return None if parity is None else _reversal_block(path, r, -parity)[0]
+    ``state``, the second of :func:`reversal_blocks`; None where
+    :func:`reversal_sector` returns its inputs unchanged."""
+    r, parity = _reversal_parity(path, state)
+    return None if parity is None else _reversal_block(path, r, -parity).path
 
 
 def path_at(path: AdiabaticPath, s: float, order: int = 0) -> HermitianOperator:

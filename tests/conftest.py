@@ -84,6 +84,18 @@ def singlet_target_json(field: float = 0.0) -> dict:
     }
 
 
+def odd_singlet_json() -> dict:
+    """A 2-site Hamiltonian file whose initial state, the singlet, is odd
+    under site reversal and alone in its sector (dim 1): H_i = X0 X1 +
+    Y0 Y1 + Z0 Z1 and H_f = H_i - 0.5 (Z0 + Z1)."""
+    heisenberg = singlet_target_json()["h_final"]
+    return {
+        "n_sites": 2,
+        "h_initial": heisenberg,
+        "h_final": heisenberg + [{"coeff": -0.5, "factors": [[j, "Z"]]} for j in range(2)],
+    }
+
+
 def mid_path_singlet_json() -> dict:
     """A 2-site file whose ground state is even at both ends and the odd
     singlet in the middle: H_i = -(X0 + X1) + 0.45 S and H_f = -(Z0 + Z1)

@@ -21,13 +21,15 @@ from daslab.cli import (
     write_csv,
     zeno_rows,
 )
-from daslab.errors import endpoint_states
-from daslab.evolve import grid_points
+from daslab.errors import endpoint_states, fidelity_error
+from daslab.evolve import EvolutionSpec, discrete_product, grid_points, trotter_evolution
 from daslab.exceptions import ConfigError
+from daslab.linalg import operator_norm
 
 from conftest import (
     endpoint_solves,
     mid_path_singlet_json,
+    odd_singlet_json,
     record_eigh,
     rotated_tfim_json,
     singlet_target_json,
@@ -211,6 +213,13 @@ class TestConfig:
             ("fig3", {"trace_dts": ascending(cli.MAX_DT_POINTS + 1)}),
             ("rl", {"rl_dt_values": ascending(cli.MAX_DT_POINTS + 1)}),
             ("gamma", {"gamma_t_values": ascending(cli.MAX_T_POINTS + 1)}),
+            (
+                "fig2",
+                {
+                    "schedule": "custom-polynomial",
+                    "schedule_coefficients": [0.0, 1.0] + [0.0] * (cli.MAX_SCHEDULE_COEFFICIENTS - 1),
+                },
+            ),
         ],
     )
     def test_inputs_rejected_before_any_sweep(self, tmp_path, monkeypatch, command, bad):
@@ -234,6 +243,7 @@ class TestConfig:
             ("trace_dts", cli.MAX_DT_POINTS),
             ("rl_dt_values", cli.MAX_DT_POINTS),
             ("gamma_t_values", cli.MAX_T_POINTS),
+            ("schedule_coefficients", cli.MAX_SCHEDULE_COEFFICIENTS),
         ],
     )
     def test_list_length_caps(self, name, cap):
@@ -388,7 +398,8 @@ class TestRows:
         # state, and H_i once more for its Trotter layer; H_f's layer is
         # diagonal and needs no eigh.  fig2's and fig3's layers are the
         # blocks of H_i and H_f in the initial state's reversal sector, so
-        # there the block of H_i takes the place of H_i.
+        # there the block of H_i takes the place of H_i.  fig1 diagonalizes
+        # its grid per block, but its Trotter layers stay on the full space.
         config = small_config(threads=2, trace_dts=[0.3, 0.5])
         path = config.build_path()
         blocks, _ = model.reversal_sector(path, endpoint_states(path)[0])
@@ -443,9 +454,9 @@ def full_space(monkeypatch) -> None:
     monkeypatch.setattr(cli, "reversal_sector", lambda path, *states: (path, *states))
 
 
-def sweep_config(tmp_path, hamiltonian=None) -> RunConfig:
-    """A 4-site config, on the TFIM or on the given Hamiltonian file."""
-    data = {"n_sites": 4, "steps": 20, "t_values": [2.0, 8.0, 32.0], "gamma_t_values": [5.0, 20.0]}
+def sweep_config(tmp_path, hamiltonian=None, n_sites=4) -> RunConfig:
+    """A config of n_sites sites, on the TFIM or on the given Hamiltonian file."""
+    data = {"n_sites": n_sites, "steps": 20, "t_values": [2.0, 8.0, 32.0], "gamma_t_values": [5.0, 20.0]}
     if hamiltonian is not None:
         target = tmp_path / "hamiltonian.json"
         target.write_text(json.dumps(hamiltonian))
@@ -464,10 +475,42 @@ def site0_field_json(n_sites: int) -> dict:
     }
 
 
+def fig1_full_space(config: RunConfig) -> list[dict]:
+    """fig1's rows from the full-space kernels: per T, one discretized and
+    one Trotterized propagator on the whole 2^N space."""
+    path = config.build_path()
+    psi_i, _ = endpoint_states(path)
+    spectrum = model.path_spectrum(path, grid_points(config.steps, config.grid))
+    rows = []
+    for total_time in map(float, config.t_grid()):
+        spec = EvolutionSpec(path=path, total_time=total_time, steps=config.steps, grid=config.grid)
+        a_d = discrete_product(spectrum, spec.dt)
+        a_tro = trotter_evolution(spec).matrix
+        rows.append(
+            {
+                "T": total_time,
+                "dt": total_time / config.steps,
+                "norm_dist": operator_norm(a_d - a_tro),
+                "eps_tro": fidelity_error(a_d @ psi_i, a_tro @ psi_i),
+            }
+        )
+    return rows
+
+
+def assert_fig1_close(rows, full) -> None:
+    """T and dt bitwise, norm_dist within 1e-13 and eps_tro within 1e-11."""
+    for mine, theirs in zip(rows, full, strict=True):
+        assert (mine["T"], mine["dt"]) == (theirs["T"], theirs["dt"])
+        assert abs(mine["norm_dist"] - theirs["norm_dist"]) <= 1e-13
+        assert abs(mine["eps_tro"] - theirs["eps_tro"]) <= 1e-11
+
+
 class TestSectorSweeps:
     """fig2 and gamma evolve psi_i inside its site-reversal sector.  Every
     column is an overlap of psi_i's evolved state or an element of its frame
-    propagator, so the full space gives the same rows."""
+    propagator, so the full space gives the same rows.  fig1 forms its
+    discretized propagator per sector; its norm is the larger block norm and
+    its fidelity psi_i's block's, which are the full-space values."""
 
     @pytest.mark.parametrize(
         "hamiltonian", [None, rotated_tfim_json(4)], ids=["tfim4", "rotated4"]
@@ -495,13 +538,50 @@ class TestSectorSweeps:
             for key in ("eps_adb_exact", "eps_first_order", "fidelity_check"):
                 assert abs(mine[key] - theirs[key]) <= 1e-12, key
 
+    @pytest.mark.parametrize(
+        "hamiltonian, n_sites, dims",
+        [(None, 4, [10, 6]), (rotated_tfim_json(4), 4, [10, 6]), (None, 5, [20, 12])],
+        ids=["tfim4", "rotated4", "tfim5"],
+    )
+    def test_fig1_matches_the_full_space(self, tmp_path, hamiltonian, n_sites, dims):
+        # At 5 sites and T = 32 the larger block norm is the other sector's.
+        config = sweep_config(tmp_path, hamiltonian, n_sites)
+        path = config.build_path()
+        blocks = model.reversal_blocks(path, endpoint_states(path)[0])
+        assert [block.path.dim for block in blocks] == dims
+        assert_fig1_close(fig1_rows(config), fig1_full_space(config))
+
     def test_path_without_the_symmetry_runs_unchanged(self, tmp_path, monkeypatch):
         config = sweep_config(tmp_path, site0_field_json(4))
         path = config.build_path()
         assert model.reversal_sector(path, endpoint_states(path)[0])[0] is path
+        assert fig1_rows(config) == fig1_full_space(config)
         rows = cli.fig2_rows(config)[0], gamma_rows(config)
         full_space(monkeypatch)
         assert rows == (cli.fig2_rows(config)[0], gamma_rows(config))
+
+    def test_fig1_initial_state_alone_in_its_sector(self, tmp_path):
+        # psi_i, the singlet, spans the odd sector of dim 1 by itself.  It is
+        # an eigenvector of every H(s) and of both layers, so both
+        # propagators map it to a phase and eps_tro is 0 in exact
+        # arithmetic; sqrt(1 - |<a|b>|^2) leaves about the square root of
+        # the rounding, 1e-7, on either space.
+        (tmp_path / "ham.json").write_text(json.dumps(odd_singlet_json()))
+        config = {"hamiltonian_file": str(tmp_path / "ham.json"), "steps": 10, "t_values": [4.0, 8.0]}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["fig1", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 0
+        rows = csv_rows(out / "fig1.csv")
+        assert [r["T"] for r in rows] == [4.0, 8.0]
+        assert all(np.isfinite(list(r.values())).all() for r in rows)
+        config = RunConfig.from_dict(config)
+        path = config.build_path()
+        blocks = model.reversal_blocks(path, endpoint_states(path)[0])
+        assert [block.path.dim for block in blocks] == [1, 3]
+        for mine, theirs in zip(fig1_rows(config), fig1_full_space(config), strict=True):
+            assert (mine["T"], mine["dt"]) == (theirs["T"], theirs["dt"])
+            assert abs(mine["norm_dist"] - theirs["norm_dist"]) <= 1e-13
+            assert mine["eps_tro"] <= 1e-6 and theirs["eps_tro"] <= 1e-6
 
     def test_target_in_the_other_sector(self, tmp_path, monkeypatch):
         # psi_f, the singlet, projects to zero in the even sector of psi_i,

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from daslab.cli import main
 
-from conftest import mid_path_singlet_json, singlet_target_json
+from conftest import mid_path_singlet_json, odd_singlet_json, singlet_target_json
 
 # rl's bound columns are infinite by design at a resonance (see sum_bounds).
 MAY_BE_INFINITE = {"rl": {"boundary_bound", "first_order_bound", "second_order_bound"}}
@@ -111,13 +111,8 @@ SWEEP_FIXED = {"n_sites": 2, "t_max": st.floats(0.1, 100.0), "t_points": st.inte
 # In the first, psi_i is the singlet, alone in the odd sector; in the
 # second, psi_i is |++> and psi_f the singlet, in the other sector; in the
 # third, both are even and the singlet is the ground level mid-path.
-HEISENBERG = singlet_target_json()["h_final"]
 HAMILTONIANS = {
-    "odd-singlet.json": {
-        "n_sites": 2,
-        "h_initial": HEISENBERG,
-        "h_final": HEISENBERG + [{"coeff": -0.5, "factors": [[j, "Z"]]} for j in range(2)],
-    },
+    "odd-singlet.json": odd_singlet_json(),
     "even-to-singlet.json": singlet_target_json(),
     "mid-path-singlet.json": mid_path_singlet_json(),
 }

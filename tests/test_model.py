@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from daslab.evolve import EvolutionSpec, discrete_evolution, trotter_evolution
 from daslab.exceptions import DimensionTooLarge, OutOfRange
 from daslab.linalg import ground_state, operator_norm
 from daslab.model import (
@@ -17,6 +18,7 @@ from daslab.model import (
     path_spectrum,
     pauli_sum_matrix,
     polynomial_schedule,
+    reversal_blocks,
     reversal_sector,
     spectral_gap,
     tfim_path,
@@ -267,6 +269,49 @@ def sector_basis(path, n_sites, parity, sector_dim):
     return np.array(rows)
 
 
+def explicit_basis(n_sites, parity):
+    """Q_p: one column (|z> + parity |Rz>) / sqrt(2) per representative
+    z < Rz, and |z> per palindrome when parity is +1, in ascending z."""
+    r = reversal(n_sites)
+    columns = []
+    for z in range(2**n_sites):
+        column = np.zeros(2**n_sites)
+        if z < r[z]:
+            column[z], column[r[z]] = 2**-0.5, parity * 2**-0.5
+        elif z == r[z] and parity == 1:
+            column[z] = 1.0
+        else:
+            continue
+        columns.append(column)
+    return np.array(columns).T
+
+
+class TestReversalBlocks:
+    @pytest.mark.parametrize("n_sites", [4, 5])
+    def test_gather_matches_the_explicit_basis(self, n_sites):
+        path = tfim_path(n_sites)
+        blocks = reversal_blocks(path, ground_state(path.h_initial.matrix))
+        spec = EvolutionSpec(path=path, total_time=7.0, steps=12)
+        a_tro = trotter_evolution(spec).matrix
+        operators = {
+            "trotter": a_tro,
+            "path": path_matrix(path, [0.3])[0],
+            "difference": discrete_evolution(spec).matrix - a_tro,
+        }
+        for name, m in operators.items():
+            norms = []
+            for parity, block in zip((1, -1), blocks):
+                q = explicit_basis(n_sites, parity)
+                gathered = block.gather(m)
+                assert np.abs(gathered - q.T @ m @ q).max() <= 1e-13, name
+                norms.append(operator_norm(gathered))
+            assert abs(max(norms) - operator_norm(m)) <= 1e-13, name
+        # the same gather forms the blocks of H_i and H_f
+        for block in blocks:
+            for full, reduced in ((path.h_initial, block.path.h_initial), (path.h_final, block.path.h_final)):
+                np.testing.assert_array_equal(block.gather(full.matrix), reduced.matrix)
+
+
 class TestReversalSector:
     @pytest.mark.parametrize("n_sites, dims", [(4, (10, 6)), (6, (36, 28))])
     def test_sector_dims(self, n_sites, dims):
@@ -357,6 +402,9 @@ class TestReversalSector:
         sector, state, other = reversal_sector(path, psi, psi_f)
         assert sector is path and state is psi and other is psi_f
         assert complementary_sector(path, psi) is None
+        (block,) = reversal_blocks(path, psi)
+        m = path.h_final.matrix
+        assert block.path is path and block.gather(m) is m and block.project(psi) is psi
 
     def test_state_without_parity_comes_back_unchanged(self, tfim4):
         state = np.zeros(16, dtype=complex)
