@@ -30,6 +30,7 @@ import numpy as np
 from .exceptions import ConfigError, DimensionTooLarge, SimulationError
 from .linalg import GAP_FLOOR, ground_state, operator_norm
 from .model import (
+    MAX_SCHEDULE_COEFFICIENTS,
     MAX_SITES,
     MIN_SITES,
     PARITY_TOL,
@@ -76,8 +77,9 @@ from . import svg as svgmod
 # a second each; the default grids have 29 and 40 points.
 MAX_DT_POINTS = 10_000
 MAX_T_POINTS = 10_000
-# fig1 and gamma hold one dim x dim complex matrix per step at once, 1 MB
-# each, so 10^4 steps ask for about 10 GB; the default is 100.
+# fig1 and gamma hold their grid spectrum, one dim x dim basis per step, up
+# to 1 MB each, so 10^4 steps ask for about 10 GB; the default is 100.  The
+# propagator products stream over the grid and hold a few steps at a time.
 MAX_STEPS = 10_000
 # Each continuation step is one Trotter step and one unitary_eig, a few ms.
 MAX_ZENO_STEPS = 10_000
@@ -86,10 +88,6 @@ MAX_ZENO_STEPS = 10_000
 MAX_RL_STEPS = 10**6
 # Each Simpson node of the bound is one dim x dim eigvalsh, a few ms.
 MAX_QUAD_POINTS = 10_001
-# Each coefficient adds about 0.3 us to every evaluation of p(s), and fig2's
-# state route evaluates it about 5 * 10^4 times per T point at T = 200, so
-# 10^3 coefficients add about 16 s per point; p(s) = s has 2.
-MAX_SCHEDULE_COEFFICIENTS = 1_000
 
 _KINDS = {
     int: "an integer in [{}, {}]",

@@ -116,8 +116,8 @@ def transition_matrices(frames: PathSpectrum) -> np.ndarray:
     """Overlap matrices between consecutive frames, S_j = B_{j+1}^dag B_j,
     stacked in one batched product.
 
-    The adjoints are formed for this product only: cached on the frames,
-    which a T sweep keeps, they would hold one more stack for the sweep.
+    The adjoints are a temporary of this product: the frames, which a T
+    sweep keeps, hold no copy of them.
     """
     return np.conj(np.swapaxes(frames.bases[1:], -1, -2)) @ frames.bases[:-1]
 

@@ -180,10 +180,42 @@ def ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
+def chunked_product(
+    factors: Callable[[slice], np.ndarray], count: int, dim: int
+) -> np.ndarray:
+    """:func:`ordered_product` of ``count`` dim x dim factors, formed one
+    :func:`~daslab.model.stack_chunks` stack at a time; ``factors(part)``
+    returns the stack of factors in the slice ``part``.
+
+    Each stack is reduced by :func:`ordered_product`.  The finished partial
+    products are kept with strictly decreasing sizes: two of equal size
+    merge as later @ earlier, as in a binary counter, and what is left is
+    folded from the right.  Every stack but the last holds the same power
+    of two of factors, so this is the pairing of :func:`ordered_product`
+    over the whole stack, odd carries included, and the result is the same
+    bits.  At most one stack and log2(count / stack) partials are held.
+    """
+    partials = []  # (factor count, product), counts strictly decreasing
+    for part in stack_chunks(count, dim):
+        size, product = part.stop - part.start, ordered_product(factors(part))
+        while partials and partials[-1][0] == size:
+            size, product = 2 * size, product @ partials.pop()[1]
+        partials.append((size, product))
+    out = partials.pop()[1]
+    while partials:
+        out = out @ partials.pop()[1]
+    return out
+
+
 def discrete_product(spectrum: PathSpectrum, dt: float) -> np.ndarray:
-    """Ordered product of the whole-step exponentials exp(-i H(s_j) dt)."""
-    return ordered_product(
-        exp_from_eig(spectrum.energies, spectrum.bases, dt, spectrum.adjoints)
+    """Ordered product of the whole-step exponentials exp(-i H(s_j) dt),
+    formed a stack of steps at a time by :func:`chunked_product`, so only
+    the spectrum scales with the number of steps."""
+    energies, bases = spectrum.energies, spectrum.bases
+    return chunked_product(
+        lambda part: exp_from_eig(energies[part], bases[part], dt),
+        len(energies),
+        bases.shape[-1],
     )
 
 
@@ -198,16 +230,16 @@ def _cf4_product(path: AdiabaticPath, total_time: float, steps: int) -> np.ndarr
     (a2, a1)-weighted sum of the Gauss-node H(s) is exponentiated and acts
     first, then the (a1, a2)-weighted one."""
     dt = total_time / steps
-    out = None
-    for part in stack_chunks(steps, path.dim):
+
+    def cf4_steps(part: slice) -> np.ndarray:
         k = np.arange(part.start, part.stop)
         early = path_matrix(path, (k + _CF4_NODES[0]) / steps)
         late = path_matrix(path, (k + _CF4_NODES[1]) / steps)
         first = exp_from_eig(*np.linalg.eigh(_CF4_A2 * early + _CF4_A1 * late), dt)
         second = exp_from_eig(*np.linalg.eigh(_CF4_A1 * early + _CF4_A2 * late), dt)
-        part = ordered_product(second @ first)
-        out = part if out is None else part @ out
-    return out
+        return second @ first
+
+    return chunked_product(cf4_steps, steps, path.dim)
 
 
 def exact_evolution(
@@ -371,9 +403,14 @@ def strang_step(spec: EvolutionSpec, s: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def trotter_evolution(spec: EvolutionSpec) -> UnitaryOperator:
-    """Trotterized propagator: per step, layer exponentials in layer order."""
-    steps = trotter_steps(spec, spec.grid_points())
-    return UnitaryOperator(ordered_product(steps), "trotter", spec)
+    """Trotterized propagator: per step, layer exponentials in layer order;
+    the steps are formed and multiplied a stack at a time by
+    :func:`chunked_product`."""
+    s_values = spec.grid_points()
+    product = chunked_product(
+        lambda part: trotter_steps(spec, s_values[part]), spec.steps, spec.path.dim
+    )
+    return UnitaryOperator(product, "trotter", spec)
 
 
 def effective_hamiltonian(spec: EvolutionSpec, s: float) -> HermitianOperator:

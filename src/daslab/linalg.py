@@ -165,21 +165,17 @@ def unitary_eig(u) -> tuple[np.ndarray, np.ndarray]:
     return theta, v
 
 
-def exp_from_eig(w, v, t, v_h=None) -> np.ndarray:
+def exp_from_eig(w, v, t) -> np.ndarray:
     """exp(-i H t) = V diag(exp(-i w t)) V^dag from the eigenpairs (w, V) of H.
 
     Works on one matrix or a stack: w has shape (..., dim) and V (..., dim,
     dim), each broadcasting against the other, and t broadcasts against w.
-    v_h is V^dag when the caller already holds it.  For a real V the real
-    and imaginary parts, V cos(wt) V^T and -V sin(wt) V^T, are two real
-    products written into one complex result.
+    For a real V the real and imaginary parts, V cos(wt) V^T and
+    -V sin(wt) V^T, are two real products written into one complex result.
     """
-    if np.iscomplexobj(v) or np.iscomplexobj(v_h):
-        if v_h is None:
-            v_h = np.conj(np.swapaxes(v, -1, -2))
-        return (v * np.exp(-1j * w * t)[..., None, :]) @ v_h
-    if v_h is None:
-        v_h = np.swapaxes(v, -1, -2)
+    v_h = np.swapaxes(v, -1, -2)
+    if np.iscomplexobj(v):
+        return (v * np.exp(-1j * w * t)[..., None, :]) @ np.conj(v_h)
     wt = w * t
     real = (v * np.cos(wt)[..., None, :]) @ v_h
     out = np.empty(real.shape, dtype=np.complex128)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,17 +24,25 @@ PAULI = {
 
 MIN_SITES = 2
 MAX_SITES = 12
+# Each coefficient adds about 0.3 us to every evaluation of p(s), and fig2's
+# state route evaluates it about 5 * 10^4 times per T point at T = 200, so
+# 10^3 coefficients add about 16 s per point; p(s) = s has 2.
+MAX_SCHEDULE_COEFFICIENTS = 1_000
 
-# Most matrix entries in one stack of H(s) frames formed at once, so that a
-# long grid is diagonalized in chunks: 1 << 22 entries are 64 MB as
-# complex128, 64 frames at 8 sites.
-STACK_ENTRIES = 1 << 22
+# Most matrix entries in one stack of dim x dim frames formed at once, so
+# that a long grid is diagonalized, and a long product multiplied, in
+# chunks: 1 << 19 entries are 8 MB as complex128, 8 frames at 8 sites.
+STACK_ENTRIES = 1 << 19
 
 
 def stack_chunks(count: int, dim: int):
     """Slices that split ``count`` frames of dim x dim matrices into stacks
-    of at most ``STACK_ENTRIES`` entries (at least one frame each)."""
-    chunk = max(1, STACK_ENTRIES // dim**2)
+    of at most ``STACK_ENTRIES`` entries.  Every stack but the last holds
+    the same power-of-two number of frames (at least one), so a product
+    reduced stack by stack keeps the pairing of one tree over all frames
+    (see ``evolve.chunked_product``)."""
+    fit = max(1, STACK_ENTRIES // dim**2)
+    chunk = 1 << (fit.bit_length() - 1)
     for start in range(0, count, chunk):
         yield slice(start, min(start + chunk, count))
 
@@ -363,13 +370,6 @@ class PathSpectrum:
     energies: np.ndarray
     bases: np.ndarray
 
-    @cached_property
-    def adjoints(self) -> np.ndarray:
-        """The conjugate-transposed bases, formed once on first use; for
-        real bases, the transposed view."""
-        transposed = np.swapaxes(self.bases, -1, -2)
-        return transposed if np.isrealobj(transposed) else np.conj(transposed)
-
 
 def path_spectrum(path: AdiabaticPath, s_values) -> PathSpectrum:
     """Diagonalize H(s) at every grid point in one batched call."""
@@ -458,6 +458,11 @@ def load_path_json(source) -> AdiabaticPath:
             raise ValueError("malformed schedule coefficients") from exc
         if coefficients.ndim != 1 or not np.all(np.isfinite(coefficients)):
             raise ValueError("schedule coefficients must be a list of finite numbers")
+        if len(coefficients) > MAX_SCHEDULE_COEFFICIENTS:
+            raise ValueError(
+                f"schedule has {len(coefficients)} coefficients, at most "
+                f"{MAX_SCHEDULE_COEFFICIENTS} allowed"
+            )
         schedule = polynomial_schedule(coefficients)
 
     terms_i = _terms_from_json(data.get("h_initial"), "h_initial")

@@ -264,6 +264,7 @@ class TestConfig:
             ({}, {"schedule": "linear"}),
             ({}, {"schedule": {"name": "custom-polynomial", "coefficients": 5}}),
             ({}, {"schedule": {"name": "custom-polynomial", "coefficients": [None, 1]}}),
+            ({}, {"schedule": {"name": "custom-polynomial", "coefficients": [0, 1] + [0] * 4998}}),
             ({}, {"h_final": []}),
         ],
     )

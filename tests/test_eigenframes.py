@@ -125,7 +125,8 @@ class TestTransportedFramesContract:
         path = make_path()
         s_values = np.linspace(0.0, 1.0, 21)
         frames = transported_frames(path_spectrum(path, s_values))
-        rebuilt = (frames.bases * frames.energies[:, None, :]) @ frames.adjoints
+        adjoints = np.conj(np.swapaxes(frames.bases, -1, -2))
+        rebuilt = (frames.bases * frames.energies[:, None, :]) @ adjoints
         worst = max(
             operator_norm(r - h) for r, h in zip(rebuilt, path_matrix(path, s_values))
         )
@@ -275,8 +276,8 @@ class TestContinuum:
 
     def test_chunked_grid_matches_one_batch(self, tfim2, monkeypatch):
         whole = transition_amplitude_continuum(tfim2, 50.0, 1)
-        # 1000 frames a stack: the first 2049-node grid takes three stacks.
-        monkeypatch.setattr(model, "STACK_ENTRIES", 1000 * tfim2.dim**2)
+        # 1024 frames a stack: the first 2049-node grid takes three stacks.
+        monkeypatch.setattr(model, "STACK_ENTRIES", 1024 * tfim2.dim**2)
         assert transition_amplitude_continuum(tfim2, 50.0, 1) == whole
 
     def test_gap_closure_raises(self):

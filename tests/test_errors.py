@@ -221,7 +221,7 @@ class TestAdiabaticBound:
 
     def test_chunked_gaps_match_one_batch(self, tfim4, monkeypatch):
         whole = bound_profile(tfim4, 21)
-        monkeypatch.setattr(model, "STACK_ENTRIES", 5 * tfim4.dim**2)  # 5 nodes a stack
+        monkeypatch.setattr(model, "STACK_ENTRIES", 4 * tfim4.dim**2)  # 4 nodes a stack
         chunked = bound_profile(tfim4, 21)
         np.testing.assert_array_equal(chunked.gaps, whole.gaps)
         assert chunked.integral == whole.integral

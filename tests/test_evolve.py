@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from daslab import model
 from daslab.exceptions import NoConvergence
 from daslab.linalg import (
     ground_state,
@@ -14,13 +17,16 @@ from daslab.model import (
     linear_schedule,
     load_path_json,
     path_at,
+    path_spectrum,
     tfim_path,
 )
 from daslab.evolve import (
     EvolutionSpec,
     Layer,
     UnitaryOperator,
+    chunked_product,
     discrete_evolution,
+    discrete_product,
     effective_hamiltonian,
     exact_evolution,
     exact_state_evolution,
@@ -109,6 +115,43 @@ class TestOrderedProduct:
     def test_single(self):
         m = np.eye(2)
         assert np.allclose(ordered_product(np.array([m])), m)
+
+
+class TestChunkedProduct:
+    @pytest.mark.parametrize("frames", [1, 2, 8])
+    @pytest.mark.parametrize("count", [1, 2, 3, 7, 8, 9, 17, 100, 129])
+    def test_same_bits_as_one_tree(self, monkeypatch, count, frames):
+        dim = 6
+        rng = np.random.default_rng(count)
+        mats = np.linalg.qr(
+            rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
+        )[0]
+        monkeypatch.setattr(model, "STACK_ENTRIES", frames * dim**2)
+        stacks = []
+
+        def factors(part):
+            stacks.append(part.stop - part.start)
+            return mats[part]
+
+        got = chunked_product(factors, count, dim)
+        np.testing.assert_array_equal(got, ordered_product(mats))
+        assert max(stacks) == min(frames, count) and sum(stacks) == count
+
+    def test_products_hold_a_few_steps(self):
+        # A whole stack of 100 step unitaries at dim 256 is 100 MB; the
+        # chunked products peak at a few stacks of 8 frames.
+        path = tfim_path(8)
+        spec = EvolutionSpec(path=path, total_time=100.0, steps=100)
+        spectrum = path_spectrum(path, spec.grid_points())
+        trotter_step_unitary(spec, 0.0)  # diagonalize the layers up front
+        for build in (lambda: trotter_evolution(spec), lambda: discrete_product(spectrum, spec.dt)):
+            tracemalloc.start()
+            try:
+                build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 2**20
 
 
 class TestExactEvolution:

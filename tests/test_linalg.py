@@ -270,8 +270,6 @@ class TestMatrixExp:
         assert got.dtype == np.complex128
         expected = (v * np.exp(-1j * w * t)[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
         assert np.abs(got - expected).max() <= 1e-13
-        transposed = exp_from_eig(w, v, t, np.swapaxes(v, -1, -2))
-        assert np.abs(transposed - expected).max() <= 1e-13
 
 
 class TestPrincipalLog:

@@ -326,11 +326,11 @@ class TestRobustBound:
         def forbidden(*args):
             raise AssertionError("endpoint gaps must come from the sampled rows")
 
-        monkeypatch.setattr(model, "STACK_ENTRIES", 7 * tfim4.dim**2)  # 7 frames a stack
+        monkeypatch.setattr(model, "STACK_ENTRIES", 8 * tfim4.dim**2)  # 8 frames a stack
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         monkeypatch.setattr(model, "hermitian_eig", forbidden)
         assert robust_adiabatic_bound(tfim4, 40.0, 0.2) == whole
-        assert max(stacks) == 7 and sum(stacks) == 101
+        assert max(stacks) == 8 and sum(stacks) == 101
 
     def test_measured_error_within_bound_factor(self, tfim2):
         for total_time in (20.0, 50.0, 100.0, 200.0):
