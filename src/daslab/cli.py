@@ -8,8 +8,8 @@ digits of fig1 and fig2 can move, and so can gamma's eps_first_order on a
 path without exact site-reversal symmetry (see the README).  fig2, fig3
 and zeno run inside the site-reversal sector of the initial state, and
 gamma does where that sector holds the ground level on the whole grid.
-fig1 diagonalizes and multiplies its discretized propagator per sector and
-gathers its full-space Trotterized propagator into each.
+fig1 diagonalizes and multiplies both its discretized and its Trotterized
+propagator per sector.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -262,10 +262,15 @@ def load_config(path: str | None, seed: None, threads: int | None) -> RunConfig:
 
 def _shared_layers(path: AdiabaticPath):
     """The path's interpolation layers, each diagonalized here once, so that
-    every sweep point, on any worker, reuses the same eigendata."""
+    every sweep point, on any worker, reuses the same eigendata.  Where
+    every layer has site-reversal blocks, ``trotter_evolution`` works on
+    the block layers alone, so those are diagonalized instead of the
+    full-space ones."""
     layers = interpolation_layers(path)
+    blocked = all(layer.blocks is not None for layer in layers)
     for layer in layers:
-        layer.eig
+        for used in [block for block, _ in layer.blocks] if blocked else [layer]:
+            used.eig
     return layers
 
 
@@ -305,11 +310,14 @@ def fig1_rows(config: RunConfig) -> list[dict]:
     the norm column is the spectral distance between the same two operators.
 
     The discretized side is diagonalized and multiplied per site-reversal
-    block, psi_i's first (see :func:`~daslab.model.reversal_blocks`); the
-    Trotterized propagator is built on the full space once per T and
-    gathered into each block.  Both commute with site reversal, so the norm
-    is the larger block norm and the fidelity is taken in psi_i's block.  A
-    path without the symmetry is its own single block.
+    block, psi_i's first (see :func:`~daslab.model.reversal_blocks`).  The
+    Trotterized propagator comes from one ``trotter_evolution`` call per T,
+    which multiplies it per block as well, from the block layers that
+    :func:`_shared_layers` diagonalizes once, and scatters it into the
+    full space; it is then gathered into each block.  Both commute with site
+    reversal, so the norm is the larger block norm and the fidelity is taken
+    in psi_i's block.  A path without the symmetry is its own single block,
+    and its Trotterized propagator is multiplied on the full space.
     """
     path = config.build_path()
     psi_i, _ = endpoint_states(path)

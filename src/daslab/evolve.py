@@ -13,7 +13,7 @@ by matrix-vector products.  Neither forms a dim x dim propagator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
@@ -32,6 +32,7 @@ from .model import (
     AdiabaticPath,
     HermitianOperator,
     PathSpectrum,
+    operator_blocks,
     path_matrix,
     path_spectrum,
     stack_chunks,
@@ -91,6 +92,22 @@ class Layer:
         if np.count_nonzero(self.matrix) == np.count_nonzero(diagonal):
             return diagonal.real.copy(), None
         return np.linalg.eigh(self.matrix)
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[Layer, Callable], ...] | None:
+        """The layer's two site-reversal block layers, parity +1 then -1,
+        each with the same weight and the gathered matrix (so its own cached
+        ``eig``), paired with the scatter back to the full space (see
+        :func:`~daslab.model.operator_blocks`).  None when the dimension is
+        not that of a chain of at least two sites or site reversal does not
+        map the matrix to itself exactly."""
+        blocks = operator_blocks(self.matrix)
+        if blocks is None:
+            return None
+        return tuple(
+            (Layer(matrix, self.weight, f"{self.label}[R={parity:+d}]"), scatter)
+            for parity, (matrix, scatter) in zip((1, -1), blocks)
+        )
 
 
 def interpolation_layers(path: AdiabaticPath) -> tuple[Layer, Layer]:
@@ -405,12 +422,33 @@ def strang_step(spec: EvolutionSpec, s: float) -> tuple[np.ndarray, np.ndarray]:
 def trotter_evolution(spec: EvolutionSpec) -> UnitaryOperator:
     """Trotterized propagator: per step, layer exponentials in layer order;
     the steps are formed and multiplied a stack at a time by
-    :func:`chunked_product`."""
+    :func:`chunked_product`.
+
+    When every layer has site-reversal :attr:`Layer.blocks`, every step
+    commutes with reversal, so the product is formed per block, from the
+    block layers, and the two block products are scattered back into the
+    full-space matrix: about a quarter of the flops at 8 sites.  Otherwise
+    the product is formed on the full space.
+    """
     s_values = spec.grid_points()
-    product = chunked_product(
-        lambda part: trotter_steps(spec, s_values[part]), spec.steps, spec.path.dim
-    )
-    return UnitaryOperator(product, "trotter", spec)
+
+    def product(spec: EvolutionSpec) -> np.ndarray:
+        return chunked_product(
+            lambda part: trotter_steps(spec, s_values[part]),
+            spec.steps,
+            len(spec.layers[0].matrix),
+        )
+
+    blocks = [layer.blocks for layer in spec.layers]
+    if any(b is None for b in blocks):
+        matrix = product(spec)
+    else:
+        matrix = 0
+        for pairs in zip(*blocks):  # parity +1, then -1
+            layers = tuple(layer for layer, _ in pairs)
+            scatter = pairs[0][1]  # the same map for every layer
+            matrix = matrix + scatter(product(replace(spec, layers=layers)))
+    return UnitaryOperator(matrix, "trotter", spec)
 
 
 def effective_hamiltonian(spec: EvolutionSpec, s: float) -> HermitianOperator:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -191,61 +192,70 @@ def tfim_path(
 PARITY_TOL = 1e-12
 
 
-def _site_reversal(path: AdiabaticPath) -> np.ndarray | None:
+@lru_cache(maxsize=16)
+def _reversal_permutation(dim: int) -> np.ndarray | None:
     """The site-reversal permutation r of the 2^N basis, z -> Rz with bit j
-    moved to bit N - 1 - j, when R maps H_i and H_f to themselves exactly;
-    None when it does not or when the dimension is not a power of two."""
-    dim = path.dim
+    moved to bit N - 1 - j; None when the dimension is not 2^N for some
+    N >= MIN_SITES (a smaller power of two, such as a sector of dim 1 or 2,
+    is no chain)."""
     n_sites = dim.bit_length() - 1
-    if dim != 1 << n_sites:
+    if dim != 1 << n_sites or n_sites < MIN_SITES:
         return None
     index = np.arange(dim)
     r = np.zeros(dim, dtype=int)
     for bit in range(n_sites):
         r |= ((index >> bit) & 1) << (n_sites - 1 - bit)
-    ends = (path.h_initial.matrix, path.h_final.matrix)
-    return r if all(np.array_equal(h[np.ix_(r, r)], h) for h in ends) else None
+    r.setflags(write=False)
+    return r
 
 
-def _state_parity(r: np.ndarray | None, psi: np.ndarray) -> int | None:
-    """+1 or -1 when psi is an R eigenvector within PARITY_TOL, else None."""
-    if r is None:
-        return None
-    return next((p for p in (1, -1) if np.linalg.norm(psi[r] - p * psi) <= PARITY_TOL), None)
+def _reversal_invariant(matrix: np.ndarray, r: np.ndarray | None) -> bool:
+    """True when the permutation r exists and maps ``matrix`` to itself
+    exactly."""
+    return r is not None and np.array_equal(matrix[np.ix_(r, r)], matrix)
 
 
 @dataclass(frozen=True, eq=False)
 class ReversalBlock:
-    """A path restricted to one site-reversal block, and the maps of
-    full-space operators and states onto the block's basis Q.
+    """A path restricted to one site-reversal block, and the maps between
+    the full space and the block's basis Q.
 
     ``gather(M)`` is Q^T M Q for a dim x dim M that commutes with site
     reversal (H(s), a Trotter step or product), read off by orbit;
-    ``project(v)`` is Q^T v for any state, its projection onto the block.
-    Where the path has no block structure the block is the full path and
-    both maps are the identity.
+    ``scatter(B)`` is Q B Q^T, its adjoint, which places a block matrix in
+    the full space, zero outside the block; ``project(v)`` is Q^T v for any
+    state, its projection onto the block.  Where the path has no block
+    structure the block is the full path and all three maps are the
+    identity.
     """
 
     path: AdiabaticPath
     gather: Callable[[np.ndarray], np.ndarray]
     project: Callable[[np.ndarray], np.ndarray]
+    scatter: Callable[[np.ndarray], np.ndarray]
 
 
 def _identity(x):
     return x
 
 
-def _reversal_parity(path: AdiabaticPath, state: np.ndarray) -> tuple:
-    """The site-reversal permutation of the path and the parity of
-    ``state``; the parity is None where the path or the state lacks the
-    symmetry."""
-    r = _site_reversal(path)
-    return r, _state_parity(r, np.asarray(state).ravel())
+def _reversal_parity(path: AdiabaticPath, state: np.ndarray) -> int | None:
+    """The site-reversal parity of ``state``: +1 or -1 when R maps H_i and
+    H_f to themselves exactly and ``state`` is an R eigenvector within
+    PARITY_TOL, else None."""
+    r = _reversal_permutation(path.dim)
+    if not all(_reversal_invariant(h.matrix, r) for h in (path.h_initial, path.h_final)):
+        return None
+    psi = np.asarray(state).ravel()
+    return next((p for p in (1, -1) if np.linalg.norm(psi[r] - p * psi) <= PARITY_TOL), None)
 
 
-def _reversal_block(path: AdiabaticPath, r: np.ndarray, parity: int) -> ReversalBlock:
-    """The path's block of the given parity, with its gather and state map."""
-    index = np.arange(path.dim)
+@lru_cache(maxsize=16)
+def _orbit_maps(dim: int, parity: int) -> tuple[Callable, Callable, Callable]:
+    """``gather``, ``project`` and ``scatter`` of the parity block of the
+    2^N basis (see :class:`ReversalBlock` and :func:`reversal_blocks`)."""
+    r = _reversal_permutation(dim)
+    index = np.arange(dim)
     reps = index[(index < r) | ((index == r) & (parity == 1))]
     mirrored = r[reps]
     # 2 on palindromes, 1 on pairs: w_z w_y = 1 / sqrt(m_z m_y), and a
@@ -260,11 +270,40 @@ def _reversal_block(path: AdiabaticPath, r: np.ndarray, parity: int) -> Reversal
         v = np.asarray(v).ravel()
         return (v[reps] + parity * v[mirrored]) / np.sqrt(2 * multiplicity)
 
+    def scatter(b: np.ndarray) -> np.ndarray:
+        # Column a of Q, for representative z, holds 1/sqrt(2 m_z) in row z
+        # and p/sqrt(2 m_z) in row Rz, which add up to 1 on a palindrome.
+        part = b * (scale / 2)
+        out = np.zeros((dim, dim), dtype=np.result_type(b, float))
+        for i, row in enumerate((reps, mirrored)):
+            for j, col in enumerate((reps, mirrored)):
+                out[np.ix_(row, col)] += parity ** (i + j) * part
+        return out
+
+    return gather, project, scatter
+
+
+def _reversal_block(path: AdiabaticPath, parity: int) -> ReversalBlock:
+    """The path's block of the given parity, with its three maps."""
+    gather, project, scatter = _orbit_maps(path.dim, parity)
+
     def block(h: HermitianOperator) -> HermitianOperator:
         return HermitianOperator(gather(h.matrix), label=f"{h.label}[R={parity:+d}]")
 
     sector = AdiabaticPath(block(path.h_initial), block(path.h_final), path.schedule)
-    return ReversalBlock(sector, gather, project)
+    return ReversalBlock(sector, gather, project, scatter)
+
+
+def operator_blocks(matrix: np.ndarray) -> tuple[tuple[np.ndarray, Callable], ...] | None:
+    """The site-reversal blocks Q_p^T M Q_p of a dim x dim matrix M, parity
+    p = +1 then -1, each with its scatter B -> Q_p B Q_p^T; M is the sum of
+    its scattered blocks.  None when the dimension is not 2^N for some
+    N >= MIN_SITES or when R does not map M to itself exactly."""
+    dim = len(matrix)
+    if not _reversal_invariant(matrix, _reversal_permutation(dim)):
+        return None
+    maps = [_orbit_maps(dim, parity) for parity in (1, -1)]
+    return tuple((gather(matrix), scatter) for gather, _, scatter in maps)
 
 
 def reversal_blocks(path: AdiabaticPath, state: np.ndarray) -> tuple[ReversalBlock, ...]:
@@ -280,20 +319,24 @@ def reversal_blocks(path: AdiabaticPath, state: np.ndarray) -> tuple[ReversalBlo
     block is gathered by orbit, M_p[a, b] = (M[z, y] + p M[z, Ry]) w_z w_y
     with w = 1/sqrt(2) on palindromes and 1 elsewhere, so a diagonal M keeps
     an exactly diagonal block; the same gather forms the blocks of H_i and
-    H_f and of any operator that commutes with R.  Representatives z <= Rz
-    are in ascending order.  Both blocks are non-empty from two sites on.
+    H_f and of any operator that commutes with R.  Its adjoint, the
+    scatter B -> Q_p B Q_p^T, places a block matrix back in the full space,
+    and such an operator is the sum of its two scattered blocks.
+    Representatives z <= Rz are in ascending order.  Both blocks are
+    non-empty from two sites on.
 
     Such an operator's spectrum is the union of its block spectra and its
     operator norm the larger block norm.
 
     A single block, the full path with identity maps, when the dimension is
-    not a power of two, when R does not map both endpoints to themselves
-    exactly, or when ``state`` is not an R eigenvector within PARITY_TOL.
+    not 2^N for some N >= MIN_SITES, when R does not map both endpoints to
+    themselves exactly, or when ``state`` is not an R eigenvector within
+    PARITY_TOL.
     """
-    r, parity = _reversal_parity(path, state)
+    parity = _reversal_parity(path, state)
     if parity is None:
-        return (ReversalBlock(path, _identity, _identity),)
-    return tuple(_reversal_block(path, r, p) for p in (parity, -parity))
+        return (ReversalBlock(path, _identity, _identity, _identity),)
+    return tuple(_reversal_block(path, p) for p in (parity, -parity))
 
 
 def reversal_sector(path: AdiabaticPath, state: np.ndarray, *others: np.ndarray) -> tuple:
@@ -309,10 +352,10 @@ def reversal_sector(path: AdiabaticPath, state: np.ndarray, *others: np.ndarray)
     Returns ``(path, state, *others)`` unchanged where the path has no block
     structure or ``state`` no parity.
     """
-    r, parity = _reversal_parity(path, state)
+    parity = _reversal_parity(path, state)
     if parity is None:
         return (path, state, *others)
-    block = _reversal_block(path, r, parity)
+    block = _reversal_block(path, parity)
     return (block.path, *map(block.project, (state, *others)))
 
 
@@ -320,8 +363,8 @@ def complementary_sector(path: AdiabaticPath, state: np.ndarray) -> AdiabaticPat
     """The path restricted to the site-reversal sector that does not hold
     ``state``, the second of :func:`reversal_blocks`; None where
     :func:`reversal_sector` returns its inputs unchanged."""
-    r, parity = _reversal_parity(path, state)
-    return None if parity is None else _reversal_block(path, r, -parity).path
+    parity = _reversal_parity(path, state)
+    return None if parity is None else _reversal_block(path, -parity).path
 
 
 def path_at(path: AdiabaticPath, s: float, order: int = 0) -> HermitianOperator:

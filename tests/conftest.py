@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from daslab import evolve
 from daslab.model import tfim_path
 
 ACCEPTANCE_LINES = []
@@ -41,6 +42,21 @@ def record_eigh(monkeypatch) -> list:
 
     monkeypatch.setattr(np.linalg, "eigh", recording)
     return seen
+
+
+def record_step_dims(monkeypatch) -> list[int]:
+    """Record the dimension of every stack of Trotter steps formed through
+    ``evolve.trotter_steps`` from now on."""
+    dims = []
+    trotter_steps = evolve.trotter_steps
+
+    def recording(spec, s_values):
+        steps = trotter_steps(spec, s_values)
+        dims.append(steps.shape[-1])
+        return steps
+
+    monkeypatch.setattr(evolve, "trotter_steps", recording)
+    return dims
 
 
 def endpoint_solves(seen: list, path) -> list[int]:
@@ -123,6 +139,17 @@ def rotated_tfim_json(n_sites, phi=0.7):
             {"coeff": -1.0, "factors": [[j, "Z"], [j + 1, "Z"]]}
             for j in range(n_sites - 1)
         ],
+    }
+
+
+def site0_field_json(n_sites: int) -> dict:
+    """The TFIM with the longitudinal field on site 0 only: site reversal
+    does not map H_f to itself."""
+    return {
+        "n_sites": n_sites,
+        "h_initial": [{"coeff": -1.0, "factors": [[j, "X"]]} for j in range(n_sites)],
+        "h_final": [{"coeff": -1.0, "factors": [[0, "Z"]]}]
+        + [{"coeff": -1.0, "factors": [[j, "Z"], [j + 1, "Z"]]} for j in range(n_sites - 1)],
     }
 
 

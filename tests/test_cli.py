@@ -31,8 +31,10 @@ from conftest import (
     mid_path_singlet_json,
     odd_singlet_json,
     record_eigh,
+    record_step_dims,
     rotated_tfim_json,
     singlet_target_json,
+    site0_field_json,
 )
 
 
@@ -390,17 +392,19 @@ class TestRows:
 
     @pytest.mark.parametrize(
         "rows, full, sector",
-        [(fig1_rows, [2, 1], [0, 0]), (cli.fig2_rows, [1, 1], [1, 0]), (fig3_rows, [1, 1], [1, 0])],
+        [(fig1_rows, [1, 1], [1, 0]), (cli.fig2_rows, [1, 1], [1, 0]), (fig3_rows, [1, 1], [1, 0])],
         ids=["fig1_rows", "fig2_rows", "fig3_rows"],
     )
     def test_layers_diagonalized_once_per_sweep(self, monkeypatch, rows, full, sector):
         # 4 T values, or 2 dt values plus an off-grid trace dt, on 2 workers:
         # H_i and H_f are each diagonalized once for the endpoint ground
-        # state, and H_i once more for its Trotter layer; H_f's layer is
-        # diagonal and needs no eigh.  fig2's and fig3's layers are the
-        # blocks of H_i and H_f in the initial state's reversal sector, so
-        # there the block of H_i takes the place of H_i.  fig1 diagonalizes
-        # its grid per block, but its Trotter layers stay on the full space.
+        # state, and the block of H_i in the initial state's reversal
+        # sector once for its Trotter layer; H_f's layer is diagonal and
+        # needs no eigh.  fig2's and fig3's layers are the blocks of H_i and
+        # H_f in that sector.  fig1's Trotter layers are the blocks of both
+        # sectors, so H_i is diagonalized once per block (the other
+        # sector's block has dim 1 here and is read from its diagonal), and
+        # no full-space layer eigh is made.
         config = small_config(threads=2, trace_dts=[0.3, 0.5])
         path = config.build_path()
         blocks, _ = model.reversal_sector(path, endpoint_states(path)[0])
@@ -408,6 +412,13 @@ class TestRows:
         rows(config)
         assert endpoint_solves(seen, path) == full
         assert endpoint_solves(seen, blocks) == sector
+
+    def test_fig1_forms_trotter_steps_per_block(self, monkeypatch):
+        # At 4 sites the reversal blocks have dims 10 and 6; fig1 forms no
+        # Trotter step on the full space of dim 16.
+        dims = record_step_dims(monkeypatch)
+        fig1_rows(small_config(n_sites=4))
+        assert set(dims) == {10, 6}
 
     def test_bound_diagonalizes_its_nodes_once(self, monkeypatch):
         eigh_batches = count_solver_batches(monkeypatch)
@@ -463,17 +474,6 @@ def sweep_config(tmp_path, hamiltonian=None, n_sites=4) -> RunConfig:
         target.write_text(json.dumps(hamiltonian))
         data["hamiltonian_file"] = str(target)
     return RunConfig.from_dict(data)
-
-
-def site0_field_json(n_sites: int) -> dict:
-    """The TFIM with the longitudinal field on site 0 only: site reversal
-    does not map H_f to itself."""
-    return {
-        "n_sites": n_sites,
-        "h_initial": [{"coeff": -1.0, "factors": [[j, "X"]]} for j in range(n_sites)],
-        "h_final": [{"coeff": -1.0, "factors": [[0, "Z"]]}]
-        + [{"coeff": -1.0, "factors": [[j, "Z"], [j + 1, "Z"]]} for j in range(n_sites - 1)],
-    }
 
 
 def fig1_full_space(config: RunConfig) -> list[dict]:

@@ -40,7 +40,14 @@ from daslab.evolve import (
     trotter_steps,
 )
 
-from conftest import endpoint_solves, random_hermitian, record_eigh
+from conftest import (
+    endpoint_solves,
+    random_hermitian,
+    record_eigh,
+    record_step_dims,
+    rotated_tfim_json,
+    site0_field_json,
+)
 
 
 def diagonal_path(values_i, values_f):
@@ -382,6 +389,72 @@ class TestTrotterEvolution:
     def test_layer_requires_parts(self):
         with pytest.raises(TypeError):
             Layer(matrix=np.eye(2))
+
+
+def full_space_trotter(spec: EvolutionSpec) -> np.ndarray:
+    """The Trotterized propagator multiplied on the full space."""
+    s = spec.grid_points()
+    return chunked_product(lambda part: trotter_steps(spec, s[part]), spec.steps, spec.path.dim)
+
+
+class TestBlockedTrotter:
+    """A spec whose layers all map to themselves under site reversal is
+    multiplied per reversal block and scattered back to the full space."""
+
+    @pytest.mark.parametrize(
+        "path, grid, reverse",
+        [(tfim_path(n, periodic), "endpoints", False) for n in (2, 3, 4, 5) for periodic in (False, True)]
+        + [
+            (tfim_path(4), "midpoint", True),
+            (tfim_path(5, periodic=True), "left", True),
+            (load_path_json(rotated_tfim_json(4)), "endpoints", False),
+            (load_path_json(rotated_tfim_json(3)), "midpoint", True),
+        ],
+        ids=[f"tfim{n}-{b}" for n in (2, 3, 4, 5) for b in ("open", "periodic")]
+        + ["tfim4-reversed", "tfim5-periodic-reversed", "rotated4", "rotated3-reversed"],
+    )
+    def test_blocks_match_the_full_space_product(self, monkeypatch, path, grid, reverse):
+        layers = interpolation_layers(path)[:: -1 if reverse else 1]
+        spec = EvolutionSpec(path=path, total_time=9.0, steps=37, grid=grid, layers=layers)
+        reference = full_space_trotter(spec)
+        dims = record_step_dims(monkeypatch)
+        blocked = trotter_evolution(spec).matrix
+        block_dims = [len(layer.matrix) for layer, _ in spec.layers[0].blocks]
+        assert sum(block_dims) == path.dim and set(dims) == set(block_dims)
+        assert np.abs(blocked - reference).max() <= 1e-13
+
+    def test_path_without_the_symmetry_is_multiplied_on_the_full_space(self, monkeypatch):
+        path = load_path_json(site0_field_json(4))
+        spec = EvolutionSpec(path=path, total_time=9.0, steps=37)
+        assert [layer.blocks is None for layer in spec.layers] == [False, True]
+        reference = full_space_trotter(spec)
+        dims = record_step_dims(monkeypatch)
+        np.testing.assert_array_equal(trotter_evolution(spec).matrix, reference)
+        assert set(dims) == {16}
+
+    def test_one_layer_without_the_symmetry_keeps_the_full_space(self, monkeypatch, tfim4):
+        # A third layer, a field on site 0 alone, breaks the reversal
+        # symmetry of the step, though both path layers keep it.
+        p = tfim4.schedule.p
+        field = Layer(
+            matrix=model.pauli_sum_matrix([model.PauliTerm(-0.5, ((0, "Z"),))], 4),
+            weight=lambda s: float(p(s)),
+        )
+        layers = (*interpolation_layers(tfim4), field)
+        spec = EvolutionSpec(path=tfim4, total_time=9.0, steps=37, layers=layers)
+        assert [layer.blocks is None for layer in layers] == [False, False, True]
+        reference = full_space_trotter(spec)
+        dims = record_step_dims(monkeypatch)
+        np.testing.assert_array_equal(trotter_evolution(spec).matrix, reference)
+        assert set(dims) == {16}
+
+    def test_block_layers_keep_the_weight_and_a_diagonal_matrix(self, tfim4):
+        for layer in interpolation_layers(tfim4):
+            for (block, _), parity in zip(layer.blocks, (1, -1)):
+                assert block.weight is layer.weight
+                assert block.label == f"{layer.label}[R={parity:+d}]"
+                # H_Z's blocks stay exactly diagonal, so they take no eigh.
+                assert (block.eig[1] is None) == (layer.label == "final")
 
 
 class TestStateKernels:

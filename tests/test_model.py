@@ -13,6 +13,7 @@ from daslab.model import (
     complementary_sector,
     linear_schedule,
     load_path_json,
+    operator_blocks,
     path_at,
     path_matrix,
     path_energies,
@@ -319,6 +320,62 @@ class TestReversalBlocks:
         for block in blocks:
             for full, reduced in ((path.h_initial, block.path.h_initial), (path.h_final, block.path.h_final)):
                 np.testing.assert_array_equal(block.gather(full.matrix), reduced.matrix)
+
+
+def random_box(rng, dim):
+    """A dim x dim matrix with real and imaginary parts uniform in [-1, 1]."""
+    return rng.uniform(-1, 1, (dim, dim)) + 1j * rng.uniform(-1, 1, (dim, dim))
+
+
+def reversal_commuting(rng, n_sites):
+    """A random complex matrix with entries of order 1 that commutes with site
+    reversal: A + R A R."""
+    r = reversal(n_sites)
+    a = random_box(rng, 2**n_sites) / 2
+    return a + a[np.ix_(r, r)]
+
+
+class TestScatter:
+    @pytest.mark.parametrize("n_sites", [3, 4])
+    def test_scatter_is_the_adjoint_of_gather(self, n_sites):
+        rng = np.random.default_rng(n_sites)
+        path = tfim_path(n_sites)
+        blocks = reversal_blocks(path, ground_state(path.h_initial.matrix))
+        m = reversal_commuting(rng, n_sites)
+        for parity, block in zip((1, -1), blocks):
+            q = explicit_basis(n_sites, parity)
+            b = random_box(rng, q.shape[1])
+            scattered = block.scatter(b)
+            assert np.abs(scattered - q @ b @ q.T).max() <= 1e-15
+            assert np.abs(block.gather(scattered) - b).max() <= 1e-15
+        assert np.abs(sum(block.scatter(block.gather(m)) for block in blocks) - m).max() <= 1e-15
+
+    @pytest.mark.parametrize("n_sites", [3, 4])
+    def test_operator_blocks_are_the_path_gathers(self, n_sites):
+        path = tfim_path(n_sites)
+        blocks = reversal_blocks(path, ground_state(path.h_initial.matrix))
+        m = reversal_commuting(np.random.default_rng(0), n_sites)
+        for (gathered, scatter), block in zip(operator_blocks(m), blocks):
+            np.testing.assert_array_equal(gathered, block.gather(m))
+            b = np.arange(len(gathered) ** 2, dtype=float).reshape(len(gathered), -1)
+            np.testing.assert_array_equal(scatter(b), block.scatter(b))
+
+    def test_operator_blocks_need_an_invariant_chain_matrix(self):
+        m = reversal_commuting(np.random.default_rng(1), 3)
+        m[0, 1] += 1e-15
+        assert operator_blocks(m) is None
+        assert operator_blocks(np.eye(12)) is None
+        # a sector of dim 1 or 2 is no chain, so reversal means nothing there
+        assert operator_blocks(np.eye(1)) is None and operator_blocks(np.eye(2)) is None
+        path = load_path_json(
+            {
+                "n_sites": 3,
+                "h_initial": [{"coeff": -1.0, "factors": [[j, "X"]]} for j in range(3)],
+                "h_final": [{"coeff": -1.0, "factors": [[0, "Z"]]}],
+            }
+        )
+        (block,) = reversal_blocks(path, ground_state(path.h_initial.matrix))
+        assert block.scatter(m) is m
 
 
 class TestReversalSector:
