@@ -36,7 +36,6 @@ from .model import (
     PARITY_TOL,
     _SCHEDULE_NAMES,
     AdiabaticPath,
-    complementary_sector,
     linear_schedule,
     load_path_json,
     path_at,
@@ -44,7 +43,6 @@ from .model import (
     path_spectrum,
     polynomial_schedule,
     reversal_blocks,
-    reversal_sector,
     tfim_path,
 )
 from .evolve import (
@@ -88,6 +86,11 @@ MAX_ZENO_STEPS = 10_000
 MAX_RL_STEPS = 10**6
 # Each Simpson node of the bound is one dim x dim eigvalsh, a few ms.
 MAX_QUAD_POINTS = 10_001
+# Each sweep-point worker is a thread that holds its point's working set:
+# up to a stack of model.STACK_ENTRIES entries (8 MB) and a few dim x dim
+# matrices, about 16 MB at 8 sites, so 64 workers ask for about 1 GB; past
+# the core count more workers only wait on the BLAS.
+MAX_THREADS = 64
 
 _KINDS = {
     int: "an integer in [{}, {}]",
@@ -159,7 +162,7 @@ class RunConfig:
     bound_quad_points: int = _rule(201, int, 3, MAX_QUAD_POINTS)
     ode_rtol: float = _rule(1e-9, float, 0, 1)
     robust_dt_cut: float = _rule(0.8, float, 0)
-    threads: int = _rule(1, int, 1)
+    threads: int = _rule(1, int, 1, MAX_THREADS)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -355,12 +358,15 @@ def fig2_rows(config: RunConfig) -> tuple[list[dict], float]:
     All three errors compare states, so only psi_i is evolved: the exact
     dynamics by adaptive state integration and the Trotter steps by
     matrix-vector products; no propagator matrix is formed.  Both run inside
-    the site-reversal sector of psi_i, and psi_f is projected onto it (see
-    :func:`~daslab.model.reversal_sector`), which keeps every overlap.  The
-    robust window is T in [t_min, steps * robust_dt_cut].
+    psi_i's site-reversal block, the first of
+    :func:`~daslab.model.reversal_blocks`, and psi_f is projected onto it,
+    which keeps every overlap.  The robust window is T in
+    [t_min, steps * robust_dt_cut].
     """
     path = config.build_path()
-    path, psi_i, psi_f = reversal_sector(path, *endpoint_states(path))
+    psi_i, psi_f = endpoint_states(path)
+    block = reversal_blocks(path, psi_i)[0]
+    path, psi_i, psi_f = block.path, block.project(psi_i), block.project(psi_f)
     layers = _shared_layers(path)
 
     def one(total_time: float) -> dict:
@@ -387,13 +393,14 @@ def fig2_rows(config: RunConfig) -> tuple[list[dict], float]:
 def fig3_rows(config: RunConfig) -> tuple[list[dict], dict]:
     """Near-degeneracy pass/fail over the dt grid plus per-dt overlap traces.
 
-    The continuation runs inside the site-reversal sector of the initial
-    state (see :func:`~daslab.model.reversal_sector`).  A trace dt on the
+    The continuation runs inside the initial state's site-reversal block,
+    the first of :func:`~daslab.model.reversal_blocks`.  A trace dt on the
     grid reuses that grid point's trace.
     """
     path = config.build_path()
     psi_i, _ = endpoint_states(path)
-    path, psi_i = reversal_sector(path, psi_i)
+    block = reversal_blocks(path, psi_i)[0]
+    path, psi_i = block.path, block.project(psi_i)
     layers = _shared_layers(path)
 
     def trace_at(dt: float):
@@ -495,12 +502,13 @@ def _ground_sector(path: AdiabaticPath, s_values) -> tuple:
     full-space result.
     """
     psi_i, psi_f = endpoint_states(path)
-    sector, phi_i, phi_f = reversal_sector(path, psi_i, psi_f)
-    if sector is not path and abs(np.linalg.norm(phi_f) - 1.0) <= PARITY_TOL:
-        spectrum = path_spectrum(sector, s_values)
-        rival = path_energies(complementary_sector(path, psi_i), s_values)[:, 0]
+    blocks = reversal_blocks(path, psi_i)
+    phi_i, phi_f = map(blocks[0].project, (psi_i, psi_f))
+    if len(blocks) == 2 and abs(np.linalg.norm(phi_f) - 1.0) <= PARITY_TOL:
+        spectrum = path_spectrum(blocks[0].path, s_values)
+        rival = path_energies(blocks[1].path, s_values)[:, 0]
         if np.all(rival - spectrum.energies[:, 0] > GAP_FLOOR):
-            return sector, spectrum, phi_i, phi_f
+            return blocks[0].path, spectrum, phi_i, phi_f
     return path, path_spectrum(path, s_values), psi_i, psi_f
 
 
@@ -524,12 +532,14 @@ def bound_rows(config: RunConfig) -> list[dict]:
 
 def zeno_rows(config: RunConfig) -> list[dict]:
     """Single near-degeneracy trace for the configured family, continued
-    inside the site-reversal sector of the initial state."""
+    inside the initial state's site-reversal block (see
+    :func:`~daslab.model.reversal_blocks`)."""
     path = config.build_path()
     hermitian = config.zeno_family == HERMITIAN_FAMILY
     # The Hermitian family does not need a unique ground state of H_f.
     psi_i = ground_state(path_at(path, 0.0).matrix) if hermitian else endpoint_states(path)[0]
-    path, psi_i = reversal_sector(path, psi_i)
+    block = reversal_blocks(path, psi_i)[0]
+    path, psi_i = block.path, block.project(psi_i)
     if hermitian:
         family = hermitian_family(path)
     else:

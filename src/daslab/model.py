@@ -209,12 +209,6 @@ def _reversal_permutation(dim: int) -> np.ndarray | None:
     return r
 
 
-def _reversal_invariant(matrix: np.ndarray, r: np.ndarray | None) -> bool:
-    """True when the permutation r exists and maps ``matrix`` to itself
-    exactly."""
-    return r is not None and np.array_equal(matrix[np.ix_(r, r)], matrix)
-
-
 @dataclass(frozen=True, eq=False)
 class ReversalBlock:
     """A path restricted to one site-reversal block, and the maps between
@@ -222,38 +216,26 @@ class ReversalBlock:
 
     ``gather(M)`` is Q^T M Q for a dim x dim M that commutes with site
     reversal (H(s), a Trotter step or product), read off by orbit;
-    ``scatter(B)`` is Q B Q^T, its adjoint, which places a block matrix in
-    the full space, zero outside the block; ``project(v)`` is Q^T v for any
-    state, its projection onto the block.  Where the path has no block
-    structure the block is the full path and all three maps are the
-    identity.
+    ``project(v)`` is Q^T v for any state, its projection onto the block:
+    a state of the other parity maps to zero, so its overlap with any block
+    state is the full-space value, 0.  Where the path has no block
+    structure the block is the full path and both maps are the identity.
     """
 
     path: AdiabaticPath
     gather: Callable[[np.ndarray], np.ndarray]
     project: Callable[[np.ndarray], np.ndarray]
-    scatter: Callable[[np.ndarray], np.ndarray]
 
 
 def _identity(x):
     return x
 
 
-def _reversal_parity(path: AdiabaticPath, state: np.ndarray) -> int | None:
-    """The site-reversal parity of ``state``: +1 or -1 when R maps H_i and
-    H_f to themselves exactly and ``state`` is an R eigenvector within
-    PARITY_TOL, else None."""
-    r = _reversal_permutation(path.dim)
-    if not all(_reversal_invariant(h.matrix, r) for h in (path.h_initial, path.h_final)):
-        return None
-    psi = np.asarray(state).ravel()
-    return next((p for p in (1, -1) if np.linalg.norm(psi[r] - p * psi) <= PARITY_TOL), None)
-
-
 @lru_cache(maxsize=16)
 def _orbit_maps(dim: int, parity: int) -> tuple[Callable, Callable, Callable]:
     """``gather``, ``project`` and ``scatter`` of the parity block of the
-    2^N basis (see :class:`ReversalBlock` and :func:`reversal_blocks`)."""
+    2^N basis (see :class:`ReversalBlock`, :func:`operator_blocks` and
+    :func:`reversal_blocks`)."""
     r = _reversal_permutation(dim)
     index = np.arange(dim)
     reps = index[(index < r) | ((index == r) & (parity == 1))]
@@ -283,24 +265,15 @@ def _orbit_maps(dim: int, parity: int) -> tuple[Callable, Callable, Callable]:
     return gather, project, scatter
 
 
-def _reversal_block(path: AdiabaticPath, parity: int) -> ReversalBlock:
-    """The path's block of the given parity, with its three maps."""
-    gather, project, scatter = _orbit_maps(path.dim, parity)
-
-    def block(h: HermitianOperator) -> HermitianOperator:
-        return HermitianOperator(gather(h.matrix), label=f"{h.label}[R={parity:+d}]")
-
-    sector = AdiabaticPath(block(path.h_initial), block(path.h_final), path.schedule)
-    return ReversalBlock(sector, gather, project, scatter)
-
-
 def operator_blocks(matrix: np.ndarray) -> tuple[tuple[np.ndarray, Callable], ...] | None:
     """The site-reversal blocks Q_p^T M Q_p of a dim x dim matrix M, parity
-    p = +1 then -1, each with its scatter B -> Q_p B Q_p^T; M is the sum of
-    its scattered blocks.  None when the dimension is not 2^N for some
-    N >= MIN_SITES or when R does not map M to itself exactly."""
+    p = +1 then -1, each with its scatter B -> Q_p B Q_p^T, the adjoint of
+    the gather; M is the sum of its scattered blocks.  None when the
+    dimension is not 2^N for some N >= MIN_SITES or when R does not map M
+    to itself exactly."""
     dim = len(matrix)
-    if not _reversal_invariant(matrix, _reversal_permutation(dim)):
+    r = _reversal_permutation(dim)
+    if r is None or not np.array_equal(matrix[np.ix_(r, r)], matrix):
         return None
     maps = [_orbit_maps(dim, parity) for parity in (1, -1)]
     return tuple((gather(matrix), scatter) for gather, _, scatter in maps)
@@ -318,53 +291,37 @@ def reversal_blocks(path: AdiabaticPath, state: np.ndarray) -> tuple[ReversalBlo
     A. W. Sandvik, AIP Conf. Proc. 1297, 135 (2010), arXiv:1101.3281).  A
     block is gathered by orbit, M_p[a, b] = (M[z, y] + p M[z, Ry]) w_z w_y
     with w = 1/sqrt(2) on palindromes and 1 elsewhere, so a diagonal M keeps
-    an exactly diagonal block; the same gather forms the blocks of H_i and
-    H_f and of any operator that commutes with R.  Its adjoint, the
-    scatter B -> Q_p B Q_p^T, places a block matrix back in the full space,
-    and such an operator is the sum of its two scattered blocks.
-    Representatives z <= Rz are in ascending order.  Both blocks are
-    non-empty from two sites on.
+    an exactly diagonal block; :func:`operator_blocks` forms the blocks of
+    H_i and H_f, and the same gather those of any operator that commutes
+    with R.  Representatives z <= Rz are in ascending order.  Both blocks
+    are non-empty from two sites on.
 
     Such an operator's spectrum is the union of its block spectra and its
     operator norm the larger block norm.
 
-    A single block, the full path with identity maps, when the dimension is
-    not 2^N for some N >= MIN_SITES, when R does not map both endpoints to
-    themselves exactly, or when ``state`` is not an R eigenvector within
-    PARITY_TOL.
+    The parity p of ``state`` is +1 or -1 when |R psi - p psi| is at most
+    PARITY_TOL.  A single block, the full path with identity maps, when the
+    dimension is not 2^N for some N >= MIN_SITES, when R does not map both
+    endpoints to themselves exactly, or when ``state`` has no parity.
     """
-    parity = _reversal_parity(path, state)
+    endpoints = [operator_blocks(h.matrix) for h in (path.h_initial, path.h_final)]
+    parity = None
+    if all(blocks is not None for blocks in endpoints):
+        psi, r = np.asarray(state).ravel(), _reversal_permutation(path.dim)
+        parity = next((p for p in (1, -1) if np.linalg.norm(psi[r] - p * psi) <= PARITY_TOL), None)
     if parity is None:
-        return (ReversalBlock(path, _identity, _identity, _identity),)
-    return tuple(_reversal_block(path, p) for p in (parity, -parity))
+        return (ReversalBlock(path, _identity, _identity),)
 
+    def block(p: int) -> ReversalBlock:
+        k = (1, -1).index(p)  # the order of operator_blocks
+        h_i, h_f = (
+            HermitianOperator(blocks[k][0], label=f"{h.label}[R={p:+d}]")
+            for h, blocks in zip((path.h_initial, path.h_final), endpoints)
+        )
+        gather, project, _ = _orbit_maps(path.dim, p)
+        return ReversalBlock(AdiabaticPath(h_i, h_f, path.schedule), gather, project)
 
-def reversal_sector(path: AdiabaticPath, state: np.ndarray, *others: np.ndarray) -> tuple:
-    """The path restricted to the site-reversal sector that holds ``state``
-    (the first of :func:`reversal_blocks`), and ``state`` and each of
-    ``others`` in that sector's basis.
-
-    Only ``state`` picks the sector.  Each of ``others`` goes through the
-    same map, which is its projection onto the sector: a state of the other
-    parity maps to zero, so its overlap with any sector state is the
-    full-space value, 0.
-
-    Returns ``(path, state, *others)`` unchanged where the path has no block
-    structure or ``state`` no parity.
-    """
-    parity = _reversal_parity(path, state)
-    if parity is None:
-        return (path, state, *others)
-    block = _reversal_block(path, parity)
-    return (block.path, *map(block.project, (state, *others)))
-
-
-def complementary_sector(path: AdiabaticPath, state: np.ndarray) -> AdiabaticPath | None:
-    """The path restricted to the site-reversal sector that does not hold
-    ``state``, the second of :func:`reversal_blocks`; None where
-    :func:`reversal_sector` returns its inputs unchanged."""
-    parity = _reversal_parity(path, state)
-    return None if parity is None else _reversal_block(path, -parity).path
+    return block(parity), block(-parity)
 
 
 def path_at(path: AdiabaticPath, s: float, order: int = 0) -> HermitianOperator:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .exceptions import AllFail, AllPass
 from .linalg import _fix_column_phases, ground_state, unitary_eig
-from .model import AdiabaticPath, path_at, reversal_sector
+from .model import AdiabaticPath, path_at, reversal_blocks
 from .evolve import EvolutionSpec, interpolation_layers, strang_step, trotter_step_unitary
 
 DEFAULT_THRESHOLD = 0.99
@@ -112,8 +112,8 @@ class ZenoTrace:
     eigenvector by about e / gap, and at a zero gap the eigensolver picks
     the basis of the eigenspace.
 
-    The sweeps continue within the initial state's site-reversal sector
-    (see :func:`~daslab.model.reversal_sector`), so there both records are
+    The sweeps continue within the initial state's site-reversal block
+    (see :func:`~daslab.model.reversal_blocks`), so there both records are
     measured within the sector: a crossing with a level of the other
     parity is symmetry-protected and counts in neither.
     """
@@ -228,17 +228,19 @@ def critical_step_search(
 
     Each trace starts from the ground state of H(0) and follows the
     two-layer interpolation step (see :func:`effective_family`) inside the
-    ground state's site-reversal sector (see
-    :func:`~daslab.model.reversal_sector`).  The
-    critical step is the midpoint between the last passing and the first
-    failing dt.  Monotonicity of the pattern is not assumed: every grid
-    point is evaluated and a non-monotone pattern is reported via the
-    ``monotone`` flag.
+    ground state's site-reversal block, the first of
+    :func:`~daslab.model.reversal_blocks`.  The critical step is the
+    midpoint between the last passing and the first failing dt.
+    Monotonicity of the pattern is not assumed: every grid point is
+    evaluated and a non-monotone pattern is reported via the ``monotone``
+    flag.
     """
     dts = np.asarray(dt_values, dtype=float)
     if len(dts) == 0 or np.any(np.diff(dts) <= 0):
         raise ValueError("dt grid must be nonempty and strictly ascending")
-    path, initial_state = reversal_sector(path, ground_state(path_at(path, 0.0).matrix))
+    psi = ground_state(path_at(path, 0.0).matrix)
+    block = reversal_blocks(path, psi)[0]
+    path, initial_state = block.path, block.project(psi)
     layers = interpolation_layers(path)
 
     traces = []

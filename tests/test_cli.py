@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +26,12 @@ from daslab.errors import endpoint_states, fidelity_error
 from daslab.evolve import EvolutionSpec, discrete_product, grid_points, trotter_evolution
 from daslab.exceptions import ConfigError
 from daslab.linalg import operator_norm
+from daslab.zeno import HERMITIAN_FAMILY, UNITARY_FAMILY
 
 from conftest import (
     endpoint_solves,
     mid_path_singlet_json,
+    odd_ground_json,
     odd_singlet_json,
     record_eigh,
     record_step_dims,
@@ -317,6 +320,21 @@ class TestConfig:
         serial = (tmp_path / "serial" / "bound.csv").read_bytes()
         assert (tmp_path / "threaded" / "bound.csv").read_bytes() == serial
 
+    def test_threads_capped_before_any_worker_starts(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool started")
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+        RunConfig(threads=cli.MAX_THREADS).validate()
+        with pytest.raises(ConfigError, match="threads"):
+            RunConfig(threads=cli.MAX_THREADS + 1).validate()
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"n_sites": 2, "t_values": ascending(cli.MAX_T_POINTS)}))
+        out = tmp_path / "out"
+        argv = ["fig2", "--config", str(config_path), "--out", str(out), "--threads", "100000"]
+        assert main(argv) == 2
+        assert not out.exists()
+
     def test_digest_hashes_hamiltonian_contents(self, tmp_path):
         first, second = tmp_path / "first.json", tmp_path / "second.json"
         first.write_text(json.dumps(two_site_hamiltonian(-1.0)))
@@ -407,11 +425,11 @@ class TestRows:
         # no full-space layer eigh is made.
         config = small_config(threads=2, trace_dts=[0.3, 0.5])
         path = config.build_path()
-        blocks, _ = model.reversal_sector(path, endpoint_states(path)[0])
+        block = model.reversal_blocks(path, endpoint_states(path)[0])[0]
         seen = record_eigh(monkeypatch)
         rows(config)
         assert endpoint_solves(seen, path) == full
-        assert endpoint_solves(seen, blocks) == sector
+        assert endpoint_solves(seen, block.path) == sector
 
     def test_fig1_forms_trotter_steps_per_block(self, monkeypatch):
         # At 4 sites the reversal blocks have dims 10 and 6; fig1 forms no
@@ -461,14 +479,25 @@ def csv_rows(path: Path) -> list[dict]:
 
 
 def full_space(monkeypatch) -> None:
-    """Make the sweeps skip the reversal sector, so that they run the same
-    kernels on the full space."""
-    monkeypatch.setattr(cli, "reversal_sector", lambda path, *states: (path, *states))
+    """Make every path its own single site-reversal block, with identity
+    maps, so that the sweeps run the same kernels on the full space."""
+
+    def identity(x):
+        return x
+
+    def single_block(path, state):
+        return (model.ReversalBlock(path, identity, identity),)
+
+    monkeypatch.setattr(cli, "reversal_blocks", single_block)
 
 
-def sweep_config(tmp_path, hamiltonian=None, n_sites=4) -> RunConfig:
-    """A config of n_sites sites, on the TFIM or on the given Hamiltonian file."""
-    data = {"n_sites": n_sites, "steps": 20, "t_values": [2.0, 8.0, 32.0], "gamma_t_values": [5.0, 20.0]}
+def sweep_config(tmp_path, hamiltonian=None, n_sites=4, **overrides) -> RunConfig:
+    """A config of n_sites sites, on the TFIM or on the given Hamiltonian
+    file, with any further fields given."""
+    data = {
+        "n_sites": n_sites, "steps": 20, "t_values": [2.0, 8.0, 32.0], "gamma_t_values": [5.0, 20.0],
+        **overrides,
+    }
     if hamiltonian is not None:
         target = tmp_path / "hamiltonian.json"
         target.write_text(json.dumps(hamiltonian))
@@ -519,7 +548,7 @@ class TestSectorSweeps:
     def test_rows_match_the_full_space(self, tmp_path, monkeypatch, hamiltonian):
         config = sweep_config(tmp_path, hamiltonian)
         path = config.build_path()
-        assert model.reversal_sector(path, endpoint_states(path)[0])[0].dim == 10
+        assert model.reversal_blocks(path, endpoint_states(path)[0])[0].path.dim == 10
         grid = grid_points(config.steps, config.grid)
         assert cli._ground_sector(path, grid)[0].dim == 10
         fig2, index = cli.fig2_rows(config)
@@ -552,10 +581,42 @@ class TestSectorSweeps:
         assert [block.path.dim for block in blocks] == dims
         assert_fig1_close(fig1_rows(config), fig1_full_space(config))
 
+    @pytest.mark.parametrize(
+        "hamiltonian", [None, rotated_tfim_json(4), odd_ground_json()], ids=["tfim4", "rotated4", "odd3"]
+    )
+    def test_fig3_and_zeno_match_the_full_space(self, tmp_path, monkeypatch, hamiltonian):
+        # The continuation follows psi_i inside its block, so at a passing dt
+        # it gives the full-space overlaps.  A failing dt may differ: a
+        # crossing with a level of the other parity breaks only the
+        # full-space trace.
+        config = sweep_config(
+            tmp_path, hamiltonian, dt_values=[0.2, 0.4, 0.8, 1.2], trace_dts=[0.4], zeno_dt=0.4
+        )
+        path = config.build_path()
+        assert model.reversal_blocks(path, endpoint_states(path)[0])[0].path.dim < path.dim
+        fig3, traces = fig3_rows(config)
+        families = (HERMITIAN_FAMILY, UNITARY_FAMILY)
+        zeno = {family: zeno_rows(replace(config, zeno_family=family)) for family in families}
+        full_space(monkeypatch)
+        full_fig3, full_traces = fig3_rows(config)
+        passing = [(mine, theirs) for mine, theirs in zip(fig3, full_fig3, strict=True) if theirs["pass"]]
+        assert [theirs["dt"] for _, theirs in passing][:2] == [0.2, 0.4]
+        for mine, theirs in passing:
+            assert mine["dt"] == theirs["dt"] and mine["pass"]
+            assert abs(mine["min_overlap"] - theirs["min_overlap"]) <= 1e-12
+        assert traces.keys() == full_traces.keys() == {0.4}
+        assert np.abs(traces[0.4].overlaps - full_traces[0.4].overlaps).max() <= 1e-12
+        for family, rows in zeno.items():
+            full = zeno_rows(replace(config, zeno_family=family))
+            assert [(r["step"], r["s"]) for r in rows] == [(r["step"], r["s"]) for r in full]
+            overlaps = np.array([[r["overlap"], f["overlap"]] for r, f in zip(rows, full, strict=True)])
+            assert overlaps[:, 1].min() >= config.zeno_threshold, family
+            assert np.abs(overlaps[:, 0] - overlaps[:, 1]).max() <= 1e-12, family
+
     def test_path_without_the_symmetry_runs_unchanged(self, tmp_path, monkeypatch):
         config = sweep_config(tmp_path, site0_field_json(4))
         path = config.build_path()
-        assert model.reversal_sector(path, endpoint_states(path)[0])[0] is path
+        assert model.reversal_blocks(path, endpoint_states(path)[0])[0].path is path
         assert fig1_rows(config) == fig1_full_space(config)
         rows = cli.fig2_rows(config)[0], gamma_rows(config)
         full_space(monkeypatch)
@@ -615,7 +676,8 @@ class TestSectorSweeps:
         config = sweep_config(tmp_path, mid_path_singlet_json())
         path = config.build_path()
         psi_i, psi_f = endpoint_states(path)
-        sector, _, phi_f = model.reversal_sector(path, psi_i, psi_f)
+        block = model.reversal_blocks(path, psi_i)[0]
+        sector, phi_f = block.path, block.project(psi_f)
         assert sector.dim == 3 and np.linalg.norm(phi_f) == pytest.approx(1.0, abs=1e-14)
         assert cli._ground_sector(path, [0.0, 1.0])[0].dim == 3
         assert cli._ground_sector(path, [0.0, 0.5, 1.0])[0] is path

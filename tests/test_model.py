@@ -10,7 +10,6 @@ from daslab.model import (
     HermitianOperator,
     PauliTerm,
     build_tfim,
-    complementary_sector,
     linear_schedule,
     load_path_json,
     operator_blocks,
@@ -21,7 +20,6 @@ from daslab.model import (
     pauli_sum_matrix,
     polynomial_schedule,
     reversal_blocks,
-    reversal_sector,
     spectral_gap,
     tfim_path,
 )
@@ -263,8 +261,8 @@ def parity_state(n_sites, z, parity):
 def both_sectors(path, n_sites):
     """The even sector of the TFIM ground state |+>^N and the odd sector of
     (|0..01> - |10..0>) / 2."""
-    even = reversal_sector(path, ground_state(path.h_initial.matrix))[0]
-    odd = reversal_sector(path, parity_state(n_sites, 1, -1))[0]
+    even = reversal_blocks(path, ground_state(path.h_initial.matrix))[0].path
+    odd = reversal_blocks(path, parity_state(n_sites, 1, -1))[0].path
     return even, odd
 
 
@@ -275,7 +273,7 @@ def sector_basis(path, n_sites, parity, sector_dim):
     rows = []
     for z in range(2**n_sites):
         state = parity_state(n_sites, z, parity)
-        rows.append(reversal_sector(path, state)[1] if state.any() else np.zeros(sector_dim))
+        rows.append(reversal_blocks(path, state)[0].project(state) if state.any() else np.zeros(sector_dim))
     return np.array(rows)
 
 
@@ -342,23 +340,25 @@ class TestScatter:
         path = tfim_path(n_sites)
         blocks = reversal_blocks(path, ground_state(path.h_initial.matrix))
         m = reversal_commuting(rng, n_sites)
-        for parity, block in zip((1, -1), blocks):
+        for parity, block, (_, scatter) in zip((1, -1), blocks, operator_blocks(m)):
             q = explicit_basis(n_sites, parity)
             b = random_box(rng, q.shape[1])
-            scattered = block.scatter(b)
+            scattered = scatter(b)
             assert np.abs(scattered - q @ b @ q.T).max() <= 1e-15
             assert np.abs(block.gather(scattered) - b).max() <= 1e-15
-        assert np.abs(sum(block.scatter(block.gather(m)) for block in blocks) - m).max() <= 1e-15
+        assert np.abs(sum(scatter(gathered) for gathered, scatter in operator_blocks(m)) - m).max() <= 1e-15
 
     @pytest.mark.parametrize("n_sites", [3, 4])
     def test_operator_blocks_are_the_path_gathers(self, n_sites):
         path = tfim_path(n_sites)
         blocks = reversal_blocks(path, ground_state(path.h_initial.matrix))
         m = reversal_commuting(np.random.default_rng(0), n_sites)
-        for (gathered, scatter), block in zip(operator_blocks(m), blocks):
+        endpoint = operator_blocks(path.h_initial.matrix)
+        for (gathered, scatter), (_, path_scatter), block in zip(operator_blocks(m), endpoint, blocks):
             np.testing.assert_array_equal(gathered, block.gather(m))
+            # the scatter depends on the dimension and the parity alone
             b = np.arange(len(gathered) ** 2, dtype=float).reshape(len(gathered), -1)
-            np.testing.assert_array_equal(scatter(b), block.scatter(b))
+            np.testing.assert_array_equal(scatter(b), path_scatter(b))
 
     def test_operator_blocks_need_an_invariant_chain_matrix(self):
         m = reversal_commuting(np.random.default_rng(1), 3)
@@ -374,8 +374,9 @@ class TestScatter:
                 "h_final": [{"coeff": -1.0, "factors": [[0, "Z"]]}],
             }
         )
+        assert operator_blocks(path.h_final.matrix) is None
         (block,) = reversal_blocks(path, ground_state(path.h_initial.matrix))
-        assert block.scatter(m) is m
+        assert block.gather(m) is m
 
 
 class TestReversalSector:
@@ -412,7 +413,8 @@ class TestReversalSector:
 
     def test_state_maps_to_unit_sector_state(self, tfim4):
         psi = ground_state(tfim4.h_initial.matrix)
-        sector, phi = reversal_sector(tfim4, psi)
+        block = reversal_blocks(tfim4, psi)[0]
+        sector, phi = block.path, block.project(psi)
         assert np.linalg.norm(phi) == pytest.approx(1.0, abs=1e-15)
         # the full ground state of H_i is the sector ground state, up to phase
         assert abs(np.vdot(ground_state(sector.h_initial.matrix), phi)) == pytest.approx(1.0, abs=1e-12)
@@ -423,12 +425,13 @@ class TestReversalSector:
         mixed = rng.normal(size=16) + 1j * rng.normal(size=16)
         mirrored = mixed[reversal(4)]
         even, odd = (mixed + mirrored) / 2, (mixed - mirrored) / 2
-        sector, phi, *mapped = reversal_sector(tfim4, psi, mixed, even, odd)
-        assert sector.dim == 10
-        np.testing.assert_array_equal(phi, reversal_sector(tfim4, psi)[1])
+        block = reversal_blocks(tfim4, psi)[0]
+        phi, *mapped = map(block.project, (psi, mixed, even, odd))
+        assert block.path.dim == 10
+        np.testing.assert_array_equal(phi, reversal_blocks(tfim4, psi)[0].project(psi))
         # the map is the projection onto the sector: a state and its even
         # part land on the same sector state, and the odd part on zero
-        np.testing.assert_array_equal(mapped[1], reversal_sector(tfim4, even)[1])
+        np.testing.assert_array_equal(mapped[1], reversal_blocks(tfim4, even)[0].project(even))
         assert np.abs(mapped[0] - mapped[1]).max() <= 1e-15
         assert not mapped[2].any()
         for full, reduced in zip((mixed, even, odd), mapped):
@@ -437,21 +440,22 @@ class TestReversalSector:
     def test_first_state_picks_the_sector(self, tfim4):
         psi = ground_state(tfim4.h_initial.matrix)
         odd = parity_state(4, 1, -1)
-        sector, phi, even = reversal_sector(tfim4, odd, psi)
-        assert sector.dim == 6
+        block = reversal_blocks(tfim4, odd)[0]
+        phi, even = block.project(odd), block.project(psi)
+        assert block.path.dim == 6
         assert np.linalg.norm(phi) == pytest.approx(np.linalg.norm(odd), abs=1e-15)
         assert np.linalg.norm(even) <= 1e-15
 
-    def test_complementary_sector_is_the_other_block(self, tfim4):
+    def test_second_block_is_the_other_sector(self, tfim4):
         even, odd = both_sectors(tfim4, 4)
         psi = ground_state(tfim4.h_initial.matrix)
         for state, other in ((psi, odd), (parity_state(4, 1, -1), even)):
-            complement = complementary_sector(tfim4, state)
+            complement = reversal_blocks(tfim4, state)[1].path
             for mine, theirs in ((complement.h_initial, other.h_initial), (complement.h_final, other.h_final)):
                 np.testing.assert_array_equal(mine.matrix, theirs.matrix)
         no_parity = np.zeros(16, dtype=complex)
         no_parity[1] = 1.0
-        assert complementary_sector(tfim4, no_parity) is None
+        assert len(reversal_blocks(tfim4, no_parity)) == 1
 
     def test_asymmetric_path_comes_back_unchanged(self):
         path = load_path_json(
@@ -463,23 +467,19 @@ class TestReversalSector:
         )
         psi = ground_state(path.h_initial.matrix)
         psi_f = ground_state(path.h_final.matrix + 0.1 * path.h_initial.matrix)
-        sector, state = reversal_sector(path, psi)
-        assert sector is path and state is psi
-        sector, state, other = reversal_sector(path, psi, psi_f)
-        assert sector is path and state is psi and other is psi_f
-        assert complementary_sector(path, psi) is None
         (block,) = reversal_blocks(path, psi)
+        assert block.path is path and block.project(psi) is psi
+        assert block.project(psi_f) is psi_f
         m = path.h_final.matrix
-        assert block.path is path and block.gather(m) is m and block.project(psi) is psi
+        assert block.gather(m) is m
 
     def test_state_without_parity_comes_back_unchanged(self, tfim4):
         state = np.zeros(16, dtype=complex)
         state[1] = 1.0
         psi = ground_state(tfim4.h_initial.matrix)
-        sector, out = reversal_sector(tfim4, state)
-        assert sector is tfim4 and out is state
-        sector, out, other = reversal_sector(tfim4, state, psi)
-        assert sector is tfim4 and out is state and other is psi
+        (block,) = reversal_blocks(tfim4, state)
+        assert block.path is tfim4 and block.project(state) is state
+        assert block.project(psi) is psi
 
     def test_odd_ground_state_picks_the_odd_sector(self):
         path = load_path_json(odd_ground_json())
@@ -487,7 +487,8 @@ class TestReversalSector:
         assert energies[1] - energies[0] == pytest.approx(2.0, abs=1e-12)
         psi = ground_state(path.h_initial.matrix)
         assert np.linalg.norm(psi[reversal(3)] + psi) <= 1e-12
-        sector, phi = reversal_sector(path, psi)
+        block = reversal_blocks(path, psi)[0]
+        sector, phi = block.path, block.project(psi)
         assert sector.dim == 2
         assert np.linalg.norm(phi) == pytest.approx(1.0, abs=1e-15)
         assert np.linalg.eigvalsh(sector.h_initial.matrix)[0] == pytest.approx(energies[0], abs=1e-13)

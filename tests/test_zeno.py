@@ -9,7 +9,7 @@ from daslab.model import (
     path_at,
     path_matrix,
     polynomial_schedule,
-    reversal_sector,
+    reversal_blocks,
     tfim_path,
 )
 from daslab.zeno import (
@@ -149,7 +149,7 @@ class TestCriticalStepSearch:
         # state's reversal sector for the layer; H_f and its block never:
         # the layer is diagonal.  That holds however many dt values the
         # grid has.
-        sector, _ = reversal_sector(tfim2, ground_state(tfim2.h_initial.matrix))
+        sector = reversal_blocks(tfim2, ground_state(tfim2.h_initial.matrix))[0].path
         assert sector.dim == 3
         seen = record_eigh(monkeypatch)
         with pytest.raises(AllPass):
@@ -347,7 +347,8 @@ class TestReversalSectorContinuation:
     def test_sector_matches_full_space(self, hamiltonian, dt):
         path = tfim_path(6) if hamiltonian is None else load_path_json(hamiltonian)
         psi = ground_state(path_at(path, 0.0).matrix)
-        sector, phi = reversal_sector(path, psi)
+        block = reversal_blocks(path, psi)[0]
+        sector, phi = block.path, block.project(psi)
         assert sector.dim < path.dim
         for make in (lambda p: effective_family(p, dt), hermitian_family):
             full = near_degeneracy_test(make(path), initial_state=psi)
