@@ -47,6 +47,7 @@ from .model import (
 )
 from .evolve import (
     GRIDS,
+    ODE_RTOL_FLOOR,
     EvolutionSpec,
     discrete_product,
     exact_state_evolution,
@@ -160,7 +161,7 @@ class RunConfig:
     rl_dt_values: tuple = _rule((0.5, 1.0, 2 * np.pi), tuple, 0, length=MAX_DT_POINTS)
     gamma_t_values: tuple = _rule((10.0, 50.0), tuple, 0, length=MAX_T_POINTS)
     bound_quad_points: int = _rule(201, int, 3, MAX_QUAD_POINTS)
-    ode_rtol: float = _rule(1e-9, float, 0, 1)
+    ode_rtol: float = _rule(1e-9, float, ODE_RTOL_FLOOR, 1)
     robust_dt_cut: float = _rule(0.8, float, 0)
     threads: int = _rule(1, int, 1, MAX_THREADS)
 

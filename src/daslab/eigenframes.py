@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
 
 from .exceptions import DegeneratePath, GapClosure, NoConvergence
 from .linalg import (
@@ -28,6 +27,7 @@ from .linalg import (
 )
 from .model import AdiabaticPath, PathSpectrum, path_spectrum, stack_chunks
 from .evolve import UNITARY_RESULT_TOL, EvolutionSpec
+from .riemann_lebesgue import cumulative_simpson, simpson
 
 # Node doubling of transition_amplitude_continuum: first grid, largest grid,
 # and the relative change between two grids that counts as converged.
@@ -308,9 +308,9 @@ def transition_amplitude_continuum(
         coupling = np.einsum("id,de,ie->i", v0.conj(), diff, vl)
         theta = g0.conj() * gl * dp * coupling / gaps
         h = s_values[1] - s_values[0]
-        omega = cumulative_simpson(gaps, dx=h, initial=0.0)
+        omega = cumulative_simpson(gaps, h)
         integrand = theta * np.exp(-1j * total_time * omega)
-        value = complex(simpson(integrand, dx=h))
+        value = complex(simpson(integrand, h))
         tol = CONTINUUM_REL_TOL * max(1.0, abs(value))
         if previous is not None and abs(value - previous) <= tol:
             return value

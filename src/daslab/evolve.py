@@ -8,7 +8,9 @@ doubling until self-convergence.
 Two state-level kernels serve callers that only need the evolved state, as
 fig2 does: a DOP853 integrator of the exact dynamics, an independent route
 from the commutator-free product, and the Trotter steps applied to the state
-by matrix-vector products.  Neither forms a dim x dim propagator.
+by matrix-vector products.  Neither forms a dim x dim propagator.  The
+integrator is in-house numpy (tableau in :mod:`daslab._dop853`) and gives
+bit for bit the states and evaluation counts of SciPy 1.17's DOP853.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from . import _dop853
 from .exceptions import NoConvergence
 from .linalg import (
     exp_from_eig,
@@ -43,8 +45,18 @@ GRIDS = ("endpoints", "left", "midpoint")
 UNITARY_RESULT_TOL = 1e-9
 
 # Absolute tolerance of the DOP853 state route; its relative tolerance is
-# the caller's.
+# the caller's, at least ODE_RTOL_FLOOR (below it the error estimate is
+# rounding, and SciPy would silently raise rtol to this floor).
 ODE_ATOL = 1e-12
+ODE_RTOL_FLOOR = 100 * np.finfo(float).eps
+
+# DOP853 step-size control: safety factor, bounds on the step's change and
+# the exponent -1 / (error estimator order + 1).
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10
+_ERROR_EXPONENT = -1 / 8
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 
 def grid_points(steps: int, grid: str = "endpoints") -> np.ndarray:
@@ -290,6 +302,98 @@ def exact_evolution(
     )
 
 
+@dataclass(frozen=True)
+class OdeResult:
+    """Final state of :func:`solve_ivp`, its right-hand-side evaluations,
+    and whether it reached the end of the interval (else why not)."""
+
+    y: np.ndarray
+    nfev: int
+    success: bool
+    message: str
+
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def solve_ivp(fun: Callable, t_span: tuple[float, float], y0: np.ndarray, rtol: float) -> OdeResult:
+    """Integrate dy/dt = fun(t, y) forward over t_span with DOP853.
+
+    The Dormand-Prince 8(5,3) pair (Hairer, Norsett & Wanner, Solving ODEs
+    I, Sec. II.10) with relative tolerance rtol and absolute tolerance
+    ODE_ATOL.  The initial step, the stage sums, the E5/E3 error norm and
+    the step-size control repeat SciPy 1.17's ``solve_ivp(method="DOP853")``
+    operation for operation, so the final state and ``nfev`` are bit for bit
+    SciPy's.  Only the last state is kept: there is no dense output.
+    """
+    t, t_bound = map(float, t_span)
+    if not t < t_bound:
+        raise ValueError(f"t_span must be increasing, got {t_span}")
+    y = np.asarray(y0)
+    dtype = complex if np.iscomplexobj(y) else float
+    y = y.astype(dtype, copy=False)
+    nfev = 0
+
+    def f(t, y):
+        nonlocal nfev
+        nfev += 1
+        return np.asarray(fun(t, y), dtype=dtype)
+
+    a, b, c, e3, e5 = _dop853.A, _dop853.B, _dop853.C, _dop853.E3, _dop853.E5
+    f_y = f(t, y)
+    # Initial step (Hairer, Norsett & Wanner, Sec. II.4).
+    scale = ODE_ATOL + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f_y / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_bound - t)
+    d2 = _rms((f(t + h0, y + h0 * f_y) - f_y) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    h_abs = min(100 * h0, h1, t_bound - t)
+
+    k = np.empty((_dop853.N_STAGES + 1, y.size), dtype=dtype)
+    while t < t_bound:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return OdeResult(y, nfev, False, _TOO_SMALL_STEP)
+            t_new = t + h_abs
+            if t_new > t_bound:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = np.abs(h)
+            k[0] = f_y
+            for s in range(1, _dop853.N_STAGES):
+                k[s] = f(t + c[s] * h, y + np.dot(k[:s].T, a[s, :s]) * h)
+            y_new = y + h * np.dot(k[:-1].T, b)
+            k[-1] = f_new = f(t + h, y_new)
+            scale = ODE_ATOL + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err5 = np.linalg.norm(np.dot(k.T, e5) / scale) ** 2
+            err3 = np.linalg.norm(np.dot(k.T, e3) / scale) ** 2
+            if err5 == 0 and err3 == 0:
+                error_norm = 0.0
+            else:
+                error_norm = np.abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * len(scale))
+            if error_norm < 1:
+                factor = _MAX_FACTOR
+                if error_norm != 0:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
+                # After a rejection the step may not grow again.
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
+            rejected = True
+        t, y, f_y = t_new, y_new, f_new
+    return OdeResult(
+        y, nfev, True, "The solver successfully reached the end of the integration interval."
+    )
+
+
 def exact_state_evolution(
     path: AdiabaticPath,
     total_time: float,
@@ -298,11 +402,14 @@ def exact_state_evolution(
 ) -> np.ndarray:
     """Evolve a single state through the exact time-ordered dynamics.
 
-    Adaptive high-order ODE integration of d psi/ds = -i T H(s) psi with
-    relative tolerance rtol and absolute tolerance ODE_ATOL; an independent
-    route from the CF4 product, and much cheaper when only the final state
-    is needed.
+    DOP853 integration (:func:`solve_ivp`) of d psi/ds = -i T H(s) psi with
+    relative tolerance rtol, at least ODE_RTOL_FLOOR, and absolute
+    tolerance ODE_ATOL; an independent route from the CF4 product, and much
+    cheaper when only the final state is needed.  The state is bit for bit
+    the one SciPy 1.17's DOP853 gives.
     """
+    if not rtol >= ODE_RTOL_FLOOR:
+        raise ValueError(f"rtol must be at least {ODE_RTOL_FLOOR:.3e}, got {rtol}")
     psi = normalized_state(psi)
     dim = path.dim
     hi = path.h_initial.matrix
@@ -327,12 +434,10 @@ def exact_state_evolution(
         z = product(y)
         return -1j * total_time * (z[:dim] + float(p(s)) * z[dim:])
 
-    solution = solve_ivp(
-        rhs, (0.0, 1.0), psi, method="DOP853", rtol=rtol, atol=ODE_ATOL
-    )
+    solution = solve_ivp(rhs, (0.0, 1.0), psi, rtol)
     if not solution.success:
         raise NoConvergence(f"state integration failed: {solution.message}")
-    return normalized_state(solution.y[:, -1])
+    return normalized_state(solution.y)
 
 
 def discrete_evolution(spec: EvolutionSpec) -> UnitaryOperator:

@@ -7,6 +7,11 @@ discrete step frequency omega plus a total-variation integral, mirroring the
 integration-by-parts bounds for the continuum integral.  Below the resonance
 threshold max lambda * dt < 3.78 the discrete sum tracks the continuum 1/T
 decay; at lambda * dt on 2 pi Z the sum is O(1) and the bounds are vacuous.
+
+The continuum integrals use the composite and cumulative Simpson rules
+defined here in numpy, whose bytes match SciPy 1.17's ``simpson`` and
+``cumulative_simpson``; SciPy itself is imported only by the cubic spline of
+:meth:`OscillatorySumSpec.from_samples`.
 """
 
 from __future__ import annotations
@@ -15,8 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
-from scipy.interpolate import CubicSpline
 
 from .exceptions import GapClosure, NoConvergence, OmegaZero
 from .linalg import GAP_FLOOR, operator_norm
@@ -41,9 +44,48 @@ INTEGRAL_REL_TOL = 1e-8
 ROBUST_S_SAMPLES = 101
 
 
+def _odd_nodes(y) -> np.ndarray:
+    y = np.asarray(y)
+    if y.ndim != 1 or y.size < 3 or y.size % 2 == 0:
+        raise ValueError(f"Simpson's rule needs an odd count of at least 3 nodes, got {y.shape}")
+    return y
+
+
+def simpson(y, dx: float):
+    """Composite Simpson integral of the samples y at spacing dx, for an odd
+    node count: bit for bit ``scipy.integrate.simpson(y, dx=dx)`` (SciPy
+    1.17's ``_basic_simpson``)."""
+    y = _odd_nodes(y)
+    result = np.sum(y[0:-2:2] + 4.0 * y[1:-1:2] + y[2::2])
+    result *= dx / 3.0
+    return result
+
+
+def cumulative_simpson(y, dx: float) -> np.ndarray:
+    """Running Simpson integral of the samples y at spacing dx, 0 at the
+    first node, for an odd node count: bit for bit
+    ``scipy.integrate.cumulative_simpson(y, dx=dx, initial=0.0)``.
+
+    Each interval takes the quadratic through its node pair and the next
+    node on the side of its panel (SciPy 1.17's
+    ``_cumulative_simpson_equal_intervals``, run forward for the first
+    interval of each panel and backward for the second).
+    """
+    y = _odd_nodes(y)
+    left, middle, right = y[0:-2:2], y[1:-1:2], y[2::2]
+    pieces = np.empty(y.size - 1, dtype=np.result_type(y, float))
+    pieces[0::2] = dx / 3 * (5 * left / 4 + 2 * middle - right / 4)
+    pieces[1::2] = dx / 3 * (5 * right / 4 + 2 * middle - left / 4)
+    out = np.cumsum(pieces)
+    out += 0.0  # as SciPy adds its initial value: -0.0 becomes +0.0
+    return np.concatenate(([0.0], out))
+
+
 def _as_callable(values, s_nodes=None) -> Callable:
     if callable(values):
         return values
+    from scipy.interpolate import CubicSpline  # only from_samples comes here
+
     values = np.asarray(values)
     if s_nodes is None:
         s_nodes = np.linspace(0.0, 1.0, len(values))
@@ -202,9 +244,9 @@ def oscillatory_integral(f: Callable, lam: Callable, total_time: float) -> compl
     while nodes <= INTEGRAL_MAX_NODES:
         s = np.linspace(0.0, 1.0, nodes + 1)
         h = s[1] - s[0]
-        phase = cumulative_simpson(np.asarray(lam(s), dtype=float), dx=h, initial=0.0)
+        phase = cumulative_simpson(np.asarray(lam(s), dtype=float), h)
         integrand = np.asarray(f(s), dtype=complex) * np.exp(-1j * total_time * phase)
-        value = complex(simpson(integrand, dx=h))
+        value = complex(simpson(integrand, h))
         tol = INTEGRAL_REL_TOL * max(1.0, abs(value))
         if previous is not None and abs(value - previous) <= tol:
             return value

@@ -335,6 +335,20 @@ class TestConfig:
         assert main(argv) == 2
         assert not out.exists()
 
+    def test_ode_rtol_below_the_integrator_floor_refused(self, tmp_path, recwarn):
+        """Below 100 eps the DOP853 error estimate is rounding; a config
+        there would write the rows of the floor under another hash."""
+        floor = 100 * np.finfo(float).eps
+        RunConfig(ode_rtol=2 * floor).validate()
+        with pytest.raises(ConfigError, match="ode_rtol"):
+            RunConfig(ode_rtol=floor / 2).validate()
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"n_sites": 2, "t_values": [4.0], "ode_rtol": 1e-15}))
+        out = tmp_path / "out"
+        assert main(["fig2", "--config", str(config_path), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert len(recwarn) == 0
+
     def test_digest_hashes_hamiltonian_contents(self, tmp_path):
         first, second = tmp_path / "first.json", tmp_path / "second.json"
         first.write_text(json.dumps(two_site_hamiltonian(-1.0)))
@@ -811,6 +825,33 @@ class TestMainEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "rl.csv").exists()
+
+    def test_every_command_runs_without_scipy(self, tmp_path):
+        """All seven commands in one fresh process at 4 sites on short grids:
+        each exits 0 and none loads SciPy, whose import costs about 0.4 s
+        (scipy.integrate pulls in scipy.special and scipy.optimize)."""
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "n_sites": 4, "steps": 10, "t_values": [4.0, 8.0], "dt_values": [0.3, 0.5],
+            "trace_dts": [0.3], "zeno_steps": 20, "gamma_t_values": [5.0],
+            "rl_steps": 20, "rl_dt_values": [0.5], "bound_quad_points": 21,
+        }))
+        script = (
+            "import sys\n"
+            "from daslab.cli import COMMANDS, main\n"
+            "codes = [main([name, '--config', sys.argv[1], '--out', sys.argv[2]])"
+            " for name in COMMANDS]\n"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(config_path), str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env=package_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[0,", "0,", "0,", "0,", "0,", "0,", "0]", "[]"]
+        assert len(list(tmp_path.glob("*.csv"))) == 8
 
     def test_bad_config_subprocess_exit_2(self, tmp_path):
         config_path = tmp_path / "config.json"

@@ -1,9 +1,11 @@
+import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from daslab import model
+from daslab import evolve, model
 from daslab.exceptions import NoConvergence
 from daslab.linalg import (
     ground_state,
@@ -32,6 +34,7 @@ from daslab.evolve import (
     exact_state_evolution,
     grid_points,
     interpolation_layers,
+    solve_ivp,
     strang_step,
     ordered_product,
     trotter_evolution,
@@ -43,6 +46,7 @@ from daslab.evolve import (
 from conftest import (
     endpoint_solves,
     random_hermitian,
+    random_state,
     record_eigh,
     record_step_dims,
     rotated_tfim_json,
@@ -558,3 +562,113 @@ class TestSpecValidation:
             )
         assert max(errors.values()) <= 0.2
         assert max(errors.values()) - min(errors.values()) <= max(errors.values())
+
+
+class TestDop853MatchesScipy:
+    """The in-house DOP853 against SciPy's ``solve_ivp(method="DOP853")`` at
+    the same tolerances: the same final state, bit for bit, after the same
+    number of right-hand-side evaluations.  SciPy is imported here only."""
+
+    @staticmethod
+    def scipy_solve(fun, t_span, y0, rtol):
+        from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+        return scipy_solve_ivp(
+            fun, t_span, y0, method="DOP853", rtol=rtol, atol=evolve.ODE_ATOL
+        )
+
+    def assert_same(self, fun, y0, rtol, t_span=(0.0, 1.0)):
+        ours = solve_ivp(fun, t_span, y0, rtol)
+        theirs = self.scipy_solve(fun, t_span, y0, rtol)
+        assert ours.success and theirs.success
+        assert np.array_equal(ours.y, theirs.y[:, -1])
+        assert ours.nfev == theirs.nfev
+        return theirs
+
+    def paired(self, monkeypatch) -> list:
+        """Make exact_state_evolution's integrator also run SciPy on the same
+        right-hand side; return the (ours, SciPy's) results it collects."""
+        pairs = []
+
+        def both(fun, t_span, y0, rtol):
+            ours = solve_ivp(fun, t_span, y0, rtol)
+            pairs.append((ours, self.scipy_solve(fun, t_span, y0, rtol)))
+            return ours
+
+        monkeypatch.setattr(evolve, "solve_ivp", both)
+        return pairs
+
+    @pytest.mark.parametrize("path_kind", ["tfim4_sector", "rotated4"])
+    def test_fig2_state_route(self, tmp_path, monkeypatch, path_kind):
+        if path_kind == "tfim4_sector":
+            path = tfim_path(4)
+        else:
+            target = tmp_path / "rotated.json"
+            target.write_text(json.dumps(rotated_tfim_json(4)))
+            path = model.load_path_json(target)
+        psi = ground_state(path.h_initial.matrix)
+        block = model.reversal_blocks(path, psi)[0]
+        path, psi = block.path, block.project(psi)
+        # fig2's real-view product on the TFIM block, the complex one on the
+        # rotated chain.
+        assert path.h_initial.matrix.imag.any() == (path_kind == "rotated4")
+        pairs = self.paired(monkeypatch)
+        for total_time in (8.0, 40.0):
+            exact_state_evolution(path, total_time, psi, rtol=1e-9)
+        assert len(pairs) == 2
+        for ours, theirs in pairs:
+            assert theirs.success
+            assert np.array_equal(ours.y, theirs.y[:, -1])
+            assert ours.nfev == theirs.nfev
+
+    def test_random_hermitian_problem_with_rejected_steps(self):
+        rng = np.random.default_rng(11)
+        h0, h1 = random_hermitian(rng, 16), random_hermitian(rng, 16)
+        psi = random_state(rng, 16)
+
+        def rhs(s, y):
+            return -1j * 60.0 * ((1 - s) * (h0 @ y) + s * (h1 @ y))
+
+        theirs = self.assert_same(rhs, psi, 1e-10)
+        # Two evaluations pick the first step; each attempt takes twelve.
+        attempts = (theirs.nfev - 2) // 12
+        assert attempts > len(theirs.t) - 1
+
+    def test_real_problem(self):
+        def oscillator(t, y):
+            return np.array([y[1], -y[0]])
+
+        self.assert_same(oscillator, np.array([1.0, 0.0]), 1e-8, t_span=(0.0, 10.0))
+
+    def test_nan_right_hand_side_fails_as_scipy_does(self):
+        def rhs(s, y):
+            return np.full_like(y, np.nan) if s > 0.3 else -1j * y
+
+        y0 = np.ones(4, dtype=complex)
+        with np.errstate(invalid="ignore"):
+            ours = solve_ivp(rhs, (0.0, 1.0), y0, 1e-9)
+            theirs = self.scipy_solve(rhs, (0.0, 1.0), y0, 1e-9)
+        assert not ours.success and not theirs.success
+        assert ours.message == theirs.message
+        assert ours.nfev == theirs.nfev
+        assert np.array_equal(ours.y, theirs.y[:, -1])
+
+    def test_nan_path_raises_no_convergence_with_scipy_message(self, tfim2):
+        # p(s) is NaN on (0.5, 1): every step into it is rejected.
+        schedule = dataclasses.replace(
+            tfim2.schedule, p=lambda s: np.nan if 0.5 < s < 1.0 else float(s)
+        )
+        path = dataclasses.replace(tfim2, schedule=schedule)
+        psi = ground_state(tfim2.h_initial.matrix)
+        with np.errstate(invalid="ignore"), pytest.raises(NoConvergence) as failure:
+            exact_state_evolution(path, 5.0, psi)
+        assert str(failure.value) == (
+            "state integration failed: Required step size is less than spacing between numbers."
+        )
+
+    def test_rtol_below_the_floor_is_refused(self, tfim2):
+        psi = ground_state(tfim2.h_initial.matrix)
+        with pytest.raises(ValueError):
+            exact_state_evolution(tfim2, 5.0, psi, rtol=1e-15)
+        assert evolve.ODE_RTOL_FLOOR == 100 * np.finfo(float).eps
+        exact_state_evolution(tfim2, 5.0, psi, rtol=evolve.ODE_RTOL_FLOOR)

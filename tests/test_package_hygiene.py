@@ -54,3 +54,42 @@ def test_no_module_imports_a_name_it_never_uses():
         for entry in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert problems == []
+
+
+def imports_at_import_time(source: str) -> list[str]:
+    """Absolute modules that ``source`` imports when it is itself imported:
+    every import statement outside a function body."""
+    found = []
+    stack = list(ast.parse(source).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [f"line {node.lineno}: {alias.name}" for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(f"line {node.lineno}: {node.module}")
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_import_checker_skips_function_bodies():
+    source = (
+        "import numpy as np\nfrom . import model\n"
+        "try:\n    import scipy.linalg\nexcept ImportError:\n    pass\n"
+        "def spline():\n    from scipy.interpolate import CubicSpline\n"
+    )
+    assert imports_at_import_time(source) == ["line 1: numpy", "line 4: scipy.linalg"]
+
+
+def test_no_module_imports_scipy_at_import_time():
+    """The package runs on numpy alone; SciPy is reached only from inside
+    the one function that needs it (``OscillatorySumSpec.from_samples``'s
+    spline), so importing daslab never loads it."""
+    problems = [
+        f"{path.name} {entry}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for entry in imports_at_import_time(path.read_text(encoding="utf-8"))
+        if entry.split(": ")[1].split(".")[0] == "scipy"
+    ]
+    assert problems == []

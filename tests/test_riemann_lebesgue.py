@@ -10,11 +10,13 @@ from daslab.evolve import EvolutionSpec
 from daslab.riemann_lebesgue import (
     RESONANCE_THRESHOLD,
     OscillatorySumSpec,
+    cumulative_simpson,
     difference_quotient,
     discrete_frequency,
     oscillatory_integral,
     oscillatory_sum,
     robust_adiabatic_bound,
+    simpson,
     sum_bounds,
     total_variation,
 )
@@ -349,3 +351,33 @@ class TestRobustBound:
         )
         with pytest.raises(GapClosure):
             robust_adiabatic_bound(path, 10.0, 0.1)
+
+
+class TestSimpsonMatchesScipy:
+    """The in-house Simpson pair against ``scipy.integrate`` on the odd node
+    counts the sweeps pass (2^k + 1): equal bits, real and complex.  SciPy
+    is imported here only."""
+
+    @pytest.mark.parametrize("nodes", [513, 2049, 8193])
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_bitwise_equal(self, nodes, kind):
+        import scipy.integrate
+
+        rng = np.random.default_rng(nodes)
+        s = np.linspace(0.0, 1.0, nodes)
+        h = s[1] - s[0]
+        y = np.cos(7.0 * s) + rng.normal(scale=1e-3, size=nodes)
+        if kind is complex:
+            y = y * np.exp(-40j * s)
+        ours, theirs = simpson(y, h), scipy.integrate.simpson(y, dx=h)
+        assert np.asarray(ours).tobytes() == np.asarray(theirs).tobytes()
+        ours = cumulative_simpson(y, h)
+        theirs = scipy.integrate.cumulative_simpson(y, dx=h, initial=0.0)
+        assert ours.dtype == theirs.dtype
+        assert ours.tobytes() == theirs.tobytes()
+
+    @pytest.mark.parametrize("rule", [simpson, cumulative_simpson])
+    @pytest.mark.parametrize("nodes", [512, 1, 2])
+    def test_other_node_counts_refused(self, rule, nodes):
+        with pytest.raises(ValueError):
+            rule(np.ones(nodes), 0.1)
