@@ -9,7 +9,7 @@ path without exact site-reversal symmetry (see the README).  fig2, fig3
 and zeno run inside the site-reversal sector of the initial state, and
 gamma does where that sector holds the ground level on the whole grid.
 fig1 diagonalizes and multiplies both its discretized and its Trotterized
-propagator per sector.
+propagator per sector, and bound diagonalizes its nodes per sector.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -50,6 +50,7 @@ from .evolve import (
     ODE_RTOL_FLOOR,
     EvolutionSpec,
     discrete_product,
+    discrete_state,
     exact_state_evolution,
     grid_points,
     interpolation_layers,
@@ -78,7 +79,7 @@ MAX_DT_POINTS = 10_000
 MAX_T_POINTS = 10_000
 # fig1 and gamma hold their grid spectrum, one dim x dim basis per step, up
 # to 1 MB each, so 10^4 steps ask for about 10 GB; the default is 100.  The
-# propagator products stream over the grid and hold a few steps at a time.
+# propagator products fold over the grid and hold one step at a time.
 MAX_STEPS = 10_000
 # Each continuation step is one Trotter step and one unitary_eig, a few ms.
 MAX_ZENO_STEPS = 10_000
@@ -88,9 +89,10 @@ MAX_RL_STEPS = 10**6
 # Each Simpson node of the bound is one dim x dim eigvalsh, a few ms.
 MAX_QUAD_POINTS = 10_001
 # Each sweep-point worker is a thread that holds its point's working set:
-# up to a stack of model.STACK_ENTRIES entries (8 MB) and a few dim x dim
-# matrices, about 16 MB at 8 sites, so 64 workers ask for about 1 GB; past
-# the core count more workers only wait on the BLAS.
+# a few dim x dim complex matrices of 1 MB each at 8 sites (each product's
+# accumulator, one step's factors and the finished propagators), under
+# 16 MB, so 64 workers ask for under 1 GB; past the core count more workers
+# only wait on the BLAS.
 MAX_THREADS = 64
 
 _KINDS = {
@@ -456,8 +458,10 @@ def gamma_rows(config: RunConfig) -> list[dict]:
     and the cross-module fidelity check.
 
     The grid is diagonalized once; its frames and transitions do not depend
-    on T.  The fidelity check's discrete propagator comes from the raw
-    (untransported) bases, so it stays independent of the frame expansion.
+    on T.  The fidelity check evolves psi_i by the discretized steps, two
+    matrix-vector products per step from the raw (untransported) bases
+    (:func:`~daslab.evolve.discrete_state`), so it stays independent of the
+    frame expansion.
     Everything runs inside the site-reversal sector of psi_i, with psi_f
     projected onto it, where that sector holds the ground level at every
     grid point (see :func:`_ground_sector`), and on the full space
@@ -476,14 +480,13 @@ def gamma_rows(config: RunConfig) -> list[dict]:
         )
         amplitudes = transition_amplitudes(spec, frames)
         expansion = propagator_expansion(frames, transitions, total_time, amplitudes)
-        a_d = discrete_product(spectrum, spec.dt)
         rows.append(
             {
                 "T": total_time,
                 "L": config.steps,
                 "eps_adb_exact": expansion.adiabatic_error,
                 "eps_first_order": expansion.first_order_error,
-                "fidelity_check": fidelity_error(a_d @ psi_i, psi_f),
+                "fidelity_check": fidelity_error(discrete_state(spectrum, spec.dt, psi_i), psi_f),
             }
         )
     return rows
@@ -588,7 +591,7 @@ TRACE_COLUMNS = ("step", "s", "overlap")
 
 def _fig2(config: RunConfig):
     rows, index = fig2_rows(config)
-    return rows, [f"scaling_index_robust_window={index!r}"], {}
+    return rows, [f"eps_tot_slope_robust_window={index!r}"], {}
 
 
 def _fig3(config: RunConfig):

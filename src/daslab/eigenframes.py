@@ -23,6 +23,7 @@ from .linalg import (
     GAP_FLOOR,
     _eigenvalue_clusters,
     _fix_column_phases,
+    float_view_matmul,
     unitarity_defect,
 )
 from .model import AdiabaticPath, PathSpectrum, path_spectrum, stack_chunks
@@ -128,7 +129,10 @@ class PropagatorExpansion:
 
     ``matrix`` is the full product of step phases and transition matrices;
     its (0, 0) element is the surviving ground amplitude, the rest of column
-    0 holds the transition amplitudes into excited levels.  ``amplitudes``
+    0 holds the transition amplitudes into excited levels, and their norm is
+    ``adiabatic_error`` (sqrt(1 - |g00|^2) without its cancellation near
+    0).  The product multiplies real transitions through
+    :func:`~daslab.linalg.float_view_matmul`.  ``amplitudes``
     carries the first-order estimate of those transition amplitudes when the
     caller computed it.
     """
@@ -148,9 +152,9 @@ class PropagatorExpansion:
         column = np.abs(self.matrix[:, 0]) ** 2
         if abs(column.sum() - 1.0) > 1e-9:
             raise ValueError("first column of the frame propagator must be normalized")
-        expected = float(np.sqrt(max(0.0, 1.0 - abs(self.matrix[0, 0]) ** 2)))
+        expected = float(np.linalg.norm(self.matrix[1:, 0]))
         if abs(self.adiabatic_error - expected) > 1e-12:
-            raise ValueError("adiabatic_error inconsistent with the (0,0) element")
+            raise ValueError("adiabatic_error inconsistent with column 0 below (0,0)")
 
     @property
     def first_order_error(self) -> float:
@@ -182,9 +186,9 @@ def propagator_expansion(
     dt = total_time / n_frames
     phases = np.exp(-1j * dt * energies)
 
-    gamma = np.diag(phases[0]).astype(complex)
+    gamma = np.diag(phases[0])
     for j in range(1, n_frames):
-        gamma = phases[j][:, None] * (transitions[j - 1] @ gamma)
+        gamma = phases[j][:, None] * float_view_matmul(transitions[j - 1], gamma)
 
     zeroth = np.diag(np.exp(-1j * dt * energies.sum(axis=0)))
 
@@ -198,12 +202,11 @@ def propagator_expansion(
             outgoing = np.exp(-1j * dt * (total - cumulative[k]))
             first += outgoing[:, None] * (transitions[k] - eye) * incoming[None, :]
 
-    err = float(np.sqrt(max(0.0, 1.0 - abs(gamma[0, 0]) ** 2)))
     return PropagatorExpansion(
         matrix=gamma,
         zeroth_order=zeroth,
         first_order=first,
-        adiabatic_error=err,
+        adiabatic_error=float(np.linalg.norm(gamma[1:, 0])),
         total_time=total_time,
         dt=dt,
         amplitudes=amplitudes,

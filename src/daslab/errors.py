@@ -16,7 +16,7 @@ from .exceptions import (
     NonFiniteResult,
 )
 from .linalg import GAP_FLOOR, ground_state, operator_norm
-from .model import AdiabaticPath, path_energies
+from .model import PARITY_TOL, AdiabaticPath, path_energies, reversal_blocks
 from .evolve import (
     EvolutionSpec,
     discrete_evolution,
@@ -28,16 +28,26 @@ TRIANGLE_SLACK = 1e-9
 
 
 def fidelity_error(phi: np.ndarray, psi: np.ndarray) -> float:
-    """sqrt(1 - |<phi|psi>|^2), clamped to [0, 1] against rounding.
+    """sqrt(1 - |<a|b>|^2) of the normalized states a and b, computed as the
+    residual ||b - a<a|b>||, clamped to 1.
 
-    Immune to global phases on either state.
+    For unit vectors the two are equal, but the residual does not cancel:
+    1 - |<a|b>|^2 turns one rounding of the overlap into an error of about
+    sqrt(eps).  A state whose norm is at most PARITY_TOL counts as zero and
+    gives 1: a state of the other parity projected onto a site-reversal
+    block is zero only up to rounding, and normalizing that rounding would
+    turn it into an arbitrary unit vector.  Immune to global phases on
+    either state.
     """
     phi = np.asarray(phi, dtype=complex).ravel()
     psi = np.asarray(psi, dtype=complex).ravel()
     if phi.shape != psi.shape:
         raise DimensionMismatch(f"state dims {phi.shape} vs {psi.shape}")
-    overlap = abs(np.vdot(phi, psi)) ** 2
-    return float(np.sqrt(min(1.0, max(0.0, 1.0 - overlap))))
+    norms = np.linalg.norm(phi), np.linalg.norm(psi)
+    if min(norms) <= PARITY_TOL:
+        return 1.0
+    a, b = phi / norms[0], psi / norms[1]
+    return float(min(1.0, np.linalg.norm(b - a * np.vdot(a, b))))
 
 
 @dataclass(frozen=True)
@@ -144,6 +154,12 @@ def bound_profile(path: AdiabaticPath, quad_points: int = 201) -> BoundProfile:
     Composite Simpson quadrature; the node count is forced odd.  The node
     gaps come from :func:`path_energies`; a gap at or below GAP_FLOOR raises
     :class:`GapClosure`.
+
+    A path that site reversal maps to itself is worked block by block (see
+    :func:`~daslab.model.reversal_blocks`): each block path is diagonalized
+    on the nodes, the gap is taken from the two lowest levels of the merged
+    spectra, and ||H_f - H_i|| is the larger block norm.  Any other path is
+    its own single block.
     """
     if quad_points < 3:
         raise ValueError("need at least 3 quadrature points")
@@ -151,13 +167,14 @@ def bound_profile(path: AdiabaticPath, quad_points: int = 201) -> BoundProfile:
         quad_points += 1
     s_nodes = np.linspace(0.0, 1.0, quad_points)
 
-    diff_norm = operator_norm(path.h_final.matrix - path.h_initial.matrix)
+    paths = [block.path for block in reversal_blocks(path)]
+    diff_norm = max(operator_norm(p.h_final.matrix - p.h_initial.matrix) for p in paths)
     dp = np.abs(np.asarray(path.schedule.dp(s_nodes), dtype=float))
     ddp = np.abs(np.asarray(path.schedule.ddp(s_nodes), dtype=float))
     d1 = dp * diff_norm
     d2 = ddp * diff_norm
 
-    energies = path_energies(path, s_nodes)
+    energies = np.sort(np.hstack([path_energies(p, s_nodes) for p in paths]), axis=1)
     gaps = energies[:, 1] - energies[:, 0]
     closed = np.flatnonzero(gaps <= GAP_FLOOR)
     if closed.size:

@@ -1,16 +1,22 @@
 """The three propagators: exact time-ordered, discretized, and Trotterized.
 
 The discretized product takes one exponential of the full H(s_j) per step;
-the Trotterized product splits each step into per-layer exponentials.  The
-exact propagator is a fourth-order commutator-free product refined by step
-doubling until self-convergence.
+the Trotterized product splits each step into per-layer exponentials.  Both
+are left folds: one accumulator to which each step's factors are applied in
+order, with no stack of step matrices.  A factor whose imaginary part is
+exactly zero multiplies the complex accumulator through its float64 view
+(:func:`~daslab.linalg.float_view_matmul`).  The exact propagator is a
+fourth-order commutator-free product refined by step doubling until
+self-convergence; its up to 2^20 steps are multiplied as a tree, whose
+rounding grows with log n rather than n.
 
-Two state-level kernels serve callers that only need the evolved state, as
-fig2 does: a DOP853 integrator of the exact dynamics, an independent route
-from the commutator-free product, and the Trotter steps applied to the state
-by matrix-vector products.  Neither forms a dim x dim propagator.  The
-integrator is in-house numpy (tableau in :mod:`daslab._dop853`) and gives
-bit for bit the states and evaluation counts of SciPy 1.17's DOP853.
+State-level kernels serve callers that only need the evolved state, as
+fig2 and gamma do: a DOP853 integrator of the exact dynamics, an
+independent route from the commutator-free product, and the Trotter and
+discretized steps applied to the state by matrix-vector products.  None
+forms a dim x dim propagator.  The integrator is in-house numpy (tableau in
+:mod:`daslab._dop853`) and gives bit for bit the states and evaluation
+counts of SciPy 1.17's DOP853.
 """
 
 from __future__ import annotations
@@ -25,9 +31,11 @@ from . import _dop853
 from .exceptions import NoConvergence
 from .linalg import (
     exp_from_eig,
+    float_view_matmul,
     normalized_state,
     operator_norm,
     principal_log_hamiltonian,
+    real_if_exact,
     unitarity_defect,
 )
 from .model import (
@@ -237,15 +245,31 @@ def chunked_product(
 
 
 def discrete_product(spectrum: PathSpectrum, dt: float) -> np.ndarray:
-    """Ordered product of the whole-step exponentials exp(-i H(s_j) dt),
-    formed a stack of steps at a time by :func:`chunked_product`, so only
-    the spectrum scales with the number of steps."""
-    energies, bases = spectrum.energies, spectrum.bases
-    return chunked_product(
-        lambda part: exp_from_eig(energies[part], bases[part], dt),
-        len(energies),
-        bases.shape[-1],
-    )
+    """Ordered product of the whole-step exponentials V_j D_j V_j^dag, with
+    D_j = exp(-i E_j dt): :func:`discrete_state` folded from the identity."""
+    return discrete_state(spectrum, dt, np.eye(spectrum.bases.shape[-1], dtype=np.complex128))
+
+
+def _phase_fold(x: np.ndarray, factors) -> np.ndarray:
+    """Apply each factor (phases, V, V^dag) to x in order as
+    x <- V (phases * (V^dag x)), or x <- phases * x when V is None."""
+    for phases, v, v_h in factors:
+        if v is None:
+            x = phases * x
+        else:
+            x = float_view_matmul(v, phases * float_view_matmul(v_h, x))
+    return x
+
+
+def discrete_state(spectrum: PathSpectrum, dt: float, x: np.ndarray) -> np.ndarray:
+    """``discrete_product(spectrum, dt) @ x`` for a state or a dim x k array
+    x, folded step by step as V_j (exp(-i E_j dt) * (V_j^dag x)) from the
+    bases as they are (raw or transported); a real basis acts through
+    :func:`~daslab.linalg.float_view_matmul`."""
+    x = np.asarray(x, dtype=np.complex128)
+    phases = np.exp(-1j * (spectrum.energies * dt))
+    phases = phases.reshape(phases.shape + (1,) * (x.ndim - 1))
+    return _phase_fold(x, ((e, v, np.conj(v).T) for e, v in zip(phases, spectrum.bases)))
 
 
 # Fourth-order commutator-free step (Alvermann & Fehske, J. Comput. Phys.
@@ -415,23 +439,12 @@ def exact_state_evolution(
     hi = path.h_initial.matrix
     # One product per call gives H_i y and (H_f - H_i) y; H(s) y is their
     # p(s)-weighted sum, so no dim x dim matrix is formed per call.
-    stacked = np.concatenate([hi, path.h_final.matrix - hi])
+    # Real H_i and H_f act on the real and imaginary parts of y at once.
+    stacked = real_if_exact(np.concatenate([hi, path.h_final.matrix - hi]))
     p = path.schedule.p
-    if stacked.imag.any():
-
-        def product(y):
-            return stacked @ y
-
-    else:
-        # Real H_i and H_f act on the real and imaginary parts of y at once.
-        stacked = np.ascontiguousarray(stacked.real)
-
-        def product(y):
-            parts = np.ascontiguousarray(y).view(np.float64).reshape(dim, 2)
-            return (stacked @ parts).view(np.complex128).ravel()
 
     def rhs(s, y):
-        z = product(y)
+        z = float_view_matmul(stacked, y)
         return -1j * total_time * (z[:dim] + float(p(s)) * z[dim:])
 
     solution = solve_ivp(rhs, (0.0, 1.0), psi, rtol)
@@ -472,27 +485,36 @@ def trotter_steps(spec: EvolutionSpec, s_values) -> np.ndarray:
     return steps
 
 
-def trotter_state(spec: EvolutionSpec, psi: np.ndarray) -> np.ndarray:
-    """``trotter_evolution(spec).matrix @ psi`` by matrix-vector products.
+def trotter_fold(spec: EvolutionSpec, x: np.ndarray) -> np.ndarray:
+    """The spec's Trotter steps applied in order to the columns of x, a
+    dim x k complex array: per step, each layer in layer order as
+    x <- V (e^{-i w dt} * (V^dag x)), and a diagonal layer scales the rows.
 
-    Each layer exponential acts on the state as V (e^{-i w dt} * (V^dag psi)),
-    a diagonal layer as e^{-i w dt} * psi.  The norm must be preserved within
-    UNITARY_RESULT_TOL, the state-level stand-in for the unitarity check of
-    :class:`UnitaryOperator`.
+    A layer basis whose imaginary part is exactly zero (``Layer.eig`` is a
+    complex ``eigh``) is read as real once per call and acts through
+    :func:`~daslab.linalg.float_view_matmul`.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    layers = []
+    for w, v in _layer_spectra(spec, spec.grid_points()):
+        phases = np.exp(-1j * w * spec.dt)[..., None]
+        v = None if v is None else real_if_exact(v)
+        layers.append((phases, v, None if v is None else np.conj(v).T))
+    return _phase_fold(
+        x, ((phases[j], v, v_h) for j in range(spec.steps) for phases, v, v_h in layers)
+    )
+
+
+def trotter_state(spec: EvolutionSpec, psi: np.ndarray) -> np.ndarray:
+    """``trotter_evolution(spec).matrix @ psi`` by :func:`trotter_fold` from
+    psi as one column: two matrix-vector products per step and non-diagonal
+    layer.
+
+    The norm must be preserved within UNITARY_RESULT_TOL, the state-level
+    stand-in for the unitarity check of :class:`UnitaryOperator`.
     """
     psi = np.asarray(psi, dtype=np.complex128)
-    layers = [
-        (np.exp(-1j * w * spec.dt), v)
-        for w, v in _layer_spectra(spec, spec.grid_points())
-    ]
-    out = psi
-    for j in range(spec.steps):
-        for phases, v in layers:
-            if v is None:
-                out = phases[j] * out
-            else:
-                # V^dag psi as (psi^dag V)^dag, without forming V^dag.
-                out = v @ (phases[j] * np.conj(np.conj(out) @ v))
+    out = trotter_fold(spec, psi[:, None])[:, 0]
     defect = abs(np.linalg.norm(out) - np.linalg.norm(psi))
     if not defect <= UNITARY_RESULT_TOL:  # NaN fails too
         raise ValueError(f"trotter state evolution not unitary: norm defect {defect:.3e}")
@@ -525,24 +547,17 @@ def strang_step(spec: EvolutionSpec, s: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def trotter_evolution(spec: EvolutionSpec) -> UnitaryOperator:
-    """Trotterized propagator: per step, layer exponentials in layer order;
-    the steps are formed and multiplied a stack at a time by
-    :func:`chunked_product`.
+    """Trotterized propagator: :func:`trotter_fold` from the identity.
 
     When every layer has site-reversal :attr:`Layer.blocks`, every step
-    commutes with reversal, so the product is formed per block, from the
+    commutes with reversal, so the product is folded per block, from the
     block layers, and the two block products are scattered back into the
     full-space matrix: about a quarter of the flops at 8 sites.  Otherwise
-    the product is formed on the full space.
+    the product is folded on the full space.
     """
-    s_values = spec.grid_points()
 
     def product(spec: EvolutionSpec) -> np.ndarray:
-        return chunked_product(
-            lambda part: trotter_steps(spec, s_values[part]),
-            spec.steps,
-            len(spec.layers[0].matrix),
-        )
+        return trotter_fold(spec, np.eye(len(spec.layers[0].matrix), dtype=np.complex128))
 
     blocks = [layer.blocks for layer in spec.layers]
     if any(b is None for b in blocks):

@@ -184,6 +184,28 @@ def exp_from_eig(w, v, t) -> np.ndarray:
     return out
 
 
+def real_if_exact(m) -> np.ndarray:
+    """m as a contiguous float64 array when it is complex with an imaginary
+    part that is exactly zero, else m itself."""
+    if np.iscomplexobj(m) and not m.imag.any():
+        return np.ascontiguousarray(m.real)
+    return m
+
+
+def float_view_matmul(m, x) -> np.ndarray:
+    """m @ x for a complex128 x of shape (dim,) or (dim, k).
+
+    A real m multiplies the float64 view of x, whose rows interleave the
+    real and imaginary parts: one real product on a dim x 2k array, with no
+    complex copy of m.  A complex m multiplies x directly.
+    """
+    if m.dtype.kind == "c":
+        return m @ x
+    x = np.ascontiguousarray(x, dtype=np.complex128)
+    out = (m @ x.view(np.float64).reshape(len(x), -1)).view(np.complex128)
+    return out.ravel() if x.ndim == 1 else out
+
+
 def matrix_exp_hermitian(h, t: float) -> np.ndarray:
     """exp(-i H t) for H Hermitian within HERMITIAN_TOL, via eigendecomposition."""
     h = as_complex_matrix(h)

@@ -279,9 +279,9 @@ def operator_blocks(matrix: np.ndarray) -> tuple[tuple[np.ndarray, Callable], ..
     return tuple((gather(matrix), scatter) for gather, _, scatter in maps)
 
 
-def reversal_blocks(path: AdiabaticPath, state: np.ndarray) -> tuple[ReversalBlock, ...]:
+def reversal_blocks(path: AdiabaticPath, state: np.ndarray | None = None) -> tuple[ReversalBlock, ...]:
     """The site-reversal blocks of the path: the one that holds ``state``
-    first, then the other.
+    first, then the other; parity +1 first when no state is given.
 
     Site reversal R maps site j to N - 1 - j, so on the 2^N basis it is the
     bit-reversal permutation z -> Rz.  When R maps H_i and H_f to themselves
@@ -307,8 +307,10 @@ def reversal_blocks(path: AdiabaticPath, state: np.ndarray) -> tuple[ReversalBlo
     endpoints = [operator_blocks(h.matrix) for h in (path.h_initial, path.h_final)]
     parity = None
     if all(blocks is not None for blocks in endpoints):
-        psi, r = np.asarray(state).ravel(), _reversal_permutation(path.dim)
-        parity = next((p for p in (1, -1) if np.linalg.norm(psi[r] - p * psi) <= PARITY_TOL), None)
+        parity = 1
+        if state is not None:
+            psi, r = np.asarray(state).ravel(), _reversal_permutation(path.dim)
+            parity = next((p for p in (1, -1) if np.linalg.norm(psi[r] - p * psi) <= PARITY_TOL), None)
     if parity is None:
         return (ReversalBlock(path, _identity, _identity),)
 

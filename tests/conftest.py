@@ -45,17 +45,16 @@ def record_eigh(monkeypatch) -> list:
 
 
 def record_step_dims(monkeypatch) -> list[int]:
-    """Record the dimension of every stack of Trotter steps formed through
-    ``evolve.trotter_steps`` from now on."""
+    """Record the dimension on which every Trotter product or state is
+    folded through ``evolve.trotter_fold`` from now on."""
     dims = []
-    trotter_steps = evolve.trotter_steps
+    trotter_fold = evolve.trotter_fold
 
-    def recording(spec, s_values):
-        steps = trotter_steps(spec, s_values)
-        dims.append(steps.shape[-1])
-        return steps
+    def recording(spec, x):
+        dims.append(len(x))
+        return trotter_fold(spec, x)
 
-    monkeypatch.setattr(evolve, "trotter_steps", recording)
+    monkeypatch.setattr(evolve, "trotter_fold", recording)
     return dims
 
 
@@ -97,6 +96,23 @@ def singlet_target_json(field: float = 0.0) -> dict:
         "n_sites": 2,
         "h_initial": [{"coeff": -1.0, "factors": [[j, "X"]]} for j in range(2)],
         "h_final": heisenberg + zeeman,
+    }
+
+
+def odd_target_json() -> dict:
+    """A 3-site Hamiltonian file, symmetric under site reversal, from
+    H_i = -(X0 + X1 + X2), whose ground state |+++> is even under reversal,
+    to H_f = X0 X2 + Y0 Y2 + Z0 Z2 - Z1 - 0.3 X1, whose ground state, the
+    singlet of sites 0 and 2 times the ground state of site 1, is odd.  The
+    site-1 factor has irrational entries, so ``eigh`` can return psi_f with
+    rounding in its even part."""
+    def term(coeff, *factors):
+        return {"coeff": coeff, "factors": [list(f) for f in factors]}
+
+    return {
+        "n_sites": 3,
+        "h_initial": [term(-1.0, (j, "X")) for j in range(3)],
+        "h_final": [term(1.0, (0, a), (2, a)) for a in "XYZ"] + [term(-1.0, (1, "Z")), term(-0.3, (1, "X"))],
     }
 
 

@@ -185,7 +185,7 @@ class TestCriterion2Fig2:
         The index describes eps_adb, not eps_tot: at fixed L the Trotter
         part of eps_tot sits on an O(1/L) floor that does not fall with T,
         so the 1/T law for eps_tot needs L growing with T, a sweep fig2
-        does not run.  The CLI's scaling_index_robust_window comment is the
+        does not run.  The CLI's eps_tot_slope_robust_window comment is the
         eps_tot slope over the same window and is not this exponent.
         """
         rows, _ = fig2_data

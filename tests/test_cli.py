@@ -33,6 +33,7 @@ from conftest import (
     mid_path_singlet_json,
     odd_ground_json,
     odd_singlet_json,
+    odd_target_json,
     record_eigh,
     record_step_dims,
     rotated_tfim_json,
@@ -80,17 +81,18 @@ def package_env() -> dict:
     return env
 
 
-def count_solver_batches(monkeypatch, name="eigh") -> list:
-    """Record the batch shape of every np.linalg.<name> call from now on."""
-    batches = []
+def record_solver_shapes(monkeypatch, name="eigh") -> list:
+    """Record the shape of the matrix argument of every np.linalg.<name>
+    call from now on, batch dims included."""
+    shapes = []
     solver = getattr(np.linalg, name)
 
-    def counting(a, *args, **kwargs):
-        batches.append(np.shape(a)[:-2])
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
         return solver(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, name, counting)
-    return batches
+    monkeypatch.setattr(np.linalg, name, recording)
+    return shapes
 
 
 class TestConfig:
@@ -418,9 +420,9 @@ class TestRows:
         assert rows[-1]["s"] == pytest.approx(1.0)
 
     def test_gamma_diagonalizes_its_grid_once(self, monkeypatch):
-        batches = count_solver_batches(monkeypatch)
+        shapes = record_solver_shapes(monkeypatch)
         gamma_rows(small_config(gamma_t_values=[5.0, 10.0]))
-        assert batches.count((10,)) == 1
+        assert [shape[:-2] for shape in shapes].count((10,)) == 1
 
     @pytest.mark.parametrize(
         "rows, full, sector",
@@ -453,11 +455,13 @@ class TestRows:
         assert set(dims) == {10, 6}
 
     def test_bound_diagonalizes_its_nodes_once(self, monkeypatch):
-        eigh_batches = count_solver_batches(monkeypatch)
-        eigvalsh_batches = count_solver_batches(monkeypatch, "eigvalsh")
+        # Once per site-reversal block: at 2 sites the blocks have dims 3
+        # and 1, and no full-space matrix of dim 4 is diagonalized.
+        eigh_shapes = record_solver_shapes(monkeypatch)
+        eigvalsh_shapes = record_solver_shapes(monkeypatch, "eigvalsh")
         bound_rows(small_config(t_values=[10.0, 20.0, 40.0], bound_quad_points=21))
-        assert eigvalsh_batches == [(21,)]
-        assert eigh_batches == []
+        assert eigvalsh_shapes == [(21, 3, 3), (21, 1, 1)]
+        assert eigh_shapes == []
 
     def test_fig2_evolves_states_not_propagators(self, monkeypatch):
         def no_propagator(*args, **kwargs):
@@ -640,8 +644,7 @@ class TestSectorSweeps:
         # psi_i, the singlet, spans the odd sector of dim 1 by itself.  It is
         # an eigenvector of every H(s) and of both layers, so both
         # propagators map it to a phase and eps_tro is 0 in exact
-        # arithmetic; sqrt(1 - |<a|b>|^2) leaves about the square root of
-        # the rounding, 1e-7, on either space.
+        # arithmetic; see test_exact_zeros_leave_no_rounding_floor.
         (tmp_path / "ham.json").write_text(json.dumps(odd_singlet_json()))
         config = {"hamiltonian_file": str(tmp_path / "ham.json"), "steps": 10, "t_values": [4.0, 8.0]}
         (tmp_path / "config.json").write_text(json.dumps(config))
@@ -659,17 +662,40 @@ class TestSectorSweeps:
             assert abs(mine["norm_dist"] - theirs["norm_dist"]) <= 1e-13
             assert mine["eps_tro"] <= 1e-6 and theirs["eps_tro"] <= 1e-6
 
+    def test_exact_zeros_leave_no_rounding_floor(self, tmp_path):
+        # On the odd-singlet file every one of these values is 0 in exact
+        # arithmetic.  sqrt(1 - |<a|b>|^2) left 3e-8 to 1e-7 in each, the
+        # square root of one rounding; the residual forms leave rounding.
+        config = sweep_config(
+            tmp_path, odd_singlet_json(), n_sites=2, steps=10,
+            t_values=[4.0, 8.0], gamma_t_values=[3.0, 30.0],
+        )
+        fig1 = fig1_rows(config)
+        gamma = gamma_rows(config)
+        assert [r["T"] for r in fig1] == [4.0, 8.0] and [r["T"] for r in gamma] == [3.0, 30.0]
+        for row in fig1:
+            assert row["eps_tro"] <= 1e-14, row
+        for row in gamma:
+            assert row["eps_adb_exact"] <= 1e-14 and row["fidelity_check"] <= 1e-14, row
+
     def test_target_in_the_other_sector(self, tmp_path, monkeypatch):
-        # psi_f, the singlet, projects to zero in the even sector of psi_i,
-        # so every fig2 overlap with it is 0.
-        (tmp_path / "ham.json").write_text(json.dumps(singlet_target_json()))
-        config = {"hamiltonian_file": str(tmp_path / "ham.json"), "steps": 10, "t_values": [4.0, 8.0]}
-        (tmp_path / "config.json").write_text(json.dumps(config))
-        out = tmp_path / "out"
-        assert main(["fig2", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 0
-        rows = csv_rows(out / "fig2.csv")
-        assert [r["T"] for r in rows] == [4.0, 8.0]
-        assert all(r["eps_adb"] == r["eps_tot"] == 1.0 for r in rows)
+        # psi_f is odd, so it projects to zero in the even sector of psi_i
+        # and every fig2 overlap with it is 0.  On three sites eigh can leave
+        # rounding in psi_f's even part, so the projection is zero only up
+        # to rounding.
+        for hamiltonian in (singlet_target_json(), odd_target_json()):
+            (tmp_path / "ham.json").write_text(json.dumps(hamiltonian))
+            config = {"hamiltonian_file": str(tmp_path / "ham.json"), "steps": 10, "t_values": [4.0, 8.0]}
+            path = RunConfig.from_dict(config).build_path()
+            psi_i, psi_f = endpoint_states(path)
+            blocks = model.reversal_blocks(path, psi_i)
+            assert len(blocks) == 2 and np.linalg.norm(blocks[0].project(psi_f)) <= model.PARITY_TOL
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            out = tmp_path / "out"
+            assert main(["fig2", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 0
+            rows = csv_rows(out / "fig2.csv")
+            assert [r["T"] for r in rows] == [4.0, 8.0]
+            assert all(r["eps_adb"] == r["eps_tot"] == 1.0 for r in rows)
         # gamma's frames follow the ground level, which ends in the odd
         # sector, so gamma runs on the full space.  At steps 20 the even
         # sector's triplet is degenerate at s = 1 (field 0); with the field

@@ -12,8 +12,11 @@ from daslab.linalg import ground_state, operator_norm
 from daslab.model import (
     AdiabaticPath,
     HermitianOperator,
+    ReversalBlock,
     linear_schedule,
+    load_path_json,
     polynomial_schedule,
+    tfim_path,
 )
 from daslab.evolve import (
     EvolutionSpec,
@@ -21,7 +24,7 @@ from daslab.evolve import (
     exact_state_evolution,
     trotter_evolution,
 )
-from daslab import model
+from daslab import errors, model
 from daslab.errors import (
     BoundReport,
     ErrorTriplet,
@@ -33,7 +36,7 @@ from daslab.errors import (
     scaling_index,
 )
 
-from conftest import random_state
+from conftest import random_state, rotated_tfim_json, site0_field_json
 
 
 class TestFidelityError:
@@ -55,6 +58,24 @@ class TestFidelityError:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             fidelity_error(np.ones(2), np.ones(3))
+
+    def test_residual_of_nearly_equal_states(self):
+        # 1 - |<a|b>|^2 would leave about sqrt(eps) here.
+        rng = np.random.default_rng(3)
+        psi = random_state(rng, 6)
+        assert fidelity_error(psi, np.exp(0.7j) * psi) <= 1e-15
+        assert fidelity_error(psi, 3.0 * psi) <= 1e-15
+
+    def test_zero_state_is_orthogonal_to_everything(self):
+        rng = np.random.default_rng(4)
+        psi = random_state(rng, 3)
+        assert fidelity_error(psi, np.zeros(3)) == fidelity_error(np.zeros(3), psi) == 1.0
+        # The projection of a state of the other parity onto a site-reversal
+        # block is zero up to rounding; normalizing it would give an
+        # arbitrary error below 1.
+        noise = 1e-16 * random_state(rng, 3)
+        assert fidelity_error(psi, noise) == fidelity_error(noise, psi) == 1.0
+        assert fidelity_error(psi, 1e-9 * psi) <= 1e-15
 
     def test_metric_triangle_random(self):
         rng = np.random.default_rng(2)
@@ -225,6 +246,41 @@ class TestAdiabaticBound:
         chunked = bound_profile(tfim4, 21)
         np.testing.assert_array_equal(chunked.gaps, whole.gaps)
         assert chunked.integral == whole.integral
+
+
+class TestBlockedBound:
+    """A path that site reversal maps to itself is bounded block by block;
+    the full space gives the same profile."""
+
+    @pytest.mark.parametrize(
+        "path",
+        [tfim_path(n, periodic) for n in (4, 5) for periodic in (False, True)]
+        + [load_path_json(rotated_tfim_json(4))],
+        ids=["tfim4-open", "tfim4-periodic", "tfim5-open", "tfim5-periodic", "rotated4"],
+    )
+    def test_blocks_match_the_full_space(self, path, monkeypatch):
+        # With no state, parity +1 (which holds the palindromes) comes first.
+        dims = [block.path.dim for block in model.reversal_blocks(path)]
+        assert len(dims) == 2 and sum(dims) == path.dim and dims[0] > dims[1]
+        blocked = bound_profile(path, 41)
+        monkeypatch.setattr(
+            errors, "reversal_blocks", lambda path: (ReversalBlock(path, None, None),)
+        )
+        full = bound_profile(path, 41)
+        for mine, theirs in ((blocked.gaps, full.gaps), (blocked.d1, full.d1)):
+            np.testing.assert_allclose(mine, theirs, rtol=1e-12, atol=0)
+        assert blocked.integral == pytest.approx(full.integral, rel=1e-12, abs=0)
+
+    def test_path_without_the_symmetry_stays_whole(self, monkeypatch):
+        path = load_path_json(site0_field_json(4))
+        assert model.reversal_blocks(path)[0].path is path
+        seen = []
+        energies = errors.path_energies
+        monkeypatch.setattr(
+            errors, "path_energies", lambda p, s: seen.append(p) or energies(p, s)
+        )
+        bound_profile(path, 21)
+        assert seen == [path]
 
 
 class TestScalingIndex:

@@ -19,6 +19,7 @@ from daslab.model import (
     linear_schedule,
     load_path_json,
     path_at,
+    path_matrix,
     path_spectrum,
     tfim_path,
 )
@@ -29,6 +30,7 @@ from daslab.evolve import (
     chunked_product,
     discrete_evolution,
     discrete_product,
+    discrete_state,
     effective_hamiltonian,
     exact_evolution,
     exact_state_evolution,
@@ -38,6 +40,7 @@ from daslab.evolve import (
     strang_step,
     ordered_product,
     trotter_evolution,
+    trotter_fold,
     trotter_state,
     trotter_step_unitary,
     trotter_steps,
@@ -150,7 +153,7 @@ class TestChunkedProduct:
 
     def test_products_hold_a_few_steps(self):
         # A whole stack of 100 step unitaries at dim 256 is 100 MB; the
-        # chunked products peak at a few stacks of 8 frames.
+        # folded products hold their accumulator and one step's factors.
         path = tfim_path(8)
         spec = EvolutionSpec(path=path, total_time=100.0, steps=100)
         spectrum = path_spectrum(path, spec.grid_points())
@@ -396,9 +399,28 @@ class TestTrotterEvolution:
 
 
 def full_space_trotter(spec: EvolutionSpec) -> np.ndarray:
-    """The Trotterized propagator multiplied on the full space."""
+    """The Trotterized propagator as a tree product of the step unitaries on
+    the full space, the reference that predates the fold."""
     s = spec.grid_points()
     return chunked_product(lambda part: trotter_steps(spec, s[part]), spec.steps, spec.path.dim)
+
+
+def full_space_fold(spec: EvolutionSpec) -> np.ndarray:
+    """The Trotterized propagator folded from the identity on the full space."""
+    return trotter_fold(spec, np.eye(spec.path.dim, dtype=complex))
+
+
+def site0_field_spec(path: AdiabaticPath) -> EvolutionSpec:
+    """A three-layer spec on a reversal-symmetric path: the third layer, a
+    field on site 0 alone, breaks the reversal symmetry of the step, though
+    both path layers keep it."""
+    p = path.schedule.p
+    field = Layer(
+        matrix=model.pauli_sum_matrix([model.PauliTerm(-0.5, ((0, "Z"),))], path.dim.bit_length() - 1),
+        weight=lambda s: float(p(s)),
+    )
+    layers = (*interpolation_layers(path), field)
+    return EvolutionSpec(path=path, total_time=9.0, steps=37, layers=layers)
 
 
 class TestBlockedTrotter:
@@ -431,23 +453,15 @@ class TestBlockedTrotter:
         path = load_path_json(site0_field_json(4))
         spec = EvolutionSpec(path=path, total_time=9.0, steps=37)
         assert [layer.blocks is None for layer in spec.layers] == [False, True]
-        reference = full_space_trotter(spec)
+        reference = full_space_fold(spec)
         dims = record_step_dims(monkeypatch)
         np.testing.assert_array_equal(trotter_evolution(spec).matrix, reference)
         assert set(dims) == {16}
 
     def test_one_layer_without_the_symmetry_keeps_the_full_space(self, monkeypatch, tfim4):
-        # A third layer, a field on site 0 alone, breaks the reversal
-        # symmetry of the step, though both path layers keep it.
-        p = tfim4.schedule.p
-        field = Layer(
-            matrix=model.pauli_sum_matrix([model.PauliTerm(-0.5, ((0, "Z"),))], 4),
-            weight=lambda s: float(p(s)),
-        )
-        layers = (*interpolation_layers(tfim4), field)
-        spec = EvolutionSpec(path=tfim4, total_time=9.0, steps=37, layers=layers)
-        assert [layer.blocks is None for layer in layers] == [False, False, True]
-        reference = full_space_trotter(spec)
+        spec = site0_field_spec(tfim4)
+        assert [layer.blocks is None for layer in spec.layers] == [False, False, True]
+        reference = full_space_fold(spec)
         dims = record_step_dims(monkeypatch)
         np.testing.assert_array_equal(trotter_evolution(spec).matrix, reference)
         assert set(dims) == {16}
@@ -459,6 +473,56 @@ class TestBlockedTrotter:
                 assert block.label == f"{layer.label}[R={parity:+d}]"
                 # H_Z's blocks stay exactly diagonal, so they take no eigh.
                 assert (block.eig[1] is None) == (layer.label == "final")
+
+
+FOLD_PATHS = {
+    "tfim3": lambda: tfim_path(3),
+    "tfim4": lambda: tfim_path(4),
+    "rotated4": lambda: load_path_json(rotated_tfim_json(4)),
+}
+
+
+class TestFolds:
+    """Every propagator and state is a left fold over the steps; the
+    references are built apart from it."""
+
+    @pytest.mark.parametrize("name", FOLD_PATHS)
+    def test_discrete_product_is_the_ordered_step_exponentials(self, name):
+        path = FOLD_PATHS[name]()
+        spec = EvolutionSpec(path=path, total_time=9.0, steps=37)
+        reference = np.eye(path.dim, dtype=complex)
+        for s in spec.grid_points():
+            reference = matrix_exp_hermitian(path_matrix(path, [s])[0], spec.dt) @ reference
+        got = discrete_product(path_spectrum(path, spec.grid_points()), spec.dt)
+        assert np.abs(got - reference).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", FOLD_PATHS)
+    def test_discrete_state_is_the_product_on_the_state(self, name):
+        path = FOLD_PATHS[name]()
+        spec = EvolutionSpec(path=path, total_time=9.0, steps=37, grid="midpoint")
+        spectrum = path_spectrum(path, spec.grid_points())
+        psi = ground_state(path.h_initial.matrix)
+        expected = discrete_product(spectrum, spec.dt) @ psi
+        assert np.abs(discrete_state(spectrum, spec.dt, psi) - expected).max() <= 1e-13
+
+    @pytest.mark.parametrize("name", FOLD_PATHS)
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_trotter_state_is_the_propagator_on_the_state(self, name, reverse):
+        path = FOLD_PATHS[name]()
+        layers = interpolation_layers(path)[:: -1 if reverse else 1]
+        spec = EvolutionSpec(path=path, total_time=30.0, steps=40, layers=layers)
+        psi = ground_state(path.h_initial.matrix)
+        expected = trotter_evolution(spec).matrix @ psi
+        assert np.abs(trotter_state(spec, psi) - expected).max() <= 1e-13
+
+    @pytest.mark.parametrize("name", [*FOLD_PATHS, "site0-field4", "site0-field-layer4"])
+    def test_full_space_fold_matches_the_tree_product(self, name):
+        if name == "site0-field-layer4":
+            spec = site0_field_spec(tfim_path(4))
+        else:
+            path = load_path_json(site0_field_json(4)) if name == "site0-field4" else FOLD_PATHS[name]()
+            spec = EvolutionSpec(path=path, total_time=9.0, steps=37)
+        assert np.abs(full_space_fold(spec) - full_space_trotter(spec)).max() <= 1e-13
 
 
 class TestStateKernels:

@@ -12,12 +12,14 @@ from daslab.linalg import (
     _fix_column_phases,
     as_complex_matrix,
     exp_from_eig,
+    float_view_matmul,
     ground_state,
     hermitian_eig,
     matrix_exp_hermitian,
     normalized_state,
     operator_norm,
     principal_log_hamiltonian,
+    real_if_exact,
     unitarity_defect,
     unitary_eig,
 )
@@ -324,3 +326,32 @@ class TestOperatorNormAndStates:
     def test_ground_state_degenerate_raises(self):
         with pytest.raises(DegenerateGround):
             ground_state(np.diag([0.0, 0.0, 1.0]))
+
+
+class TestFloatViewMatmul:
+    @pytest.mark.parametrize("complex_m", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("shape", [(6,), (6, 1), (6, 4)], ids=["vector", "column", "block"])
+    @pytest.mark.parametrize("rows", [6, 3])
+    def test_equals_matmul(self, complex_m, shape, rows):
+        rng = np.random.default_rng(rows + len(shape))
+        m = rng.normal(size=(rows, 6))
+        if complex_m:
+            m = m + 1j * rng.normal(size=(rows, 6))
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        got = float_view_matmul(m, x)
+        assert got.shape == (m @ x).shape and got.dtype == np.complex128
+        np.testing.assert_allclose(got, m @ x, rtol=0, atol=1e-14)
+
+    def test_transposed_and_strided_operands(self):
+        rng = np.random.default_rng(5)
+        m = rng.normal(size=(5, 5))
+        x = (rng.normal(size=(5, 8)) + 1j * rng.normal(size=(5, 8)))[:, ::2]
+        np.testing.assert_allclose(float_view_matmul(m.T, x), m.T @ x, rtol=0, atol=1e-14)
+
+    def test_real_if_exact(self):
+        h_x, _ = build_tfim(3)
+        real = real_if_exact(h_x.matrix)
+        assert real.dtype == np.float64 and real.flags.c_contiguous
+        np.testing.assert_array_equal(real, h_x.matrix.real)
+        rotated = h_x.matrix * np.exp(0.3j)
+        assert real_if_exact(rotated) is rotated
