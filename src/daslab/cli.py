@@ -3,13 +3,17 @@
 Subcommands: fig1, fig2, fig3, rl, gamma, bound, zeno.  Every CSV starts
 with a comment line carrying the hash of the resolved configuration.  On one
 machine and BLAS thread count, identical configs reproduce identical files
-byte for byte; across them, fig3's failing rows and traces and the last
-digits of fig1 and fig2 can move, and so can gamma's eps_first_order on a
-path without exact site-reversal symmetry (see the README).  fig2, fig3
+byte for byte; across them, fig3's failing rows and traces can move, and so
+can gamma's eps_first_order on a path without exact site-reversal symmetry
+(see the README), while fig1 and fig2 move by rounding alone (at most 1e-14
+between one and two OpenBLAS threads at their defaults).  fig2, fig3
 and zeno run inside the site-reversal sector of the initial state, and
 gamma does where that sector holds the ground level on the whole grid.
 fig1 diagonalizes and multiplies both its discretized and its Trotterized
-propagator per sector, and bound diagonalizes its nodes per sector.
+propagator per sector, and bound diagonalizes its nodes per sector.  fig1
+and gamma make one pass over their grid in stacks per group of T points,
+each stack folded into every T of the group and then dropped, so neither
+holds a steps x dim^2 spectrum nor more than FOLD_ENTRIES of accumulators.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -21,6 +25,7 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
@@ -40,16 +45,15 @@ from .model import (
     load_path_json,
     path_at,
     path_energies,
-    path_spectrum,
     polynomial_schedule,
     reversal_blocks,
+    spectrum_stacks,
     tfim_path,
 )
 from .evolve import (
     GRIDS,
     ODE_RTOL_FLOOR,
     EvolutionSpec,
-    discrete_product,
     discrete_state,
     exact_state_evolution,
     grid_points,
@@ -58,12 +62,7 @@ from .evolve import (
     trotter_state,
 )
 from .errors import bound_profile, endpoint_states, fidelity_error, scaling_index
-from .eigenframes import (
-    propagator_expansion,
-    transition_amplitudes,
-    transition_matrices,
-    transported_frames,
-)
+from .eigenframes import expansion_pass, transported_stream
 from .riemann_lebesgue import OscillatorySumSpec, sum_bounds
 from .zeno import (
     HERMITIAN_FAMILY, UNITARY_FAMILY, effective_family, hermitian_family, near_degeneracy_test,
@@ -74,12 +73,25 @@ from . import svg as svgmod
 # the default 8 sites (dim 256), so that an absurd count is refused before
 # anything runs.
 # A dt or T grid point is a whole continuation or propagation, up to about
-# a second each; the default grids have 29 and 40 points.
+# a second each; the default grids have 29 and 40 points.  fig1 and gamma
+# fold their grid into the T points one FOLD_ENTRIES group at a time, so
+# their memory does not grow with the count.
 MAX_DT_POINTS = 10_000
 MAX_T_POINTS = 10_000
-# fig1 and gamma hold their grid spectrum, one dim x dim basis per step, up
-# to 1 MB each, so 10^4 steps ask for about 10 GB; the default is 100.  The
-# propagator products fold over the grid and hold one step at a time.
+# fig1 and gamma make one pass over their grid per group of T points, each
+# T holding one dim x dim complex accumulator per reversal block; a group's
+# accumulators hold at most FOLD_ENTRIES entries (32 MB), so the default
+# 40 T at 8 sites (blocks 136 and 120) take one pass and 10^4 T take 159.
+# At 8 sites, one BLAS thread, 10^3 T peaked at 83 MB (fig1, 175 s) and
+# 78 MB (gamma, 32 s), and 10^4 T at 82 MB (gamma, 359 s) and 86 MB
+# (fig1, 1648 s).
+FOLD_ENTRIES = 1 << 21
+# fig1 and gamma diagonalize their grid one stack of at most
+# model.STACK_ENTRIES entries at a time and fold it into every T, and the
+# propagator products hold one step at a time.  At 8 sites and 10^4 steps,
+# one BLAS thread, gamma peaked at 54 MB in 43 s, and fig1 with one T at
+# 127 MB in 47 s (mostly the Trotter fold's steps x dim phase tables); the
+# default is 100.
 MAX_STEPS = 10_000
 # Each continuation step is one Trotter step and one unitary_eig, a few ms.
 MAX_ZENO_STEPS = 10_000
@@ -89,10 +101,11 @@ MAX_RL_STEPS = 10**6
 # Each Simpson node of the bound is one dim x dim eigvalsh, a few ms.
 MAX_QUAD_POINTS = 10_001
 # Each sweep-point worker is a thread that holds its point's working set:
-# a few dim x dim complex matrices of 1 MB each at 8 sites (each product's
-# accumulator, one step's factors and the finished propagators), under
-# 16 MB, so 64 workers ask for under 1 GB; past the core count more workers
-# only wait on the BLAS.
+# a few dim x dim complex matrices of 1 MB each at 8 sites (one step's
+# factors and the finished propagators; fig1's per-T accumulators are held
+# once per FOLD_ENTRIES group, whatever the count).  The default fig1 peaked at 70.8 MB with one
+# worker and 77.9 MB with two, so 64 workers ask for well under 1 GB; past
+# the core count more workers only wait on the BLAS.
 MAX_THREADS = 64
 
 _KINDS = {
@@ -280,11 +293,20 @@ def _shared_layers(path: AdiabaticPath):
     return layers
 
 
-def _parallel(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+@contextmanager
+def _workers(threads: int):
+    """``run(fn, items)``, the list of fn(item) in order, spread over
+    ``threads`` worker threads that live as long as the context."""
+    if threads <= 1:
+        yield lambda fn, items: [fn(item) for item in items]
+        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+        yield lambda fn, items: list(pool.map(fn, items))
+
+
+def _parallel(fn, items, threads: int):
+    with _workers(threads if len(items) > 1 else 1) as run:
+        return run(fn, items)
 
 
 def write_csv(path: Path, columns, rows, config: RunConfig, extra_comments=()) -> None:
@@ -316,43 +338,79 @@ def fig1_rows(config: RunConfig) -> list[dict]:
     the norm column is the spectral distance between the same two operators.
 
     The discretized side is diagonalized and multiplied per site-reversal
-    block, psi_i's first (see :func:`~daslab.model.reversal_blocks`).  The
-    Trotterized propagator comes from one ``trotter_evolution`` call per T,
-    which multiplies it per block as well, from the block layers that
-    :func:`_shared_layers` diagonalizes once, and scatters it into the
-    full space; it is then gathered into each block.  Both commute with site
+    block, psi_i's first (see :func:`~daslab.model.reversal_blocks`), in
+    one pass over the block's grid for each group of T points
+    (:func:`_t_groups`, :func:`_discrete_products`).
+    The Trotterized propagator comes from one ``trotter_evolution`` call per
+    T, which multiplies it per block as well, from the block layers that
+    :func:`_shared_layers` diagonalizes once, and scatters it into the full
+    space; it is then gathered into each block.  Both commute with site
     reversal, so the norm is the larger block norm and the fidelity is taken
     in psi_i's block.  A path without the symmetry is its own single block,
     and its Trotterized propagator is multiplied on the full space.
+    A group's discretized propagators are dropped once its rows are out.
+    ``threads`` workers split the T points, within each stack of the pass
+    and then for the Trotter side.
     """
     path = config.build_path()
     psi_i, _ = endpoint_states(path)
     blocks = reversal_blocks(path, psi_i)
     phi_i = blocks[0].project(psi_i)
     s_values = grid_points(config.steps, config.grid)
-    spectra = [path_spectrum(block.path, s_values) for block in blocks]
     layers = _shared_layers(path)
+    times = [float(t) for t in config.t_grid()]
 
-    def one(total_time: float) -> dict:
-        dt = total_time / config.steps
-        spec = EvolutionSpec(
-            path=path, total_time=total_time, steps=config.steps, grid=config.grid,
-            layers=layers,
-        )
-        a_tro = trotter_evolution(spec).matrix
-        pairs = [
-            (discrete_product(spectrum, dt), block.gather(a_tro))
-            for block, spectrum in zip(blocks, spectra)
-        ]
-        a_d, a_tro = pairs[0]  # psi_i's block
-        return {
-            "T": total_time,
-            "dt": dt,
-            "norm_dist": max(operator_norm(d - t) for d, t in pairs),
-            "eps_tro": fidelity_error(a_d @ phi_i, a_tro @ phi_i),
-        }
+    def one_group(group: list[float], run) -> list[dict]:
+        products = [_discrete_products(b.path, s_values, group, config.steps, run) for b in blocks]
 
-    return _parallel(one, [float(t) for t in config.t_grid()], config.threads)
+        def one(i: int) -> dict:
+            spec = EvolutionSpec(
+                path=path, total_time=group[i], steps=config.steps, grid=config.grid,
+                layers=layers,
+            )
+            a_tro = trotter_evolution(spec).matrix
+            pairs = [(products[k][i], block.gather(a_tro)) for k, block in enumerate(blocks)]
+            a_d, a_tro = pairs[0]  # psi_i's block
+            return {
+                "T": group[i],
+                "dt": spec.dt,
+                "norm_dist": max(operator_norm(d - t) for d, t in pairs),
+                "eps_tro": fidelity_error(a_d @ phi_i, a_tro @ phi_i),
+            }
+
+        return run(one, range(len(group)))
+
+    groups = _t_groups(times, sum(block.path.dim**2 for block in blocks))
+    with _workers(min(config.threads, len(times))) as run:
+        return [row for group in groups for row in one_group(group, run)]
+
+
+def _t_groups(times: list[float], entries: int) -> list[list[float]]:
+    """``times`` in order, split into groups whose fold accumulators,
+    ``entries`` complex entries per T, hold at most FOLD_ENTRIES entries
+    (at least one T a group)."""
+    size = max(1, FOLD_ENTRIES // entries)
+    return [times[start:start + size] for start in range(0, len(times), size)]
+
+
+def _discrete_products(path: AdiabaticPath, s_values, times, steps: int, run) -> list:
+    """The discretized propagator of ``path`` on ``s_values`` for every T in
+    ``times``, at dt = T / steps: one pass over the grid's
+    :func:`~daslab.model.spectrum_stacks`, each stack folded into every T's
+    accumulator by :func:`~daslab.evolve.discrete_state` (``run`` spreads
+    the T points over the workers) and then dropped.  Each accumulator sees
+    the steps of ``discrete_product`` in order, so the products are the
+    same bits; the pass holds one stack and one dim x dim accumulator per T.
+    """
+    products = [np.eye(path.dim, dtype=np.complex128) for _ in times]
+    for stack in spectrum_stacks(path, s_values):
+
+        def fold(i: int, stack=stack) -> None:
+            products[i] = discrete_state(stack, times[i] / steps, products[i])
+
+        run(fold, range(len(times)))
+        del stack, fold  # so that the next stack is formed without this one
+    return products
 
 
 def fig2_rows(config: RunConfig) -> tuple[list[dict], float]:
@@ -457,45 +515,54 @@ def gamma_rows(config: RunConfig) -> list[dict]:
     """Frame-propagator summary per T: exact error, first-order estimate,
     and the cross-module fidelity check.
 
-    The grid is diagonalized once; its frames and transitions do not depend
-    on T.  The fidelity check evolves psi_i by the discretized steps, two
-    matrix-vector products per step from the raw (untransported) bases
-    (:func:`~daslab.evolve.discrete_state`), so it stays independent of the
-    frame expansion.
+    One pass over the grid in :func:`~daslab.model.spectrum_stacks` stacks
+    serves each group of T points (:func:`_t_groups`, one group at the
+    usual counts): each grid point is diagonalized once per group, brought
+    into the parallel-transport gauge
+    (:func:`~daslab.eigenframes.transported_stream`) and applied to every
+    T's frame propagator and first-order amplitudes
+    (:func:`~daslab.eigenframes.expansion_pass`), and no stack is kept past
+    its fold.  The fidelity check evolves psi_i by the discretized steps,
+    each stack folded into every T's state by
+    :func:`~daslab.evolve.discrete_state` from the raw (untransported)
+    bases, so it stays independent of the frame expansion.
     Everything runs inside the site-reversal sector of psi_i, with psi_f
     projected onto it, where that sector holds the ground level at every
     grid point (see :func:`_ground_sector`), and on the full space
     otherwise.
     """
-    path, spectrum, psi_i, psi_f = _ground_sector(
-        config.build_path(), grid_points(config.steps, config.grid)
-    )
-    frames = transported_frames(spectrum)
-    transitions = transition_matrices(frames)
-    rows = []
-    for total_time in config.gamma_t_values:
-        total_time = float(total_time)
-        spec = EvolutionSpec(
-            path=path, total_time=total_time, steps=config.steps, grid=config.grid
-        )
-        amplitudes = transition_amplitudes(spec, frames)
-        expansion = propagator_expansion(frames, transitions, total_time, amplitudes)
-        rows.append(
+    s_values = grid_points(config.steps, config.grid)
+    path, psi_i, psi_f = _ground_sector(config.build_path(), s_values)
+
+    def one_pass(times: list[float]) -> list[dict]:
+        states = [psi_i] * len(times)
+
+        def fold_states(stack):
+            for i, total_time in enumerate(times):
+                states[i] = discrete_state(stack, total_time / config.steps, states[i])
+            return stack
+
+        frames = transported_stream(map(fold_states, spectrum_stacks(path, s_values)))
+        expansions = expansion_pass(path, frames, times, config.steps)
+        return [
             {
-                "T": total_time,
+                "T": expansion.total_time,
                 "L": config.steps,
                 "eps_adb_exact": expansion.adiabatic_error,
                 "eps_first_order": expansion.first_order_error,
-                "fidelity_check": fidelity_error(discrete_state(spectrum, spec.dt, psi_i), psi_f),
+                "fidelity_check": fidelity_error(state, psi_f),
             }
-        )
-    return rows
+            for expansion, state in zip(expansions, states)
+        ]
+
+    groups = _t_groups([float(t) for t in config.gamma_t_values], path.dim**2)
+    return [row for group in groups for row in one_pass(group)]
 
 
 def _ground_sector(path: AdiabaticPath, s_values) -> tuple:
-    """``(path, spectrum, psi_i, psi_f)`` on psi_i's site-reversal sector
-    when that sector holds the ground level of H(s) on the whole grid, and
-    on the full path otherwise; the spectrum is the path's on ``s_values``.
+    """``(path, psi_i, psi_f)`` on psi_i's site-reversal sector when that
+    sector holds the ground level of H(s) at every point of ``s_values``,
+    and on the full path otherwise.
 
     The sector is kept when psi_f's projection keeps its norm within
     PARITY_TOL and the other sector's lowest level lies more than GAP_FLOOR
@@ -503,17 +570,18 @@ def _ground_sector(path: AdiabaticPath, s_values) -> tuple:
     full-space ground level is the sector's, the couplings to the other
     sector vanish, and the full-space ground gap is above GAP_FLOOR exactly
     when the sector's is, so the frames and their gap guard give the
-    full-space result.
+    full-space result.  Both lowest levels come from
+    :func:`~daslab.model.path_energies`, eigenvalues alone, so the choice is
+    made before any pass forms a basis; only their first columns are kept.
     """
     psi_i, psi_f = endpoint_states(path)
     blocks = reversal_blocks(path, psi_i)
     phi_i, phi_f = map(blocks[0].project, (psi_i, psi_f))
     if len(blocks) == 2 and abs(np.linalg.norm(phi_f) - 1.0) <= PARITY_TOL:
-        spectrum = path_spectrum(blocks[0].path, s_values)
-        rival = path_energies(blocks[1].path, s_values)[:, 0]
-        if np.all(rival - spectrum.energies[:, 0] > GAP_FLOOR):
-            return blocks[0].path, spectrum, phi_i, phi_f
-    return path, path_spectrum(path, s_values), psi_i, psi_f
+        ground, rival = (path_energies(block.path, s_values)[:, 0].copy() for block in blocks)
+        if np.all(rival - ground > GAP_FLOOR):
+            return blocks[0].path, phi_i, phi_f
+    return path, psi_i, psi_f
 
 
 def bound_rows(config: RunConfig) -> list[dict]:

@@ -7,9 +7,12 @@ transition matrices.  The expansion of that product in the off-diagonal
 parts of the transitions gives the first-order transition amplitudes into
 excited levels and the exact discrete adiabatic error.
 
-The eigenframes are a :class:`~daslab.model.PathSpectrum` whose bases are in
-the parallel-transport gauge (see :func:`transported_frames`); every routine
-here reads its arrays directly.
+The eigenframes come one grid point at a time from
+:func:`transported_stream`, which holds the previous frame alone, or
+collected into a :class:`~daslab.model.PathSpectrum` whose bases are in the
+parallel-transport gauge (see :func:`transported_frames`), whose arrays the
+batched routines here read directly.  :func:`expansion_pass` folds the
+stream into every T at once.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .linalg import (
     float_view_matmul,
     unitarity_defect,
 )
-from .model import AdiabaticPath, PathSpectrum, path_spectrum, stack_chunks
+from .model import AdiabaticPath, PathSpectrum, path_spectrum, spectrum_stacks, stack_chunks
 from .evolve import UNITARY_RESULT_TOL, EvolutionSpec
 from .riemann_lebesgue import cumulative_simpson, simpson
 
@@ -45,72 +48,85 @@ def _align_block(reference: np.ndarray, block: np.ndarray) -> np.ndarray:
     return block @ (u @ vh).conj().T
 
 
-def _transport_gauge(energies: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """Parallel-transport gauge along the frame sequence.
+def transported_stream(stacks, strict: bool = False):
+    """The eigenframes of a grid spectrum, one grid point at a time: for
+    ``stacks``, the grid's :class:`~daslab.model.PathSpectrum` as stacks in
+    grid order (one stack, or :func:`~daslab.model.spectrum_stacks`), yields
+    ``(s, energies, basis)`` per grid point with the basis in the
+    parallel-transport gauge.
 
-    Non-degenerate columns of frame j+1 are rephased so their overlap with
-    the matching column of frame j is real nonnegative.  Degenerate clusters
-    (spacing below DEGENERACY_CLUSTER_TOL) are polar-aligned as blocks; the
-    leading frame's clusters are aligned against frame 1 so the first
-    transition is as smooth as the rest.
+    Non-degenerate columns of frame j are rephased so their overlap with the
+    matching column of frame j-1 is real nonnegative.  Degenerate clusters
+    (spacing below DEGENERACY_CLUSTER_TOL) are polar-aligned as blocks.
+    Frame 0 takes the deterministic column phases of ``_fix_column_phases``
+    and its clusters are aligned against frame 1's raw basis, so the first
+    transition is as smooth as the rest: frame 0 is held until frame 1
+    arrives.  Past that only the previous frame is kept.
+
+    Raises :class:`DegeneratePath` at the first grid point where the ground
+    gap is at or below GAP_FLOOR.  With strict=True any pair of levels at or
+    below GAP_FLOOR apart triggers the same error; the default tolerates
+    degenerate excited levels, which the standard spin-chain endpoints have.
     """
-    bases = bases.copy()
-    n_frames = len(bases)
-    bases[0] = _fix_column_phases(bases[0])
-    if n_frames == 1:
-        return bases
-    for lo, hi in _eigenvalue_clusters(energies[0]):
-        if hi - lo > 1:
-            bases[0][:, lo:hi] = _align_block(bases[1][:, lo:hi], bases[0][:, lo:hi])
-    for j in range(1, n_frames):
-        prev = bases[j - 1]
-        cur = bases[j]
-        for lo, hi in _eigenvalue_clusters(energies[j]):
-            if hi - lo > 1:
-                cur[:, lo:hi] = _align_block(prev[:, lo:hi], cur[:, lo:hi])
-            else:
-                z = np.vdot(prev[:, lo], cur[:, lo])
-                if abs(z) > 0:
-                    cur[:, lo] *= z.conj() / abs(z)
-        bases[j] = cur
-    return bases
+    step, lead, prev = 0, None, None
+    for stack in stacks:
+        for s, energies, raw in zip(stack.s_values, stack.energies, stack.bases):
+            gaps = np.diff(energies)
+            if len(energies) > 1 and gaps[0] <= GAP_FLOOR:
+                raise DegeneratePath(
+                    f"ground state degenerate at step {step} (s = {s:.6f})",
+                    step=step,
+                    level_a=0,
+                    level_b=1,
+                )
+            if strict and np.any(gaps <= GAP_FLOOR):
+                level = int(np.argmax(gaps <= GAP_FLOOR))
+                raise DegeneratePath(
+                    f"levels {level} and {level + 1} degenerate at step {step}",
+                    step=step,
+                    level_a=level,
+                    level_b=level + 1,
+                )
+            step += 1
+            if step == 1:
+                lead = (s, energies, _fix_column_phases(raw))
+                continue
+            if lead is not None:
+                prev = lead[2]
+                for lo, hi in _eigenvalue_clusters(lead[1]):
+                    if hi - lo > 1:
+                        prev[:, lo:hi] = _align_block(raw[:, lo:hi], prev[:, lo:hi])
+                yield lead
+                lead = None
+            cur = raw.copy()
+            for lo, hi in _eigenvalue_clusters(energies):
+                if hi - lo > 1:
+                    cur[:, lo:hi] = _align_block(prev[:, lo:hi], cur[:, lo:hi])
+                else:
+                    z = np.vdot(prev[:, lo], cur[:, lo])
+                    if abs(z) > 0:
+                        cur[:, lo] *= z.conj() / abs(z)
+            yield s, energies, cur
+            prev = cur
+        del stack, raw  # so that the next stack is formed without this one
+    if lead is not None:  # a grid of one point
+        yield lead
 
 
 def eigenframe_sequence(spec: EvolutionSpec, strict: bool = False) -> PathSpectrum:
-    """Transported eigenframes of H(s_j) over the spec's grid; see
-    :func:`transported_frames`."""
-    spectrum = path_spectrum(spec.path, spec.grid_points())
-    return transported_frames(spectrum, strict)
+    """Transported eigenframes of H(s_j) over the spec's grid, collected
+    from :func:`transported_stream` over the grid's stacks."""
+    s_values, energies, bases = zip(
+        *transported_stream(spectrum_stacks(spec.path, spec.grid_points()), strict)
+    )
+    return PathSpectrum(np.array(s_values), np.array(energies), np.array(bases))
 
 
 def transported_frames(spectrum: PathSpectrum, strict: bool = False) -> PathSpectrum:
     """Eigenframes of a grid spectrum: the same grid and energies, with the
-    bases in the parallel-transport gauge.
-
-    Raises :class:`DegeneratePath` when the ground gap is at or below
-    GAP_FLOOR anywhere on the grid.  With strict=True any pair of levels at
-    or below GAP_FLOOR apart triggers the same error; the default tolerates
-    degenerate excited levels, which the standard spin-chain endpoints have.
-    """
-    s_values, energies = spectrum.s_values, spectrum.energies
-    for j in range(len(s_values)):
-        gaps = np.diff(energies[j])
-        if energies.shape[1] > 1 and gaps[0] <= GAP_FLOOR:
-            raise DegeneratePath(
-                f"ground state degenerate at step {j} (s = {s_values[j]:.6f})",
-                step=j,
-                level_a=0,
-                level_b=1,
-            )
-        if strict and np.any(gaps <= GAP_FLOOR):
-            level = int(np.argmax(gaps <= GAP_FLOOR))
-            raise DegeneratePath(
-                f"levels {level} and {level + 1} degenerate at step {j}",
-                step=j,
-                level_a=level,
-                level_b=level + 1,
-            )
-    return PathSpectrum(s_values, energies, _transport_gauge(energies, spectrum.bases))
+    bases of :func:`transported_stream` in the parallel-transport gauge."""
+    bases = [basis for _, _, basis in transported_stream([spectrum], strict)]
+    return PathSpectrum(spectrum.s_values, spectrum.energies, np.array(bases))
 
 
 def transition_matrices(frames: PathSpectrum) -> np.ndarray:
@@ -134,12 +150,14 @@ class PropagatorExpansion:
     0).  The product multiplies real transitions through
     :func:`~daslab.linalg.float_view_matmul`.  ``amplitudes``
     carries the first-order estimate of those transition amplitudes when the
-    caller computed it.
+    caller computed it.  ``zeroth_order`` and ``first_order`` are the
+    leading terms of the product's expansion; :func:`expansion_pass`, which
+    holds one transition at a time, leaves them None.
     """
 
     matrix: np.ndarray
-    zeroth_order: np.ndarray
-    first_order: np.ndarray
+    zeroth_order: np.ndarray | None
+    first_order: np.ndarray | None
     adiabatic_error: float
     total_time: float
     dt: float
@@ -188,7 +206,7 @@ def propagator_expansion(
 
     gamma = np.diag(phases[0])
     for j in range(1, n_frames):
-        gamma = phases[j][:, None] * float_view_matmul(transitions[j - 1], gamma)
+        gamma = _frame_step(transitions[j - 1], phases[j], gamma)
 
     zeroth = np.diag(np.exp(-1j * dt * energies.sum(axis=0)))
 
@@ -240,11 +258,83 @@ def transition_amplitudes(spec: EvolutionSpec, frames: PathSpectrum) -> np.ndarr
     diff = spec.path.h_final.matrix - spec.path.h_initial.matrix
     amplitudes = np.zeros(dim - 1, dtype=complex)
     for k in range(n_frames - 1):
-        dp = float(spec.path.schedule.dp(s_values[k]))
-        coupling = (bases[k][:, 0].conj() @ diff @ bases[k][:, 1:]) * dp
-        theta = coupling / lambdas[k, 1:]
-        amplitudes += theta * np.exp(-1j * dt * prefix[k, 1:])
+        theta = _coupling(spec.path, diff, s_values[k], bases[k], lambdas[k])
+        _amplitude_step(amplitudes, theta, dt, prefix[k])
     return spacing * amplitudes
+
+
+def _frame_step(transition: np.ndarray, phases: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """One frame of the frame propagator: diag(phases) S gamma, with a real
+    transition S multiplied through :func:`~daslab.linalg.float_view_matmul`."""
+    return phases[:, None] * float_view_matmul(transition, gamma)
+
+
+def _coupling(path: AdiabaticPath, diff: np.ndarray, s, basis: np.ndarray, lambdas: np.ndarray):
+    """<0|H'(s)|l> / lambda_l at one frame, for l = 1..dim-1, with H'(s) =
+    p'(s) (H_f - H_i) and ``diff`` = H_f - H_i; it does not depend on T."""
+    dp = float(path.schedule.dp(s))
+    return (basis[:, 0].conj() @ diff @ basis[:, 1:]) * dp / lambdas[1:]
+
+
+def _amplitude_step(amplitudes: np.ndarray, theta: np.ndarray, dt: float, prefix: np.ndarray) -> None:
+    """Add one frame's first-order term, its coupling ``theta`` against the
+    accumulated level-spacing phases of ``prefix`` (levels 1..dim-1), to
+    ``amplitudes`` in place."""
+    amplitudes += theta * np.exp(-1j * dt * prefix[1:])
+
+
+def expansion_pass(
+    path: AdiabaticPath, frames, total_times, steps: int
+) -> list[PropagatorExpansion]:
+    """The frame propagator and its first-order amplitudes for every T, in
+    one pass over the ``steps`` transported frames ``(s, energies, basis)``
+    of ``path`` in grid order (:func:`transported_stream`).
+
+    Per frame j the transition S_j = B_j^dag B_{j-1} and the coupling of
+    :func:`transition_amplitudes`, which do not depend on T, are formed
+    once and applied to every T's frame-propagator accumulator and
+    amplitude vector, with the phase prefix of the level spacings carried
+    along.  Per T each frame takes the steps ``_frame_step`` and
+    ``_amplitude_step`` of :func:`propagator_expansion` and
+    :func:`transition_amplitudes` over the collected frames, so the
+    matrices and amplitudes are the same bits, and no frame is held past
+    the next one.  The pass holds one dim x dim accumulator per T, each
+    replaced in turn.  The expansions leave out the zeroth and first order,
+    which need every transition at once.
+    """
+    diff = path.h_final.matrix - path.h_initial.matrix
+    dts = [total_time / steps for total_time in total_times]
+    spacing = 1.0  # the grid spacing, once the second frame is in
+    for j, (s, energies, basis) in enumerate(frames):
+        lambdas = energies - energies[0]
+        if j == 0:
+            gammas = [np.diag(np.exp(-1j * dt * energies)) for dt in dts]
+            amplitudes = [np.zeros(len(energies) - 1, dtype=complex) for _ in dts]
+            start, prefix = s, lambdas
+        else:
+            transition = basis.conj().T @ prev
+            for i, dt in enumerate(dts):
+                gammas[i] = _frame_step(transition, np.exp(-1j * dt * energies), gammas[i])
+            prefix = prefix + lambdas
+            if j == 1:
+                spacing = s - start
+        if j < steps - 1:
+            theta = _coupling(path, diff, s, basis, lambdas)
+            for amplitude, dt in zip(amplitudes, dts):
+                _amplitude_step(amplitude, theta, dt, prefix)
+        prev = basis
+    return [
+        PropagatorExpansion(
+            matrix=gamma,
+            zeroth_order=None,
+            first_order=None,
+            adiabatic_error=float(np.linalg.norm(gamma[1:, 0])),
+            total_time=total_time,
+            dt=dt,
+            amplitudes=spacing * amplitude,
+        )
+        for gamma, amplitude, total_time, dt in zip(gammas, amplitudes, total_times, dts)
+    ]
 
 
 def gamma_expansion(spec: EvolutionSpec) -> PropagatorExpansion:

@@ -346,7 +346,8 @@ def path_matrix(path: AdiabaticPath, s_values: np.ndarray) -> np.ndarray:
     The stack is float64 when both endpoints have zero imaginary part (the
     TFIM, any Pauli sum without ``Y``), so its eigensolvers run in real
     arithmetic; it is built from the real parts directly, never as a complex
-    stack first.  Otherwise it is complex128.
+    stack first.  Otherwise it is complex128.  H_i is added in place, so
+    the stack is the only array of its size that this forms.
     """
     s_values = np.asarray(s_values, dtype=float)
     weights = np.asarray(path.schedule.p(s_values), dtype=float)
@@ -354,7 +355,9 @@ def path_matrix(path: AdiabaticPath, s_values: np.ndarray) -> np.ndarray:
     hf = path.h_final.matrix
     if not (hi.imag.any() or hf.imag.any()):
         hi, hf = hi.real, hf.real
-    return hi[None, :, :] + weights[:, None, None] * (hf - hi)[None, :, :]
+    stack = weights[:, None, None] * (hf - hi)[None, :, :]
+    stack += hi
+    return stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,10 +377,23 @@ class PathSpectrum:
 
 
 def path_spectrum(path: AdiabaticPath, s_values) -> PathSpectrum:
-    """Diagonalize H(s) at every grid point in one batched call."""
+    """Diagonalize H(s) at every grid point in one batched call; a solver
+    that fails to converge raises :class:`ConvergenceFailure`."""
     s_values = np.asarray(s_values, dtype=float)
-    energies, bases = np.linalg.eigh(path_matrix(path, s_values))
+    try:
+        energies, bases = np.linalg.eigh(path_matrix(path, s_values))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigh failed to converge: {exc}") from exc
     return PathSpectrum(s_values, energies, bases)
+
+
+def spectrum_stacks(path: AdiabaticPath, s_values):
+    """The grid's :func:`path_spectrum` one :func:`stack_chunks` stack at a
+    time, in grid order, so that a pass over the grid holds one stack of
+    bases.  LAPACK gives each matrix the same bits at any stack size."""
+    s_values = np.asarray(s_values, dtype=float)
+    for part in stack_chunks(len(s_values), path.dim):
+        yield path_spectrum(path, s_values[part])
 
 
 def path_energies(path: AdiabaticPath, s_values) -> np.ndarray:

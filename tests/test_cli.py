@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -746,6 +747,96 @@ class TestSectorSweeps:
                 assert abs(a[key] - b[key]) <= 1e-12, key
 
 
+class TestStreamedPass:
+    """fig1 and gamma diagonalize their grid one ``spectrum_stacks`` stack at
+    a time and fold each stack into every T before the next is formed."""
+
+    @pytest.mark.parametrize("frames", [1, 2, 4])
+    @pytest.mark.parametrize("steps", [2, 11])
+    @pytest.mark.parametrize("case", ["tfim4", "periodic4", "rotated4", "midpath"])
+    def test_rows_independent_of_the_stack_size(self, tmp_path, monkeypatch, case, steps, frames):
+        # Stacks hold a power of two of frames and the last one the rest:
+        # in the dim-10 sector 11 steps make stacks of 1, of 2 (and 1), and
+        # of 4 (and 3); one-frame stacks hold frame 0 across a stack
+        # boundary until frame 1 arrives.  The TFIM sector is degenerate at
+        # s = 1, where its frames align clusters.  At 11 steps the mid-path
+        # file's ground level leaves its even sector, so gamma runs on the
+        # full dim-4 space, in stacks of as many frames.
+        hamiltonian = {"rotated4": rotated_tfim_json(4), "midpath": mid_path_singlet_json()}.get(case)
+        config = sweep_config(tmp_path, hamiltonian, steps=steps, periodic=case == "periodic4")
+        dim = 4 if case == "midpath" else 10
+        monkeypatch.setattr(model, "STACK_ENTRIES", 1 << 30)
+        whole = fig1_rows(config), gamma_rows(config)
+        monkeypatch.setattr(model, "STACK_ENTRIES", frames * dim**2)
+        assert (fig1_rows(config), gamma_rows(config)) == whole
+
+    @pytest.mark.parametrize("per_group", [1, 2])
+    def test_rows_independent_of_the_t_groups(self, tmp_path, monkeypatch, per_group):
+        # At 4 sites fig1 holds 10^2 + 6^2 accumulator entries per T and
+        # gamma 10^2, so its three T (two for gamma) make groups of one or
+        # two, each a pass of its own over the grid, in two-frame stacks.
+        config = sweep_config(tmp_path, steps=11)
+        whole = fig1_rows(config), gamma_rows(config)
+        monkeypatch.setattr(model, "STACK_ENTRIES", 2 * 10**2)
+        monkeypatch.setattr(cli, "FOLD_ENTRIES", per_group * (10**2 + 6**2))
+        assert cli._t_groups([1.0, 2.0, 3.0], 10**2 + 6**2) == (
+            [[1.0], [2.0], [3.0]] if per_group == 1 else [[1.0, 2.0], [3.0]]
+        )
+        assert (fig1_rows(replace(config, threads=2)), gamma_rows(config)) == whole
+
+    def test_many_t_points_hold_one_group(self, monkeypatch):
+        # At 6 sites (blocks 36 and 28) the accumulators of 600 T would take
+        # 600 x (36^2 + 28^2) x 16 B = 20 MB for fig1 and 600 x 36^2 x 16 B
+        # = 12 MB for gamma; groups of at most 64 x (36^2 + 28^2) entries
+        # hold 2.1 MB.
+        monkeypatch.setattr(cli, "FOLD_ENTRIES", 64 * (36**2 + 28**2))
+        times = [float(t) for t in range(1, 601)]
+        config = RunConfig.from_dict(
+            {"n_sites": 6, "steps": 2, "t_values": times, "gamma_t_values": times}
+        )
+        for rows in (gamma_rows, fig1_rows):
+            tracemalloc.start()
+            try:
+                assert len(rows(config)) == 600
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 6 * 2**20, rows.__name__
+
+    def test_workers_split_each_stack(self, monkeypatch):
+        # Four workers on two-frame stacks, switching threads as often as
+        # the interpreter allows: a stack folded twice or skipped for some T
+        # would change that T's row.
+        config = small_config(n_sites=4, steps=11)
+        serial = fig1_rows(config)
+        monkeypatch.setattr(model, "STACK_ENTRIES", 2 * 10**2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = fig1_rows(replace(config, threads=4))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+    def test_long_grid_holds_one_stack(self):
+        # At 10^4 steps the grid spectrum of the dim-10 sector alone is
+        # 8 MB; the pass holds one stack of H(s) and its eigendata, each of
+        # at most STACK_ENTRIES float64 entries (4 MB), plus dim x dim
+        # accumulators.  The whole-grid spectra peaked at 31 MB (gamma) and
+        # 18 MB (fig1 with one T).
+        config = RunConfig.from_dict(
+            {"n_sites": 4, "steps": 10_000, "t_values": [30.0], "gamma_t_values": [30.0]}
+        )
+        for rows in (gamma_rows, fig1_rows):
+            tracemalloc.start()
+            try:
+                rows(config)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * model.STACK_ENTRIES * 8, rows.__name__
+
+
 class TestCsv:
     def test_header_and_hash_comment(self, tmp_path):
         config = small_config()
@@ -811,6 +902,25 @@ class TestMainEntry:
         assert code == 3
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "bound.csv").exists()
+
+    @pytest.mark.parametrize("command", ["gamma", "fig1"])
+    def test_grid_solver_failure_exit_3(self, tmp_path, monkeypatch, capsys, command):
+        # Only the batched eigh of a grid stack fails; the endpoint states
+        # and the Trotter layers are diagonalized one matrix at a time.
+        eigh = np.linalg.eigh
+
+        def failing(a, *args, **kwargs):
+            if np.ndim(a) == 3:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        config = {"n_sites": 3, "steps": 10, "t_values": [4.0]}
+        assert self.run_main(tmp_path, command, config) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: eigh failed to converge")
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # level crossing at s = 0.5 trips the gap guard inside the bound sweep

@@ -16,8 +16,8 @@ from daslab.model import (
 from daslab.evolve import EvolutionSpec, discrete_evolution
 from daslab.errors import fidelity_error
 from daslab.eigenframes import (
-    _transport_gauge,
     eigenframe_sequence,
+    expansion_pass,
     gamma_expansion,
     propagator_expansion,
     reconstruct_discrete,
@@ -25,6 +25,7 @@ from daslab.eigenframes import (
     transition_amplitudes,
     transition_matrices,
     transported_frames,
+    transported_stream,
 )
 from daslab import model
 from daslab.riemann_lebesgue import oscillatory_integral
@@ -203,6 +204,28 @@ class TestPropagatorExpansion:
         assert residual <= 2.0 * scale
 
 
+class TestExpansionPass:
+    @pytest.mark.parametrize("make_path", [lambda: tfim_path(4), rotated_field_path])
+    def test_same_bits_as_the_batched_expansion(self, make_path, monkeypatch):
+        # Three frames a stack: 21 frames take seven stacks.
+        path = make_path()
+        monkeypatch.setattr(model, "STACK_ENTRIES", 3 * path.dim**2)
+        times = [7.0, 30.0]
+        frames = transported_stream(model.spectrum_stacks(path, np.linspace(0.0, 1.0, 21)))
+        streamed = expansion_pass(path, frames, times, 21)
+        frames = eigenframe_sequence(EvolutionSpec(path=path, total_time=1.0, steps=21))
+        transitions = transition_matrices(frames)
+        for total_time, expansion in zip(times, streamed, strict=True):
+            spec = EvolutionSpec(path=path, total_time=total_time, steps=21)
+            batched = propagator_expansion(
+                frames, transitions, total_time, transition_amplitudes(spec, frames)
+            )
+            assert np.array_equal(expansion.matrix, batched.matrix)
+            assert np.array_equal(expansion.amplitudes, batched.amplitudes)
+            assert expansion.adiabatic_error == batched.adiabatic_error
+            assert expansion.first_order is None and expansion.zeroth_order is None
+
+
 class TestTransitionAmplitudes:
     def test_constant_path_zero(self):
         path = constant_path(seed=5)
@@ -228,7 +251,7 @@ class TestTransitionAmplitudes:
         energies, bases = np.linalg.eigh(path_matrix(tfim2, s_values))
 
         def frames_from(raw_bases):
-            return PathSpectrum(s_values, energies, _transport_gauge(energies, raw_bases))
+            return transported_frames(PathSpectrum(s_values, energies, raw_bases))
 
         rng = np.random.default_rng(11)
         scrambled = bases.astype(complex)  # the real TFIM bases, rephased below
