@@ -9,11 +9,12 @@ can gamma's eps_first_order on a path without exact site-reversal symmetry
 between one and two OpenBLAS threads at their defaults).  fig2, fig3
 and zeno run inside the site-reversal sector of the initial state, and
 gamma does where that sector holds the ground level on the whole grid.
-fig1 diagonalizes and multiplies both its discretized and its Trotterized
-propagator per sector, and bound diagonalizes its nodes per sector.  fig1
-and gamma make one pass over their grid in stacks per group of T points,
-each stack folded into every T of the group and then dropped, so neither
-holds a steps x dim^2 spectrum nor more than FOLD_ENTRIES of accumulators.
+fig1 forms both its discretized and its Trotterized propagator in each
+sector from the sector's own path, never on the full space of a symmetric
+path, and bound diagonalizes its nodes per sector.  fig1 and gamma make
+one pass over their grid in stacks per group of T points, each stack
+folded into every T of the group and then dropped, so neither holds a
+steps x dim^2 spectrum nor more than FOLD_ENTRIES of accumulators.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -88,10 +89,9 @@ MAX_T_POINTS = 10_000
 FOLD_ENTRIES = 1 << 21
 # fig1 and gamma diagonalize their grid one stack of at most
 # model.STACK_ENTRIES entries at a time and fold it into every T, and the
-# propagator products hold one step at a time.  At 8 sites and 10^4 steps,
-# one BLAS thread, gamma peaked at 54 MB in 43 s, and fig1 with one T at
-# 127 MB in 47 s (mostly the Trotter fold's steps x dim phase tables); the
-# default is 100.
+# propagator products hold one step, and one step's phases, at a time.  At
+# 8 sites and 10^4 steps, one BLAS thread, gamma peaked at 54 MB in 43 s,
+# and fig1 with one T at 51 MB in 44 s; the default is 100.
 MAX_STEPS = 10_000
 # Each continuation step is one Trotter step and one unitary_eig, a few ms.
 MAX_ZENO_STEPS = 10_000
@@ -281,15 +281,13 @@ def load_config(path: str | None, seed: None, threads: int | None) -> RunConfig:
 
 def _shared_layers(path: AdiabaticPath):
     """The path's interpolation layers, each diagonalized here once, so that
-    every sweep point, on any worker, reuses the same eigendata.  Where
-    every layer has site-reversal blocks, ``trotter_evolution`` works on
-    the block layers alone, so those are diagonalized instead of the
-    full-space ones."""
+    every sweep point, on any worker, reuses the same eigendata.  A sweep
+    that runs in site-reversal blocks passes a block path, whose layers
+    are the blocks of H_i and H_f, so nothing is diagonalized on the full
+    space."""
     layers = interpolation_layers(path)
-    blocked = all(layer.blocks is not None for layer in layers)
     for layer in layers:
-        for used in [block for block, _ in layer.blocks] if blocked else [layer]:
-            used.eig
+        layer.eig
     return layers
 
 
@@ -337,18 +335,17 @@ def fig1_rows(config: RunConfig) -> list[dict]:
     on the initial state, isolating the Trotter split from discretization;
     the norm column is the spectral distance between the same two operators.
 
-    The discretized side is diagonalized and multiplied per site-reversal
-    block, psi_i's first (see :func:`~daslab.model.reversal_blocks`), in
-    one pass over the block's grid for each group of T points
-    (:func:`_t_groups`, :func:`_discrete_products`).
-    The Trotterized propagator comes from one ``trotter_evolution`` call per
-    T, which multiplies it per block as well, from the block layers that
-    :func:`_shared_layers` diagonalizes once, and scatters it into the full
-    space; it is then gathered into each block.  Both commute with site
-    reversal, so the norm is the larger block norm and the fidelity is taken
-    in psi_i's block.  A path without the symmetry is its own single block,
-    and its Trotterized propagator is multiplied on the full space.
-    A group's discretized propagators are dropped once its rows are out.
+    Both propagators commute with site reversal, so both are multiplied per
+    block of :func:`~daslab.model.reversal_blocks`, psi_i's first, and
+    paired block by block: the norm is the larger block norm and the
+    fidelity is taken in psi_i's block.  The discretized side is
+    diagonalized in one pass over each block's grid for each group of T
+    points (:func:`_t_groups`, :func:`_discrete_products`); the Trotterized
+    side is one ``trotter_evolution`` call per T on every block's spec,
+    from each block path's layers, which :func:`_shared_layers`
+    diagonalizes once.  A path
+    without the symmetry is its own single block, the full space.  A
+    group's discretized propagators are dropped once its rows are out.
     ``threads`` workers split the T points, within each stack of the pass
     and then for the Trotter side.
     """
@@ -357,23 +354,25 @@ def fig1_rows(config: RunConfig) -> list[dict]:
     blocks = reversal_blocks(path, psi_i)
     phi_i = blocks[0].project(psi_i)
     s_values = grid_points(config.steps, config.grid)
-    layers = _shared_layers(path)
+    layers = [_shared_layers(block.path) for block in blocks]
     times = [float(t) for t in config.t_grid()]
 
     def one_group(group: list[float], run) -> list[dict]:
         products = [_discrete_products(b.path, s_values, group, config.steps, run) for b in blocks]
 
         def one(i: int) -> dict:
-            spec = EvolutionSpec(
-                path=path, total_time=group[i], steps=config.steps, grid=config.grid,
-                layers=layers,
-            )
-            a_tro = trotter_evolution(spec).matrix
-            pairs = [(products[k][i], block.gather(a_tro)) for k, block in enumerate(blocks)]
+            specs = [
+                EvolutionSpec(
+                    path=block.path, total_time=group[i], steps=config.steps, grid=config.grid,
+                    layers=block_layers,
+                )
+                for block, block_layers in zip(blocks, layers)
+            ]
+            pairs = [(a_d[i], a_t.matrix) for a_d, a_t in zip(products, trotter_evolution(specs))]
             a_d, a_tro = pairs[0]  # psi_i's block
             return {
                 "T": group[i],
-                "dt": spec.dt,
+                "dt": specs[0].dt,
                 "norm_dist": max(operator_norm(d - t) for d, t in pairs),
                 "eps_tro": fidelity_error(a_d @ phi_i, a_tro @ phi_i),
             }

@@ -21,9 +21,9 @@ counts of SciPy 1.17's DOP853.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .model import (
     AdiabaticPath,
     HermitianOperator,
     PathSpectrum,
-    operator_blocks,
     path_matrix,
     path_spectrum,
     stack_chunks,
@@ -112,22 +111,6 @@ class Layer:
         if np.count_nonzero(self.matrix) == np.count_nonzero(diagonal):
             return diagonal.real.copy(), None
         return np.linalg.eigh(self.matrix)
-
-    @cached_property
-    def blocks(self) -> tuple[tuple[Layer, Callable], ...] | None:
-        """The layer's two site-reversal block layers, parity +1 then -1,
-        each with the same weight and the gathered matrix (so its own cached
-        ``eig``), paired with the scatter back to the full space (see
-        :func:`~daslab.model.operator_blocks`).  None when the dimension is
-        not that of a chain of at least two sites or site reversal does not
-        map the matrix to itself exactly."""
-        blocks = operator_blocks(self.matrix)
-        if blocks is None:
-            return None
-        return tuple(
-            (Layer(matrix, self.weight, f"{self.label}[R={parity:+d}]"), scatter)
-            for parity, (matrix, scatter) in zip((1, -1), blocks)
-        )
 
 
 def interpolation_layers(path: AdiabaticPath) -> tuple[Layer, Layer]:
@@ -459,23 +442,15 @@ def discrete_evolution(spec: EvolutionSpec) -> UnitaryOperator:
     return UnitaryOperator(discrete_product(spectrum, spec.dt), "discrete", spec)
 
 
-def _layer_spectra(spec: EvolutionSpec, s_values) -> list[tuple[np.ndarray, np.ndarray | None]]:
-    """Per layer, in layer order, the energies of H_k(s), one row per s, and
-    the layer's fixed eigenbasis V, None for a diagonal layer."""
-    out = []
-    for layer in spec.layers:
-        w, v = layer.eig
-        # Scale the energies before dt multiplies them: the phase rounds
-        # as (w * weight) * dt, never as w * (weight * dt).
-        out.append((np.outer([float(layer.weight(s)) for s in s_values], w), v))
-    return out
-
-
 def trotter_steps(spec: EvolutionSpec, s_values) -> np.ndarray:
     """Stack of Trotter step unitaries, one per s; in each step layer k = 1
     acts first (rightmost factor).  A diagonal layer scales the rows."""
     steps = None
-    for w, v in _layer_spectra(spec, s_values):
+    for layer in spec.layers:
+        w, v = layer.eig
+        # Scale the energies before dt multiplies them: the phase rounds
+        # as (w * weight) * dt, never as w * (weight * dt).
+        w = np.outer([float(layer.weight(s)) for s in s_values], w)
         if v is None:
             phases = np.exp(-1j * w * spec.dt)[..., None]
             steps = phases * (np.eye(w.shape[-1]) if steps is None else steps)
@@ -490,18 +465,26 @@ def trotter_fold(spec: EvolutionSpec, x: np.ndarray) -> np.ndarray:
     dim x k complex array: per step, each layer in layer order as
     x <- V (e^{-i w dt} * (V^dag x)), and a diagonal layer scales the rows.
 
-    A layer basis whose imaginary part is exactly zero (``Layer.eig`` is a
-    complex ``eigh``) is read as real once per call and acts through
-    :func:`~daslab.linalg.float_view_matmul`.
+    Each step's phases are formed when the fold reaches that step, with the
+    rounding of :func:`trotter_steps`, so the fold holds O(dim) phases
+    whatever the step count.  A layer basis whose imaginary part is exactly
+    zero (``Layer.eig`` is a complex ``eigh``) is read as real once per
+    call and acts through :func:`~daslab.linalg.float_view_matmul`.
     """
     x = np.asarray(x, dtype=np.complex128)
+    dt = spec.dt
     layers = []
-    for w, v in _layer_spectra(spec, spec.grid_points()):
-        phases = np.exp(-1j * w * spec.dt)[..., None]
+    for layer in spec.layers:
+        w, v = layer.eig
         v = None if v is None else real_if_exact(v)
-        layers.append((phases, v, None if v is None else np.conj(v).T))
+        layers.append((layer.weight, w, v, None if v is None else np.conj(v).T))
     return _phase_fold(
-        x, ((phases[j], v, v_h) for j in range(spec.steps) for phases, v, v_h in layers)
+        x,
+        (
+            (np.exp(-1j * (float(weight(s)) * w) * dt)[:, None], v, v_h)
+            for s in spec.grid_points()
+            for weight, w, v, v_h in layers
+        ),
     )
 
 
@@ -546,29 +529,17 @@ def strang_step(spec: EvolutionSpec, s: float) -> tuple[np.ndarray, np.ndarray]:
     return (strang + strang.T) / 2, half
 
 
-def trotter_evolution(spec: EvolutionSpec) -> UnitaryOperator:
-    """Trotterized propagator: :func:`trotter_fold` from the identity.
+def trotter_evolution(spec: EvolutionSpec | Sequence[EvolutionSpec]):
+    """Trotterized propagator: :func:`trotter_fold` from the identity on the
+    space of the spec's layers, the full space or, for a block path, a
+    site-reversal block's.  A sequence of specs, the block paths of one T,
+    gives the list of their propagators, so that one call forms one T's
+    Trotterized propagator whether or not it runs in blocks."""
+    def one(spec: EvolutionSpec) -> UnitaryOperator:
+        eye = np.eye(len(spec.layers[0].matrix), dtype=np.complex128)
+        return UnitaryOperator(trotter_fold(spec, eye), "trotter", spec)
 
-    When every layer has site-reversal :attr:`Layer.blocks`, every step
-    commutes with reversal, so the product is folded per block, from the
-    block layers, and the two block products are scattered back into the
-    full-space matrix: about a quarter of the flops at 8 sites.  Otherwise
-    the product is folded on the full space.
-    """
-
-    def product(spec: EvolutionSpec) -> np.ndarray:
-        return trotter_fold(spec, np.eye(len(spec.layers[0].matrix), dtype=np.complex128))
-
-    blocks = [layer.blocks for layer in spec.layers]
-    if any(b is None for b in blocks):
-        matrix = product(spec)
-    else:
-        matrix = 0
-        for pairs in zip(*blocks):  # parity +1, then -1
-            layers = tuple(layer for layer, _ in pairs)
-            scatter = pairs[0][1]  # the same map for every layer
-            matrix = matrix + scatter(product(replace(spec, layers=layers)))
-    return UnitaryOperator(matrix, "trotter", spec)
+    return one(spec) if isinstance(spec, EvolutionSpec) else [one(block) for block in spec]
 
 
 def effective_hamiltonian(spec: EvolutionSpec, s: float) -> HermitianOperator:

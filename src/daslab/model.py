@@ -211,19 +211,16 @@ def _reversal_permutation(dim: int) -> np.ndarray | None:
 
 @dataclass(frozen=True, eq=False)
 class ReversalBlock:
-    """A path restricted to one site-reversal block, and the maps between
-    the full space and the block's basis Q.
+    """A path restricted to one site-reversal block, and the projection
+    onto the block's basis Q.
 
-    ``gather(M)`` is Q^T M Q for a dim x dim M that commutes with site
-    reversal (H(s), a Trotter step or product), read off by orbit;
-    ``project(v)`` is Q^T v for any state, its projection onto the block:
-    a state of the other parity maps to zero, so its overlap with any block
-    state is the full-space value, 0.  Where the path has no block
-    structure the block is the full path and both maps are the identity.
+    ``project(v)`` is Q^T v for any state: a state of the other parity maps
+    to zero, so its overlap with any block state is the full-space value,
+    0.  Where the path has no block structure the block is the full path
+    and ``project`` is the identity.
     """
 
     path: AdiabaticPath
-    gather: Callable[[np.ndarray], np.ndarray]
     project: Callable[[np.ndarray], np.ndarray]
 
 
@@ -232,10 +229,11 @@ def _identity(x):
 
 
 @lru_cache(maxsize=16)
-def _orbit_maps(dim: int, parity: int) -> tuple[Callable, Callable, Callable]:
-    """``gather``, ``project`` and ``scatter`` of the parity block of the
-    2^N basis (see :class:`ReversalBlock`, :func:`operator_blocks` and
-    :func:`reversal_blocks`)."""
+def _orbit_maps(dim: int, parity: int) -> tuple[Callable, Callable]:
+    """``gather`` and ``project`` of the parity block of the 2^N basis:
+    ``gather(M)`` is Q^T M Q for a dim x dim M that commutes with site
+    reversal, read off by orbit (see :func:`operator_blocks`), and
+    ``project(v)`` is Q^T v (see :class:`ReversalBlock`)."""
     r = _reversal_permutation(dim)
     index = np.arange(dim)
     reps = index[(index < r) | ((index == r) & (parity == 1))]
@@ -252,31 +250,18 @@ def _orbit_maps(dim: int, parity: int) -> tuple[Callable, Callable, Callable]:
         v = np.asarray(v).ravel()
         return (v[reps] + parity * v[mirrored]) / np.sqrt(2 * multiplicity)
 
-    def scatter(b: np.ndarray) -> np.ndarray:
-        # Column a of Q, for representative z, holds 1/sqrt(2 m_z) in row z
-        # and p/sqrt(2 m_z) in row Rz, which add up to 1 on a palindrome.
-        part = b * (scale / 2)
-        out = np.zeros((dim, dim), dtype=np.result_type(b, float))
-        for i, row in enumerate((reps, mirrored)):
-            for j, col in enumerate((reps, mirrored)):
-                out[np.ix_(row, col)] += parity ** (i + j) * part
-        return out
-
-    return gather, project, scatter
+    return gather, project
 
 
-def operator_blocks(matrix: np.ndarray) -> tuple[tuple[np.ndarray, Callable], ...] | None:
+def operator_blocks(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """The site-reversal blocks Q_p^T M Q_p of a dim x dim matrix M, parity
-    p = +1 then -1, each with its scatter B -> Q_p B Q_p^T, the adjoint of
-    the gather; M is the sum of its scattered blocks.  None when the
-    dimension is not 2^N for some N >= MIN_SITES or when R does not map M
-    to itself exactly."""
+    p = +1 then -1.  None when the dimension is not 2^N for some
+    N >= MIN_SITES or when R does not map M to itself exactly."""
     dim = len(matrix)
     r = _reversal_permutation(dim)
     if r is None or not np.array_equal(matrix[np.ix_(r, r)], matrix):
         return None
-    maps = [_orbit_maps(dim, parity) for parity in (1, -1)]
-    return tuple((gather(matrix), scatter) for gather, _, scatter in maps)
+    return tuple(_orbit_maps(dim, parity)[0](matrix) for parity in (1, -1))
 
 
 def reversal_blocks(path: AdiabaticPath, state: np.ndarray | None = None) -> tuple[ReversalBlock, ...]:
@@ -292,17 +277,18 @@ def reversal_blocks(path: AdiabaticPath, state: np.ndarray | None = None) -> tup
     block is gathered by orbit, M_p[a, b] = (M[z, y] + p M[z, Ry]) w_z w_y
     with w = 1/sqrt(2) on palindromes and 1 elsewhere, so a diagonal M keeps
     an exactly diagonal block; :func:`operator_blocks` forms the blocks of
-    H_i and H_f, and the same gather those of any operator that commutes
-    with R.  Representatives z <= Rz are in ascending order.  Both blocks
-    are non-empty from two sites on.
+    H_i and H_f, and so each block path's H(s).  Representatives z <= Rz
+    are in ascending order.  Both blocks are non-empty from two sites on.
 
-    Such an operator's spectrum is the union of its block spectra and its
-    operator norm the larger block norm.
+    A propagator of H(s), discretized or Trotterized, is then the direct
+    sum of the block paths' propagators: its spectrum is the union of
+    theirs and its operator norm the larger block norm.
 
     The parity p of ``state`` is +1 or -1 when |R psi - p psi| is at most
-    PARITY_TOL.  A single block, the full path with identity maps, when the
-    dimension is not 2^N for some N >= MIN_SITES, when R does not map both
-    endpoints to themselves exactly, or when ``state`` has no parity.
+    PARITY_TOL.  A single block, the full path with the identity
+    projection, when the dimension is not 2^N for some N >= MIN_SITES, when
+    R does not map both endpoints to themselves exactly, or when ``state``
+    has no parity.
     """
     endpoints = [operator_blocks(h.matrix) for h in (path.h_initial, path.h_final)]
     parity = None
@@ -312,16 +298,15 @@ def reversal_blocks(path: AdiabaticPath, state: np.ndarray | None = None) -> tup
             psi, r = np.asarray(state).ravel(), _reversal_permutation(path.dim)
             parity = next((p for p in (1, -1) if np.linalg.norm(psi[r] - p * psi) <= PARITY_TOL), None)
     if parity is None:
-        return (ReversalBlock(path, _identity, _identity),)
+        return (ReversalBlock(path, _identity),)
 
     def block(p: int) -> ReversalBlock:
         k = (1, -1).index(p)  # the order of operator_blocks
         h_i, h_f = (
-            HermitianOperator(blocks[k][0], label=f"{h.label}[R={p:+d}]")
+            HermitianOperator(blocks[k], label=f"{h.label}[R={p:+d}]")
             for h, blocks in zip((path.h_initial, path.h_final), endpoints)
         )
-        gather, project, _ = _orbit_maps(path.dim, p)
-        return ReversalBlock(AdiabaticPath(h_i, h_f, path.schedule), gather, project)
+        return ReversalBlock(AdiabaticPath(h_i, h_f, path.schedule), _orbit_maps(path.dim, p)[1])
 
     return block(parity), block(-parity)
 

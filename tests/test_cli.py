@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import daslab
-from daslab import cli, model
+from daslab import cli, evolve, model
 from daslab.cli import (
     RunConfig,
     bound_rows,
@@ -36,7 +36,6 @@ from conftest import (
     odd_singlet_json,
     odd_target_json,
     record_eigh,
-    record_step_dims,
     rotated_tfim_json,
     singlet_target_json,
     site0_field_json,
@@ -449,11 +448,23 @@ class TestRows:
         assert endpoint_solves(seen, block.path) == sector
 
     def test_fig1_forms_trotter_steps_per_block(self, monkeypatch):
-        # At 4 sites the reversal blocks have dims 10 and 6; fig1 forms no
-        # Trotter step on the full space of dim 16.
-        dims = record_step_dims(monkeypatch)
-        fig1_rows(small_config(n_sites=4))
-        assert set(dims) == {10, 6}
+        # At 4 sites every Trotter and discretized fold of fig1, and every
+        # unitarity check, is on a reversal block, dims 10 and 6, never on
+        # the full space of dim 16.  Each recorded function takes its matrix
+        # as its last argument.
+        shapes = []
+
+        def recording(original):
+            def record(*args):
+                shapes.append(np.shape(args[-1]))
+                return original(*args)
+
+            return record
+
+        for module, name in ((evolve, "unitarity_defect"), (evolve, "trotter_fold"), (cli, "discrete_state")):
+            monkeypatch.setattr(module, name, recording(getattr(module, name)))
+        fig1_rows(small_config(n_sites=4, t_values=[2.0, 8.0]))
+        assert set(shapes) == {(10, 10), (6, 6)}
 
     def test_bound_diagonalizes_its_nodes_once(self, monkeypatch):
         # Once per site-reversal block: at 2 sites the blocks have dims 3
@@ -498,14 +509,14 @@ def csv_rows(path: Path) -> list[dict]:
 
 
 def full_space(monkeypatch) -> None:
-    """Make every path its own single site-reversal block, with identity
-    maps, so that the sweeps run the same kernels on the full space."""
+    """Make every path its own single site-reversal block, with the identity
+    projection, so that the sweeps run the same kernels on the full space."""
 
     def identity(x):
         return x
 
     def single_block(path, state):
-        return (model.ReversalBlock(path, identity, identity),)
+        return (model.ReversalBlock(path, identity),)
 
     monkeypatch.setattr(cli, "reversal_blocks", single_block)
 
@@ -588,13 +599,19 @@ class TestSectorSweeps:
                 assert abs(mine[key] - theirs[key]) <= 1e-12, key
 
     @pytest.mark.parametrize(
-        "hamiltonian, n_sites, dims",
-        [(None, 4, [10, 6]), (rotated_tfim_json(4), 4, [10, 6]), (None, 5, [20, 12])],
-        ids=["tfim4", "rotated4", "tfim5"],
+        "hamiltonian, n_sites, dims, overrides",
+        [
+            (None, 4, [10, 6], {}),
+            (rotated_tfim_json(4), 4, [10, 6], {}),
+            (None, 5, [20, 12], {}),
+            (None, 5, [20, 12], {"periodic": True, "grid": "midpoint"}),
+            (None, 4, [10, 6], {"periodic": True, "grid": "left"}),
+        ],
+        ids=["tfim4", "rotated4", "tfim5", "tfim5-periodic-midpoint", "tfim4-periodic-left"],
     )
-    def test_fig1_matches_the_full_space(self, tmp_path, hamiltonian, n_sites, dims):
+    def test_fig1_matches_the_full_space(self, tmp_path, hamiltonian, n_sites, dims, overrides):
         # At 5 sites and T = 32 the larger block norm is the other sector's.
-        config = sweep_config(tmp_path, hamiltonian, n_sites)
+        config = sweep_config(tmp_path, hamiltonian, n_sites, **overrides)
         path = config.build_path()
         blocks = model.reversal_blocks(path, endpoint_states(path)[0])
         assert [block.path.dim for block in blocks] == dims

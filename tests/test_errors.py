@@ -264,7 +264,7 @@ class TestBlockedBound:
         assert len(dims) == 2 and sum(dims) == path.dim and dims[0] > dims[1]
         blocked = bound_profile(path, 41)
         monkeypatch.setattr(
-            errors, "reversal_blocks", lambda path: (ReversalBlock(path, None, None),)
+            errors, "reversal_blocks", lambda path: (ReversalBlock(path, None),)
         )
         full = bound_profile(path, 41)
         for mine, theirs in ((blocked.gaps, full.gaps), (blocked.d1, full.d1)):

@@ -424,8 +424,9 @@ def site0_field_spec(path: AdiabaticPath) -> EvolutionSpec:
 
 
 class TestBlockedTrotter:
-    """A spec whose layers all map to themselves under site reversal is
-    multiplied per reversal block and scattered back to the full space."""
+    """The Trotterized product of a site-reversal block path is that block
+    of the full-space product, whatever the layer order; a path without the
+    symmetry is multiplied on the full space."""
 
     @pytest.mark.parametrize(
         "path, grid, reverse",
@@ -440,19 +441,26 @@ class TestBlockedTrotter:
         + ["tfim4-reversed", "tfim5-periodic-reversed", "rotated4", "rotated3-reversed"],
     )
     def test_blocks_match_the_full_space_product(self, monkeypatch, path, grid, reverse):
-        layers = interpolation_layers(path)[:: -1 if reverse else 1]
-        spec = EvolutionSpec(path=path, total_time=9.0, steps=37, grid=grid, layers=layers)
+        order = slice(None, None, -1 if reverse else 1)
+        spec = EvolutionSpec(
+            path=path, total_time=9.0, steps=37, grid=grid, layers=interpolation_layers(path)[order]
+        )
         reference = full_space_trotter(spec)
+        blocks = model.reversal_blocks(path)
+        assert sum(block.path.dim for block in blocks) == path.dim
         dims = record_step_dims(monkeypatch)
-        blocked = trotter_evolution(spec).matrix
-        block_dims = [len(layer.matrix) for layer, _ in spec.layers[0].blocks]
-        assert sum(block_dims) == path.dim and set(dims) == set(block_dims)
-        assert np.abs(blocked - reference).max() <= 1e-13
+        for parity, block in zip((1, -1), blocks):  # no state: parity +1 first
+            block_spec = dataclasses.replace(
+                spec, path=block.path, layers=interpolation_layers(block.path)[order]
+            )
+            gather = model._orbit_maps(path.dim, parity)[0]  # Q^T M Q
+            got = trotter_evolution(block_spec).matrix
+            assert np.abs(got - gather(reference)).max() <= 1e-13
+        assert dims == [block.path.dim for block in blocks]
 
     def test_path_without_the_symmetry_is_multiplied_on_the_full_space(self, monkeypatch):
         path = load_path_json(site0_field_json(4))
         spec = EvolutionSpec(path=path, total_time=9.0, steps=37)
-        assert [layer.blocks is None for layer in spec.layers] == [False, True]
         reference = full_space_fold(spec)
         dims = record_step_dims(monkeypatch)
         np.testing.assert_array_equal(trotter_evolution(spec).matrix, reference)
@@ -460,19 +468,24 @@ class TestBlockedTrotter:
 
     def test_one_layer_without_the_symmetry_keeps_the_full_space(self, monkeypatch, tfim4):
         spec = site0_field_spec(tfim4)
-        assert [layer.blocks is None for layer in spec.layers] == [False, False, True]
         reference = full_space_fold(spec)
         dims = record_step_dims(monkeypatch)
         np.testing.assert_array_equal(trotter_evolution(spec).matrix, reference)
         assert set(dims) == {16}
 
-    def test_block_layers_keep_the_weight_and_a_diagonal_matrix(self, tfim4):
-        for layer in interpolation_layers(tfim4):
-            for (block, _), parity in zip(layer.blocks, (1, -1)):
-                assert block.weight is layer.weight
-                assert block.label == f"{layer.label}[R={parity:+d}]"
-                # H_Z's blocks stay exactly diagonal, so they take no eigh.
-                assert (block.eig[1] is None) == (layer.label == "final")
+    def test_block_layers_keep_the_weight_and_a_diagonal_matrix(self, tfim4, monkeypatch):
+        full = interpolation_layers(tfim4)
+        gathered = [model.operator_blocks(layer.matrix) for layer in full]
+        seen = record_eigh(monkeypatch)
+        for k, block in enumerate(model.reversal_blocks(tfim4)):  # parity +1, then -1
+            for layer, whole, blocks in zip(interpolation_layers(block.path), full, gathered):
+                np.testing.assert_array_equal(layer.matrix, blocks[k])
+                assert layer.label == whole.label
+                for s in (0.0, 0.3, 1.0):
+                    assert layer.weight(s) == whole.weight(s)
+                # H_Z's block stays exactly diagonal, so it takes no eigh.
+                assert (layer.eig[1] is None) == (layer.label == "final")
+        assert [len(m) for m in seen] == [10, 6]
 
 
 FOLD_PATHS = {
@@ -550,6 +563,23 @@ class TestStateKernels:
         spec = EvolutionSpec(path=tfim4, total_time=30.0, steps=40, layers=layers)
         expected = trotter_evolution(spec).matrix @ psi
         assert np.abs(trotter_state(spec, psi) - expected).max() <= 1e-12
+
+    def test_trotter_fold_memory_does_not_grow_with_the_steps(self, tfim4):
+        # Each step's phases are formed when the fold reaches that step, so
+        # the fold holds the grid, 160 kB, and one step's arrays: 0.16 MiB.
+        # Tables of every step's phases per layer, 2 x 2*10^4 x 16 complex
+        # entries plus their temporaries, peaked at 19.5 MiB here.
+        spec = EvolutionSpec(path=tfim4, total_time=100.0, steps=20_000)
+        for layer in spec.layers:
+            layer.eig  # diagonalized up front
+        psi = ground_state(tfim4.h_initial.matrix)
+        tracemalloc.start()
+        try:
+            trotter_state(spec, psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_trotter_state_rejects_non_finite_state(self, tfim2):
         broken = Layer(matrix=tfim2.h_initial.matrix, weight=lambda s: float("nan"))

@@ -12,6 +12,7 @@ from daslab.model import (
     build_tfim,
     linear_schedule,
     load_path_json,
+    _orbit_maps,
     operator_blocks,
     path_at,
     path_matrix,
@@ -308,16 +309,16 @@ class TestReversalBlocks:
         }
         for name, m in operators.items():
             norms = []
-            for parity, block in zip((1, -1), blocks):
+            for parity in (1, -1):
                 q = explicit_basis(n_sites, parity)
-                gathered = block.gather(m)
+                gathered = _orbit_maps(path.dim, parity)[0](m)
                 assert np.abs(gathered - q.T @ m @ q).max() <= 1e-13, name
                 norms.append(operator_norm(gathered))
             assert abs(max(norms) - operator_norm(m)) <= 1e-13, name
-        # the same gather forms the blocks of H_i and H_f
-        for block in blocks:
+        # the gathers of H_i and H_f are the block paths' endpoints
+        for block, k in zip(blocks, (0, 1)):
             for full, reduced in ((path.h_initial, block.path.h_initial), (path.h_final, block.path.h_final)):
-                np.testing.assert_array_equal(block.gather(full.matrix), reduced.matrix)
+                np.testing.assert_array_equal(operator_blocks(full.matrix)[k], reduced.matrix)
 
 
 def random_box(rng, dim):
@@ -334,31 +335,38 @@ def reversal_commuting(rng, n_sites):
 
 
 class TestScatter:
+    """The gather Q_p^T M Q_p of :func:`operator_blocks` against the scatter
+    Q_p B Q_p^T back to the full space, which only these tests form."""
+
     @pytest.mark.parametrize("n_sites", [3, 4])
     def test_scatter_is_the_adjoint_of_gather(self, n_sites):
         rng = np.random.default_rng(n_sites)
-        path = tfim_path(n_sites)
-        blocks = reversal_blocks(path, ground_state(path.h_initial.matrix))
         m = reversal_commuting(rng, n_sites)
-        for parity, block, (_, scatter) in zip((1, -1), blocks, operator_blocks(m)):
+        total = 0
+        for parity, block in zip((1, -1), operator_blocks(m)):
             q = explicit_basis(n_sites, parity)
+            assert np.abs(block - q.T @ m @ q).max() <= 1e-15
             b = random_box(rng, q.shape[1])
-            scattered = scatter(b)
-            assert np.abs(scattered - q @ b @ q.T).max() <= 1e-15
-            assert np.abs(block.gather(scattered) - b).max() <= 1e-15
-        assert np.abs(sum(scatter(gathered) for gathered, scatter in operator_blocks(m)) - m).max() <= 1e-15
+            gather = _orbit_maps(2**n_sites, parity)[0]
+            assert np.abs(gather(q @ b @ q.T) - b).max() <= 1e-15
+            total = total + q @ block @ q.T
+        assert np.abs(total - m).max() <= 1e-15
 
     @pytest.mark.parametrize("n_sites", [3, 4])
     def test_operator_blocks_are_the_path_gathers(self, n_sites):
         path = tfim_path(n_sites)
         blocks = reversal_blocks(path, ground_state(path.h_initial.matrix))
-        m = reversal_commuting(np.random.default_rng(0), n_sites)
-        endpoint = operator_blocks(path.h_initial.matrix)
-        for (gathered, scatter), (_, path_scatter), block in zip(operator_blocks(m), endpoint, blocks):
-            np.testing.assert_array_equal(gathered, block.gather(m))
-            # the scatter depends on the dimension and the parity alone
-            b = np.arange(len(gathered) ** 2, dtype=float).reshape(len(gathered), -1)
-            np.testing.assert_array_equal(scatter(b), path_scatter(b))
+        rng = np.random.default_rng(0)
+        m = reversal_commuting(rng, n_sites)
+        v = rng.standard_normal(path.dim)
+        for k, (parity, gathered, block) in enumerate(zip((1, -1), operator_blocks(m), blocks)):
+            gather, project = _orbit_maps(path.dim, parity)
+            np.testing.assert_array_equal(gathered, gather(m))
+            # the block path is read through the same maps
+            assert len(gathered) == block.path.dim
+            np.testing.assert_array_equal(block.project(v), project(v))
+            for full, reduced in ((path.h_initial, block.path.h_initial), (path.h_final, block.path.h_final)):
+                np.testing.assert_array_equal(operator_blocks(full.matrix)[k], reduced.matrix)
 
     def test_operator_blocks_need_an_invariant_chain_matrix(self):
         m = reversal_commuting(np.random.default_rng(1), 3)
@@ -376,7 +384,7 @@ class TestScatter:
         )
         assert operator_blocks(path.h_final.matrix) is None
         (block,) = reversal_blocks(path, ground_state(path.h_initial.matrix))
-        assert block.gather(m) is m
+        assert block.path is path
 
 
 class TestReversalSector:
@@ -470,8 +478,6 @@ class TestReversalSector:
         (block,) = reversal_blocks(path, psi)
         assert block.path is path and block.project(psi) is psi
         assert block.project(psi_f) is psi_f
-        m = path.h_final.matrix
-        assert block.gather(m) is m
 
     def test_state_without_parity_comes_back_unchanged(self, tfim4):
         state = np.zeros(16, dtype=complex)
