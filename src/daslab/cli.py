@@ -55,6 +55,7 @@ from .evolve import (
     GRIDS,
     ODE_RTOL_FLOOR,
     EvolutionSpec,
+    discrete_products,
     discrete_state,
     exact_state_evolution,
     grid_points,
@@ -339,12 +340,12 @@ def fig1_rows(config: RunConfig) -> list[dict]:
     block of :func:`~daslab.model.reversal_blocks`, psi_i's first, and
     paired block by block: the norm is the larger block norm and the
     fidelity is taken in psi_i's block.  The discretized side is
-    diagonalized in one pass over each block's grid for each group of T
-    points (:func:`_t_groups`, :func:`_discrete_products`); the Trotterized
-    side is one ``trotter_evolution`` call per T on every block's spec,
-    from each block path's layers, which :func:`_shared_layers`
-    diagonalizes once.  A path
-    without the symmetry is its own single block, the full space.  A
+    :func:`~daslab.evolve.discrete_products`, one pass over each block's
+    grid for each group of T points (:func:`_t_groups`), each stack folded
+    into every T's accumulator at dt = T / steps; the Trotterized side is
+    one ``trotter_evolution`` call per T on every block's spec, from each
+    block path's layers, which :func:`_shared_layers` diagonalizes once.  A
+    path without the symmetry is its own single block, the full space.  A
     group's discretized propagators are dropped once its rows are out.
     ``threads`` workers split the T points, within each stack of the pass
     and then for the Trotter side.
@@ -358,7 +359,8 @@ def fig1_rows(config: RunConfig) -> list[dict]:
     times = [float(t) for t in config.t_grid()]
 
     def one_group(group: list[float], run) -> list[dict]:
-        products = [_discrete_products(b.path, s_values, group, config.steps, run) for b in blocks]
+        dts = [total_time / config.steps for total_time in group]
+        products = [discrete_products(b.path, s_values, dts, run) for b in blocks]
 
         def one(i: int) -> dict:
             specs = [
@@ -390,26 +392,6 @@ def _t_groups(times: list[float], entries: int) -> list[list[float]]:
     (at least one T a group)."""
     size = max(1, FOLD_ENTRIES // entries)
     return [times[start:start + size] for start in range(0, len(times), size)]
-
-
-def _discrete_products(path: AdiabaticPath, s_values, times, steps: int, run) -> list:
-    """The discretized propagator of ``path`` on ``s_values`` for every T in
-    ``times``, at dt = T / steps: one pass over the grid's
-    :func:`~daslab.model.spectrum_stacks`, each stack folded into every T's
-    accumulator by :func:`~daslab.evolve.discrete_state` (``run`` spreads
-    the T points over the workers) and then dropped.  Each accumulator sees
-    the steps of ``discrete_product`` in order, so the products are the
-    same bits; the pass holds one stack and one dim x dim accumulator per T.
-    """
-    products = [np.eye(path.dim, dtype=np.complex128) for _ in times]
-    for stack in spectrum_stacks(path, s_values):
-
-        def fold(i: int, stack=stack) -> None:
-            products[i] = discrete_state(stack, times[i] / steps, products[i])
-
-        run(fold, range(len(times)))
-        del stack, fold  # so that the next stack is formed without this one
-    return products
 
 
 def fig2_rows(config: RunConfig) -> tuple[list[dict], float]:

@@ -29,7 +29,7 @@ from .linalg import (
     float_view_matmul,
     unitarity_defect,
 )
-from .model import AdiabaticPath, PathSpectrum, path_spectrum, spectrum_stacks, stack_chunks
+from .model import AdiabaticPath, PathSpectrum, spectrum_stacks
 from .evolve import UNITARY_RESULT_TOL, EvolutionSpec
 from .riemann_lebesgue import cumulative_simpson, simpson
 
@@ -347,19 +347,15 @@ def gamma_expansion(spec: EvolutionSpec) -> PropagatorExpansion:
 
 
 def _chunked_level_data(path: AdiabaticPath, s_values: np.ndarray, level: int):
-    """Eigendata for columns 0 and `level` along a dense grid, chunked."""
-    n = len(s_values)
-    dim = path.dim
-    gaps = np.empty(n)
-    v0 = np.empty((n, dim), dtype=complex)
-    vl = np.empty((n, dim), dtype=complex)
-    for part in stack_chunks(n, dim):
-        spectrum = path_spectrum(path, s_values[part])
+    """Eigendata for columns 0 and `level` along a dense grid, read one
+    :func:`~daslab.model.spectrum_stacks` stack at a time."""
+    gaps, v0, vl = [], [], []
+    for spectrum in spectrum_stacks(path, s_values):
         w, v = spectrum.energies, spectrum.bases
-        gaps[part] = w[:, level] - w[:, 0]
-        v0[part] = v[:, :, 0]
-        vl[part] = v[:, :, level]
-    return gaps, v0, vl
+        gaps.append(w[:, level] - w[:, 0])
+        v0.append(v[:, :, 0])
+        vl.append(v[:, :, level])
+    return np.concatenate(gaps), np.concatenate(v0, dtype=complex), np.concatenate(vl, dtype=complex)
 
 
 def _transport_phases(vectors: np.ndarray) -> np.ndarray:

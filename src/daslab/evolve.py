@@ -6,9 +6,11 @@ are left folds: one accumulator to which each step's factors are applied in
 order, with no stack of step matrices.  A factor whose imaginary part is
 exactly zero multiplies the complex accumulator through its float64 view
 (:func:`~daslab.linalg.float_view_matmul`).  The exact propagator is a
-fourth-order commutator-free product refined by step doubling until
-self-convergence; its up to 2^20 steps are multiplied as a tree, whose
-rounding grows with log n rather than n.
+fourth-order commutator-free (CF4) product refined by step doubling until
+self-convergence.  H(s) is affine in p(s), so each CF4 exponential is a
+whole-step exponential of the linear-schedule path, and the CF4 product is
+the discretized fold (:func:`discrete_products`) on a weight grid of twice
+the step count: there is no second product kernel.
 
 State-level kernels serve callers that only need the evolved state, as
 fig2 and gamma do: a DOP853 integrator of the exact dynamics, an
@@ -42,9 +44,7 @@ from .model import (
     AdiabaticPath,
     HermitianOperator,
     PathSpectrum,
-    path_matrix,
-    path_spectrum,
-    stack_chunks,
+    spectrum_stacks,
 )
 
 GRIDS = ("endpoints", "left", "midpoint")
@@ -184,7 +184,10 @@ def ordered_product(mats: np.ndarray) -> np.ndarray:
     """Product mats[-1] @ ... @ mats[0]; the first entry acts first.
 
     Pairwise tree reduction: deterministic association, fewer sequential
-    matmuls, and better rounding than a left fold.
+    matmuls, and better rounding than a left fold.  No sweep multiplies
+    this way since every propagator became a fold; it stays as the tests'
+    reference product, built apart from the folds, and as a name the
+    benchmark's tracer wraps.
     """
     mats = np.asarray(mats)
     if mats.shape[0] == 0:
@@ -200,39 +203,6 @@ def ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
-def chunked_product(
-    factors: Callable[[slice], np.ndarray], count: int, dim: int
-) -> np.ndarray:
-    """:func:`ordered_product` of ``count`` dim x dim factors, formed one
-    :func:`~daslab.model.stack_chunks` stack at a time; ``factors(part)``
-    returns the stack of factors in the slice ``part``.
-
-    Each stack is reduced by :func:`ordered_product`.  The finished partial
-    products are kept with strictly decreasing sizes: two of equal size
-    merge as later @ earlier, as in a binary counter, and what is left is
-    folded from the right.  Every stack but the last holds the same power
-    of two of factors, so this is the pairing of :func:`ordered_product`
-    over the whole stack, odd carries included, and the result is the same
-    bits.  At most one stack and log2(count / stack) partials are held.
-    """
-    partials = []  # (factor count, product), counts strictly decreasing
-    for part in stack_chunks(count, dim):
-        size, product = part.stop - part.start, ordered_product(factors(part))
-        while partials and partials[-1][0] == size:
-            size, product = 2 * size, product @ partials.pop()[1]
-        partials.append((size, product))
-    out = partials.pop()[1]
-    while partials:
-        out = out @ partials.pop()[1]
-    return out
-
-
-def discrete_product(spectrum: PathSpectrum, dt: float) -> np.ndarray:
-    """Ordered product of the whole-step exponentials V_j D_j V_j^dag, with
-    D_j = exp(-i E_j dt): :func:`discrete_state` folded from the identity."""
-    return discrete_state(spectrum, dt, np.eye(spectrum.bases.shape[-1], dtype=np.complex128))
-
-
 def _phase_fold(x: np.ndarray, factors) -> np.ndarray:
     """Apply each factor (phases, V, V^dag) to x in order as
     x <- V (phases * (V^dag x)), or x <- phases * x when V is None."""
@@ -245,14 +215,41 @@ def _phase_fold(x: np.ndarray, factors) -> np.ndarray:
 
 
 def discrete_state(spectrum: PathSpectrum, dt: float, x: np.ndarray) -> np.ndarray:
-    """``discrete_product(spectrum, dt) @ x`` for a state or a dim x k array
-    x, folded step by step as V_j (exp(-i E_j dt) * (V_j^dag x)) from the
-    bases as they are (raw or transported); a real basis acts through
-    :func:`~daslab.linalg.float_view_matmul`."""
+    """The ordered whole-step exponentials V_j exp(-i E_j dt) V_j^dag of
+    ``spectrum`` applied to x, a state or a dim x k array, folded step by
+    step as V_j (exp(-i E_j dt) * (V_j^dag x)) from the bases as they are
+    (raw or transported); a real basis acts through
+    :func:`~daslab.linalg.float_view_matmul`.  :func:`discrete_products`
+    folds each stack of its pass with it, and gamma's fidelity check its
+    states."""
     x = np.asarray(x, dtype=np.complex128)
     phases = np.exp(-1j * (spectrum.energies * dt))
     phases = phases.reshape(phases.shape + (1,) * (x.ndim - 1))
     return _phase_fold(x, ((e, v, np.conj(v).T) for e, v in zip(phases, spectrum.bases)))
+
+
+def _in_order(fn, items) -> list:
+    return [fn(item) for item in items]
+
+
+def discrete_products(path: AdiabaticPath, s_values, dts, run=_in_order) -> list[np.ndarray]:
+    """The discretized propagator of ``path`` on ``s_values`` at each dt in
+    ``dts``: one pass over the grid's :func:`~daslab.model.spectrum_stacks`,
+    each stack folded into every dt's accumulator, from the identity, by
+    :func:`discrete_state` and then dropped.  ``run(fn, items)`` maps the
+    fold over the accumulators (fig1 spreads it over its workers; by
+    default in order).  The pass holds one stack and one dim x dim
+    accumulator per dt, whatever the step count.
+    """
+    products = [np.eye(path.dim, dtype=np.complex128) for _ in dts]
+    for stack in spectrum_stacks(path, s_values):
+
+        def fold(i: int, stack=stack) -> None:
+            products[i] = discrete_state(stack, dts[i], products[i])
+
+        run(fold, range(len(dts)))
+        del stack, fold  # so that the next stack is formed without this one
+    return products
 
 
 # Fourth-order commutator-free step (Alvermann & Fehske, J. Comput. Phys.
@@ -262,20 +259,21 @@ _CF4_A1, _CF4_A2 = (3 - 2 * 3**0.5) / 12, (3 + 2 * 3**0.5) / 12
 
 
 def _cf4_product(path: AdiabaticPath, total_time: float, steps: int) -> np.ndarray:
-    """Ordered product of CF4 steps over s in [0, 1].  Per step the
-    (a2, a1)-weighted sum of the Gauss-node H(s) is exponentiated and acts
-    first, then the (a1, a2)-weighted one."""
-    dt = total_time / steps
+    """Ordered product of CF4 steps over s in [0, 1].  Per step,
+    exp(-i (a2 H(s1) + a1 H(s2)) dt) acts first, then exp(-i (a1 H(s1) +
+    a2 H(s2)) dt), at the Gauss nodes s1 < s2 and dt = T / steps.
 
-    def cf4_steps(part: slice) -> np.ndarray:
-        k = np.arange(part.start, part.stop)
-        early = path_matrix(path, (k + _CF4_NODES[0]) / steps)
-        late = path_matrix(path, (k + _CF4_NODES[1]) / steps)
-        first = exp_from_eig(*np.linalg.eigh(_CF4_A2 * early + _CF4_A1 * late), dt)
-        second = exp_from_eig(*np.linalg.eigh(_CF4_A1 * early + _CF4_A2 * late), dt)
-        return second @ first
-
-    return chunked_product(cf4_steps, steps, path.dim)
+    H(s) = H_i + p(s) (H_f - H_i) and a1 + a2 = 1/2, so each exponent is
+    H_lin(q) dt / 2, with H_lin the same endpoints on the linear schedule
+    and q = 2 (a2 p(s1) + a1 p(s2)), then 2 (a1 p(s1) + a2 p(s2)): the
+    product is :func:`discrete_products` of that path on the interleaved
+    weight grid at dt / 2.
+    """
+    nodes = (np.arange(steps)[:, None] + np.array(_CF4_NODES)) / steps
+    p1, p2 = np.asarray(path.schedule.p(nodes), dtype=float).T
+    weights = 2 * np.stack([_CF4_A2 * p1 + _CF4_A1 * p2, _CF4_A1 * p1 + _CF4_A2 * p2], axis=1)
+    linear = AdiabaticPath(path.h_initial, path.h_final)
+    return discrete_products(linear, weights.ravel(), [total_time / (2 * steps)])[0]
 
 
 def exact_evolution(
@@ -437,9 +435,10 @@ def exact_state_evolution(
 
 
 def discrete_evolution(spec: EvolutionSpec) -> UnitaryOperator:
-    """Ordered product of whole-step exponentials exp(-i H(s_j) dt), j = 1..L."""
-    spectrum = path_spectrum(spec.path, spec.grid_points())
-    return UnitaryOperator(discrete_product(spectrum, spec.dt), "discrete", spec)
+    """Ordered product of whole-step exponentials exp(-i H(s_j) dt), j = 1..L,
+    by :func:`discrete_products`."""
+    product = discrete_products(spec.path, spec.grid_points(), [spec.dt])[0]
+    return UnitaryOperator(product, "discrete", spec)
 
 
 def trotter_steps(spec: EvolutionSpec, s_values) -> np.ndarray:

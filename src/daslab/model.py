@@ -31,17 +31,15 @@ MAX_SITES = 12
 MAX_SCHEDULE_COEFFICIENTS = 1_000
 
 # Most matrix entries in one stack of dim x dim frames formed at once, so
-# that a long grid is diagonalized, and a long product multiplied, in
-# chunks: 1 << 19 entries are 8 MB as complex128, 8 frames at 8 sites.
+# that a long grid is diagonalized in chunks: 1 << 19 entries are 8 MB as
+# complex128, 8 frames at 8 sites.
 STACK_ENTRIES = 1 << 19
 
 
 def stack_chunks(count: int, dim: int):
     """Slices that split ``count`` frames of dim x dim matrices into stacks
     of at most ``STACK_ENTRIES`` entries.  Every stack but the last holds
-    the same power-of-two number of frames (at least one), so a product
-    reduced stack by stack keeps the pairing of one tree over all frames
-    (see ``evolve.chunked_product``)."""
+    the same power-of-two number of frames (at least one)."""
     fit = max(1, STACK_ENTRIES // dim**2)
     chunk = 1 << (fit.bit_length() - 1)
     for start in range(0, count, chunk):

@@ -24,7 +24,7 @@ from daslab.cli import (
     zeno_rows,
 )
 from daslab.errors import endpoint_states, fidelity_error
-from daslab.evolve import EvolutionSpec, discrete_product, grid_points, trotter_evolution
+from daslab.evolve import EvolutionSpec, discrete_evolution, grid_points, trotter_evolution
 from daslab.exceptions import ConfigError
 from daslab.linalg import operator_norm
 from daslab.zeno import HERMITIAN_FAMILY, UNITARY_FAMILY
@@ -461,7 +461,7 @@ class TestRows:
 
             return record
 
-        for module, name in ((evolve, "unitarity_defect"), (evolve, "trotter_fold"), (cli, "discrete_state")):
+        for module, name in ((evolve, "unitarity_defect"), (evolve, "trotter_fold"), (evolve, "discrete_state")):
             monkeypatch.setattr(module, name, recording(getattr(module, name)))
         fig1_rows(small_config(n_sites=4, t_values=[2.0, 8.0]))
         assert set(shapes) == {(10, 10), (6, 6)}
@@ -540,11 +540,10 @@ def fig1_full_space(config: RunConfig) -> list[dict]:
     one Trotterized propagator on the whole 2^N space."""
     path = config.build_path()
     psi_i, _ = endpoint_states(path)
-    spectrum = model.path_spectrum(path, grid_points(config.steps, config.grid))
     rows = []
     for total_time in map(float, config.t_grid()):
         spec = EvolutionSpec(path=path, total_time=total_time, steps=config.steps, grid=config.grid)
-        a_d = discrete_product(spectrum, spec.dt)
+        a_d = discrete_evolution(spec).matrix
         a_tro = trotter_evolution(spec).matrix
         rows.append(
             {

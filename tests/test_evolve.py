@@ -21,15 +21,14 @@ from daslab.model import (
     path_at,
     path_matrix,
     path_spectrum,
+    polynomial_schedule,
     tfim_path,
 )
 from daslab.evolve import (
     EvolutionSpec,
     Layer,
     UnitaryOperator,
-    chunked_product,
     discrete_evolution,
-    discrete_product,
     discrete_state,
     effective_hamiltonian,
     exact_evolution,
@@ -132,33 +131,15 @@ class TestOrderedProduct:
 
 
 class TestChunkedProduct:
-    @pytest.mark.parametrize("frames", [1, 2, 8])
-    @pytest.mark.parametrize("count", [1, 2, 3, 7, 8, 9, 17, 100, 129])
-    def test_same_bits_as_one_tree(self, monkeypatch, count, frames):
-        dim = 6
-        rng = np.random.default_rng(count)
-        mats = np.linalg.qr(
-            rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
-        )[0]
-        monkeypatch.setattr(model, "STACK_ENTRIES", frames * dim**2)
-        stacks = []
-
-        def factors(part):
-            stacks.append(part.stop - part.start)
-            return mats[part]
-
-        got = chunked_product(factors, count, dim)
-        np.testing.assert_array_equal(got, ordered_product(mats))
-        assert max(stacks) == min(frames, count) and sum(stacks) == count
-
     def test_products_hold_a_few_steps(self):
-        # A whole stack of 100 step unitaries at dim 256 is 100 MB; the
-        # folded products hold their accumulator and one step's factors.
+        # A whole stack of 100 step unitaries at dim 256 is 100 MB, and the
+        # grid's spectrum 52 MB; the folded products hold their accumulator,
+        # one step's factors and, for the discretized side, one stack of
+        # eigendata.
         path = tfim_path(8)
         spec = EvolutionSpec(path=path, total_time=100.0, steps=100)
-        spectrum = path_spectrum(path, spec.grid_points())
         trotter_step_unitary(spec, 0.0)  # diagonalize the layers up front
-        for build in (lambda: trotter_evolution(spec), lambda: discrete_product(spectrum, spec.dt)):
+        for build in (lambda: trotter_evolution(spec), lambda: discrete_evolution(spec)):
             tracemalloc.start()
             try:
                 build()
@@ -168,7 +149,41 @@ class TestChunkedProduct:
             assert peak < 64 * 2**20
 
 
+# Paths for the CF4 weight-grid checks, each with a tolerance and the step
+# count at which exact_evolution converged at T = 5 with the Gauss-node
+# product multiplied on its own.
+CF4_PATHS = {
+    "tfim4": (lambda: tfim_path(4), 1e-9, 512),
+    "rotated3": (lambda: load_path_json(rotated_tfim_json(3)), 1e-9, 512),
+    "tfim3-polynomial": (
+        lambda: tfim_path(3, schedule=polynomial_schedule([0.0, 0.0, 3.0, -2.0])), 1e-10, 1024
+    ),
+}
+
+
 class TestExactEvolution:
+    @pytest.mark.parametrize("name", CF4_PATHS)
+    def test_cf4_product_is_the_gauss_node_product(self, name):
+        # Per step exp(-i (a2 H(s1) + a1 H(s2)) dt) acts first, then
+        # exp(-i (a1 H(s1) + a2 H(s2)) dt), from H(s) at the Gauss nodes.
+        path = CF4_PATHS[name][0]()
+        total_time, steps = 5.0, 16
+        nodes = (0.5 - 3**0.5 / 6, 0.5 + 3**0.5 / 6)
+        a1, a2 = (3 - 2 * 3**0.5) / 12, (3 + 2 * 3**0.5) / 12
+        reference = np.eye(path.dim, dtype=complex)
+        for k in range(steps):
+            h1, h2 = (path_at(path, (k + node) / steps).matrix for node in nodes)
+            for h in (a2 * h1 + a1 * h2, a1 * h1 + a2 * h2):
+                reference = matrix_exp_hermitian(h, total_time / steps) @ reference
+        got = evolve._cf4_product(path, total_time, steps)
+        assert np.abs(got - reference).max() <= 1e-13
+
+    @pytest.mark.parametrize("name", CF4_PATHS)
+    def test_cf4_converges_at_the_gauss_node_step_count(self, name):
+        make, tol, substeps = CF4_PATHS[name]
+        spec = EvolutionSpec(path=make(), total_time=5.0, steps=4)
+        assert exact_evolution(spec, tol=tol).meta["substeps"] == substeps
+
     def test_time_independent(self):
         path = diagonal_path([0.0, 1.0, -2.0], [0.0, 1.0, -2.0])
         spec = EvolutionSpec(path=path, total_time=3.0, steps=4)
@@ -401,8 +416,7 @@ class TestTrotterEvolution:
 def full_space_trotter(spec: EvolutionSpec) -> np.ndarray:
     """The Trotterized propagator as a tree product of the step unitaries on
     the full space, the reference that predates the fold."""
-    s = spec.grid_points()
-    return chunked_product(lambda part: trotter_steps(spec, s[part]), spec.steps, spec.path.dim)
+    return ordered_product(trotter_steps(spec, spec.grid_points()))
 
 
 def full_space_fold(spec: EvolutionSpec) -> np.ndarray:
@@ -506,7 +520,7 @@ class TestFolds:
         reference = np.eye(path.dim, dtype=complex)
         for s in spec.grid_points():
             reference = matrix_exp_hermitian(path_matrix(path, [s])[0], spec.dt) @ reference
-        got = discrete_product(path_spectrum(path, spec.grid_points()), spec.dt)
+        got = discrete_evolution(spec).matrix
         assert np.abs(got - reference).max() <= 1e-12
 
     @pytest.mark.parametrize("name", FOLD_PATHS)
@@ -515,7 +529,7 @@ class TestFolds:
         spec = EvolutionSpec(path=path, total_time=9.0, steps=37, grid="midpoint")
         spectrum = path_spectrum(path, spec.grid_points())
         psi = ground_state(path.h_initial.matrix)
-        expected = discrete_product(spectrum, spec.dt) @ psi
+        expected = discrete_evolution(spec).matrix @ psi
         assert np.abs(discrete_state(spectrum, spec.dt, psi) - expected).max() <= 1e-13
 
     @pytest.mark.parametrize("name", FOLD_PATHS)

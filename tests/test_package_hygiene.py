@@ -1,8 +1,10 @@
 """Static hygiene of the package source, checked with the standard library's
 ``ast`` alone.
 
-A deleted class or helper often leaves its import behind; this test flags
-every name a module under ``src/daslab`` imports and never uses.
+A deleted class or helper often leaves its import behind, and a moved one
+its old definition; these tests flag every name a module under
+``src/daslab`` imports and never uses, and every top-level private function
+or class that no module of the package references.
 """
 
 import ast
@@ -54,6 +56,43 @@ def test_no_module_imports_a_name_it_never_uses():
         for entry in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert problems == []
+
+
+def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Top-level ``_private`` functions and classes of the modules in
+    ``sources`` (file name -> source) that no module reads, by name or as
+    an attribute."""
+    defined = {}
+    referenced = set()
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.startswith("__")
+            ):
+                defined[node.name] = f"{name} line {node.lineno}: {node.name}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return sorted(entry for name, entry in defined.items() if name not in referenced)
+
+
+def test_checker_flags_an_unreferenced_private_helper():
+    sources = {
+        "a.py": "def _kept():\n    pass\n\ndef _left():\n    pass\n\nclass _Old:\n    pass\n",
+        "b.py": "from . import a\n\ndef public():\n    return a._kept()\n",
+    }
+    assert unreferenced_private_definitions(sources) == ["a.py line 4: _left", "a.py line 7: _Old"]
+
+
+def test_every_private_helper_has_a_caller():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert sources
+    assert unreferenced_private_definitions(sources) == []
 
 
 def imports_at_import_time(source: str) -> list[str]:
