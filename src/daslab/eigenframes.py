@@ -21,30 +21,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DegeneratePath, GapClosure, NoConvergence
+from .exceptions import DegeneratePath, GapClosure
 from .linalg import (
     GAP_FLOOR,
     _eigenvalue_clusters,
     _fix_column_phases,
+    _lapack,
     float_view_matmul,
     unitarity_defect,
 )
 from .model import AdiabaticPath, PathSpectrum, spectrum_stacks
 from .evolve import UNITARY_RESULT_TOL, EvolutionSpec
-from .riemann_lebesgue import cumulative_simpson, simpson
+from .riemann_lebesgue import _doubled_integral
 
-# Node doubling of transition_amplitude_continuum: first grid, largest grid,
-# and the relative change between two grids that counts as converged.
+# Node doubling of transition_amplitude_continuum: first and largest grid.
 CONTINUUM_START_NODES = 2048
 CONTINUUM_MAX_NODES = 2**20
-CONTINUUM_REL_TOL = 1e-8
 
 
 def _align_block(reference: np.ndarray, block: np.ndarray) -> np.ndarray:
     """Rotate a degenerate-cluster basis so its overlap with the reference
     columns is Hermitian positive semidefinite (polar alignment)."""
     overlap = reference.conj().T @ block
-    u, _, vh = np.linalg.svd(overlap)
+    u, _, vh = _lapack("svd", overlap)
     return block @ (u @ vh).conj().T
 
 
@@ -158,7 +157,6 @@ class PropagatorExpansion:
     matrix: np.ndarray
     zeroth_order: np.ndarray | None
     first_order: np.ndarray | None
-    adiabatic_error: float
     total_time: float
     dt: float
     amplitudes: np.ndarray | None = None
@@ -170,9 +168,10 @@ class PropagatorExpansion:
         column = np.abs(self.matrix[:, 0]) ** 2
         if abs(column.sum() - 1.0) > 1e-9:
             raise ValueError("first column of the frame propagator must be normalized")
-        expected = float(np.linalg.norm(self.matrix[1:, 0]))
-        if abs(self.adiabatic_error - expected) > 1e-12:
-            raise ValueError("adiabatic_error inconsistent with column 0 below (0,0)")
+
+    @property
+    def adiabatic_error(self) -> float:
+        return float(np.linalg.norm(self.matrix[1:, 0]))
 
     @property
     def first_order_error(self) -> float:
@@ -224,7 +223,6 @@ def propagator_expansion(
         matrix=gamma,
         zeroth_order=zeroth,
         first_order=first,
-        adiabatic_error=float(np.linalg.norm(gamma[1:, 0])),
         total_time=total_time,
         dt=dt,
         amplitudes=amplitudes,
@@ -328,7 +326,6 @@ def expansion_pass(
             matrix=gamma,
             zeroth_order=None,
             first_order=None,
-            adiabatic_error=float(np.linalg.norm(gamma[1:, 0])),
             total_time=total_time,
             dt=dt,
             amplitudes=spacing * amplitude,
@@ -372,20 +369,18 @@ def transition_amplitude_continuum(
     """Continuum limit of one transition amplitude.
 
     Oscillatory integral of theta_level(s) exp(-i T Omega_level(s)) over
-    [0, 1] with Omega the accumulated level spacing, evaluated on uniform
-    grids doubled from CONTINUUM_START_NODES until two successive values
-    agree to CONTINUUM_REL_TOL; raises :class:`NoConvergence` past
-    CONTINUUM_MAX_NODES and :class:`GapClosure` when the level spacing is at
-    or below GAP_FLOOR.  Eigenvectors along the grid are transported to the
-    smooth gauge, so the integrand's phase is continuous.
+    [0, 1] with Omega the accumulated level spacing, the
+    :func:`~daslab.riemann_lebesgue.oscillatory_integral` rule on grids
+    doubled from CONTINUUM_START_NODES to at most CONTINUUM_MAX_NODES;
+    raises :class:`GapClosure` when the level spacing is at or below
+    GAP_FLOOR.  Eigenvectors along the grid are transported to the smooth
+    gauge, so the integrand's phase is continuous.
     """
     if level < 1 or level >= path.dim:
         raise ValueError(f"level {level} outside [1, {path.dim})")
     diff = path.h_final.matrix - path.h_initial.matrix
-    previous = None
-    nodes = CONTINUUM_START_NODES
-    while nodes <= CONTINUUM_MAX_NODES:
-        s_values = np.linspace(0.0, 1.0, nodes + 1)
+
+    def samples(s_values):
         gaps, v0, vl = _chunked_level_data(path, s_values, level)
         if gaps.min() <= GAP_FLOOR:
             raise GapClosure(
@@ -395,16 +390,8 @@ def transition_amplitude_continuum(
         gl = _transport_phases(vl)
         dp = np.asarray(path.schedule.dp(s_values), dtype=float)
         coupling = np.einsum("id,de,ie->i", v0.conj(), diff, vl)
-        theta = g0.conj() * gl * dp * coupling / gaps
-        h = s_values[1] - s_values[0]
-        omega = cumulative_simpson(gaps, h)
-        integrand = theta * np.exp(-1j * total_time * omega)
-        value = complex(simpson(integrand, h))
-        tol = CONTINUUM_REL_TOL * max(1.0, abs(value))
-        if previous is not None and abs(value - previous) <= tol:
-            return value
-        previous = value
-        nodes *= 2
-    raise NoConvergence(
-        f"oscillatory integral did not self-converge within {CONTINUUM_MAX_NODES} nodes"
+        return g0.conj() * gl * dp * coupling / gaps, gaps
+
+    return _doubled_integral(
+        samples, total_time, CONTINUUM_START_NODES, CONTINUUM_MAX_NODES
     )

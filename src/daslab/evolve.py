@@ -32,6 +32,7 @@ import numpy as np
 from . import _dop853
 from .exceptions import NoConvergence
 from .linalg import (
+    _lapack,
     exp_from_eig,
     float_view_matmul,
     normalized_state,
@@ -110,7 +111,7 @@ class Layer:
         diagonal = np.diagonal(self.matrix)
         if np.count_nonzero(self.matrix) == np.count_nonzero(diagonal):
             return diagonal.real.copy(), None
-        return np.linalg.eigh(self.matrix)
+        return _lapack("eigh", self.matrix)
 
 
 def interpolation_layers(path: AdiabaticPath) -> tuple[Layer, Layer]:

@@ -23,7 +23,7 @@ class NotUnitary(SimulationError):
 
 
 class ConvergenceFailure(SimulationError):
-    """An iterative eigensolver did not converge."""
+    """A LAPACK decomposition did not converge."""
 
 
 class NoConvergence(SimulationError):

@@ -2,6 +2,9 @@
 
 All routines are pure functions on ``numpy`` arrays.  Every numerical
 tolerance is a module constant; no public routine takes one as a parameter.
+Every LAPACK decomposition of the package goes through :func:`_lapack`, the
+one place where a solver that fails to converge becomes
+:class:`ConvergenceFailure`.
 ``GAP_FLOOR`` and ``DEGENERACY_CLUSTER_TOL`` are the package-wide gap rules:
 a gap at or below ``GAP_FLOOR`` is closed wherever one is divided by, and
 eigenvalues closer than ``DEGENERACY_CLUSTER_TOL`` form one degenerate
@@ -28,6 +31,16 @@ GAP_FLOOR = 1e-9
 DEGENERACY_CLUSTER_TOL = 1e-9
 BRANCH_CUT_TOL = 1e-8
 GAUGE_TIE_TOL = 1e-12
+
+
+def _lapack(name: str, a, *args, **kwargs):
+    """``numpy.linalg.<name>(a, *args, **kwargs)``, with a solver that fails
+    to converge raised as :class:`ConvergenceFailure`.  The solver is looked
+    up when called, so a wrapped ``numpy.linalg`` function is the one run."""
+    try:
+        return getattr(np.linalg, name)(a, *args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"{name} failed to converge: {exc}") from exc
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -71,7 +84,7 @@ def operator_norm(m) -> float:
     m = np.asarray(m, dtype=np.complex128)
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(_lapack("norm", m, 2))
 
 
 def normalized_state(v) -> np.ndarray:
@@ -116,10 +129,7 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     """
     h = as_complex_matrix(h)
     require_hermitian(h)
-    try:
-        w, v = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigh failed to converge: {exc}") from exc
+    w, v = _lapack("eigh", h)
     return w, _fix_column_phases(v)
 
 
@@ -145,15 +155,12 @@ def unitary_eig(u) -> tuple[np.ndarray, np.ndarray]:
     else:
         cos_part = (u + u.conj().T) / 2
         sin_part = (u - u.conj().T) / 2j
-    try:
-        c, v = np.linalg.eigh(cos_part)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigh failed to converge: {exc}") from exc
+    c, v = _lapack("eigh", cos_part)
     for lo, hi in _eigenvalue_clusters(c):
         if hi - lo > 1:
             block = v[:, lo:hi]
             k = block.conj().T @ sin_part @ block
-            _, y = np.linalg.eigh((k + k.conj().T) / 2)
+            _, y = _lapack("eigh", (k + k.conj().T) / 2)
             v[:, lo:hi] = block @ y
     uv = cos_part @ v + 1j * (sin_part @ v) if symmetric else u @ v
     diag = np.einsum("ij,ij->j", v.conj(), uv)
@@ -210,7 +217,7 @@ def matrix_exp_hermitian(h, t: float) -> np.ndarray:
     """exp(-i H t) for H Hermitian within HERMITIAN_TOL, via eigendecomposition."""
     h = as_complex_matrix(h)
     require_hermitian(h)
-    w, v = np.linalg.eigh(h)
+    w, v = _lapack("eigh", h)
     return exp_from_eig(w, v, t)
 
 

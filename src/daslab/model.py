@@ -13,8 +13,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exceptions import ConvergenceFailure, DimensionTooLarge, OutOfRange
-from .linalg import as_complex_matrix, hermitian_eig, require_hermitian
+from .exceptions import DimensionTooLarge, OutOfRange
+from .linalg import _lapack, as_complex_matrix, hermitian_eig, require_hermitian
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -360,13 +360,9 @@ class PathSpectrum:
 
 
 def path_spectrum(path: AdiabaticPath, s_values) -> PathSpectrum:
-    """Diagonalize H(s) at every grid point in one batched call; a solver
-    that fails to converge raises :class:`ConvergenceFailure`."""
+    """Diagonalize H(s) at every grid point in one batched call."""
     s_values = np.asarray(s_values, dtype=float)
-    try:
-        energies, bases = np.linalg.eigh(path_matrix(path, s_values))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigh failed to converge: {exc}") from exc
+    energies, bases = _lapack("eigh", path_matrix(path, s_values))
     return PathSpectrum(s_values, energies, bases)
 
 
@@ -381,15 +377,11 @@ def spectrum_stacks(path: AdiabaticPath, s_values):
 
 def path_energies(path: AdiabaticPath, s_values) -> np.ndarray:
     """Ascending eigenvalues of H(s), one row per s, from batched
-    ``eigvalsh`` calls over :func:`stack_chunks` stacks; a solver that fails
-    to converge raises :class:`ConvergenceFailure`."""
+    ``eigvalsh`` calls over :func:`stack_chunks` stacks."""
     s_values = np.asarray(s_values, dtype=float)
     energies = np.empty((len(s_values), path.dim))
     for part in stack_chunks(len(s_values), path.dim):
-        try:
-            energies[part] = np.linalg.eigvalsh(path_matrix(path, s_values[part]))
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(f"eigvalsh failed to converge: {exc}") from exc
+        energies[part] = _lapack("eigvalsh", path_matrix(path, s_values[part]))
     return energies
 
 

@@ -28,8 +28,8 @@ from .model import AdiabaticPath, path_at, path_energies
 RESONANCE_THRESHOLD = 3.78
 OMEGA_ZERO_RTOL = 1e-12
 
-# Node doubling of total_variation: first and largest grid, and the default
-# relative change between two grids that counts as converged.
+# Node doubling of total_variation: first and largest grid, and the relative
+# change between two grids that counts as converged.
 VARIATION_START_NODES = 1024
 VARIATION_MAX_NODES = 2**21
 VARIATION_REL_TOL = 1e-6
@@ -201,19 +201,14 @@ def difference_quotient(spec: OscillatorySumSpec, s) -> complex | np.ndarray:
     return complex(value) if value.ndim == 0 else value
 
 
-def total_variation(
-    g: Callable,
-    lam: Callable,
-    dt: float,
-    lo: float = 0.0,
-    rel_tol: float = VARIATION_REL_TOL,
-) -> float:
+def total_variation(g: Callable, lam: Callable, dt: float, lo: float = 0.0) -> float:
     """Integral of |(g/omega)'| over [lo, 1], self-converged by node doubling.
 
     The grid doubles from VARIATION_START_NODES until two successive values
-    agree to rel_tol; past VARIATION_MAX_NODES :class:`NoConvergence` is
-    raised.  The derivative comes from dense central differences, so g only
-    needs to be evaluable, not differentiable in closed form.
+    agree to VARIATION_REL_TOL; past VARIATION_MAX_NODES
+    :class:`NoConvergence` is raised.  The derivative comes from dense
+    central differences, so g only needs to be evaluable, not differentiable
+    in closed form.
     """
     previous = None
     nodes = VARIATION_START_NODES
@@ -222,7 +217,8 @@ def total_variation(
         ratio = np.asarray(g(s), dtype=complex) / _checked_frequency(lam(s), dt)
         derivative = np.gradient(ratio, s)
         value = float(np.trapezoid(np.abs(derivative), s))
-        if previous is not None and abs(value - previous) <= rel_tol * max(1e-300, value):
+        tol = VARIATION_REL_TOL * max(1e-300, value)
+        if previous is not None and abs(value - previous) <= tol:
             return value
         previous = value
         nodes *= 2
@@ -232,20 +228,32 @@ def total_variation(
 
 
 def oscillatory_integral(f: Callable, lam: Callable, total_time: float) -> complex:
-    """Continuum integral of f(s) exp[-i T int_0^s lambda] over [0, 1].
+    """Continuum integral of f(s) exp[-i T int_0^s lambda] over [0, 1], on
+    grids doubled from INTEGRAL_START_NODES to at most INTEGRAL_MAX_NODES
+    (see :func:`_doubled_integral`)."""
+    return _doubled_integral(
+        lambda s: (f(s), lam(s)), total_time, INTEGRAL_START_NODES, INTEGRAL_MAX_NODES
+    )
+
+
+def _doubled_integral(
+    samples: Callable, total_time: float, start_nodes: int, max_nodes: int
+) -> complex:
+    """Integral of f(s) exp[-i T int_0^s lambda] over [0, 1], for
+    (f, lambda) = samples(s) on a uniform grid s.
 
     Composite Simpson with the accumulated phase from cumulative Simpson,
-    on grids doubled from INTEGRAL_START_NODES until two successive values
-    agree to INTEGRAL_REL_TOL; past INTEGRAL_MAX_NODES
-    :class:`NoConvergence` is raised.
+    on grids doubled from start_nodes until two successive values agree to
+    INTEGRAL_REL_TOL; past max_nodes :class:`NoConvergence` is raised.
     """
     previous = None
-    nodes = INTEGRAL_START_NODES
-    while nodes <= INTEGRAL_MAX_NODES:
+    nodes = start_nodes
+    while nodes <= max_nodes:
         s = np.linspace(0.0, 1.0, nodes + 1)
         h = s[1] - s[0]
-        phase = cumulative_simpson(np.asarray(lam(s), dtype=float), h)
-        integrand = np.asarray(f(s), dtype=complex) * np.exp(-1j * total_time * phase)
+        f, lam = samples(s)
+        phase = cumulative_simpson(np.asarray(lam, dtype=float), h)
+        integrand = np.asarray(f, dtype=complex) * np.exp(-1j * total_time * phase)
         value = complex(simpson(integrand, h))
         tol = INTEGRAL_REL_TOL * max(1.0, abs(value))
         if previous is not None and abs(value - previous) <= tol:
@@ -253,7 +261,7 @@ def oscillatory_integral(f: Callable, lam: Callable, total_time: float) -> compl
         previous = value
         nodes *= 2
     raise NoConvergence(
-        f"oscillatory integral did not self-converge within {INTEGRAL_MAX_NODES} nodes"
+        f"oscillatory integral did not self-converge within {max_nodes} nodes"
     )
 
 
@@ -268,7 +276,6 @@ class OscillatorySumBounds:
     """
 
     value: complex
-    magnitude: float
     continuum: complex
     boundary_bound: float
     variation_bound: float
@@ -276,13 +283,14 @@ class OscillatorySumBounds:
     second_order_bound: float
     eta_variation: float
     max_lambda_dt: float
-    threshold_ok: bool
 
-    def __post_init__(self):
-        if abs(self.magnitude - abs(self.value)) > 1e-12 * max(1.0, self.magnitude):
-            raise ValueError("magnitude must equal |value|")
-        if self.threshold_ok != (self.max_lambda_dt < RESONANCE_THRESHOLD):
-            raise ValueError("threshold flag inconsistent with max lambda * dt")
+    @property
+    def magnitude(self) -> float:
+        return abs(self.value)
+
+    @property
+    def threshold_ok(self) -> bool:
+        return self.max_lambda_dt < RESONANCE_THRESHOLD
 
 
 def sum_bounds(spec: OscillatorySumSpec) -> OscillatorySumBounds:
@@ -337,7 +345,6 @@ def sum_bounds(spec: OscillatorySumSpec) -> OscillatorySumBounds:
     max_lambda_dt = spec.max_lambda_dt()
     return OscillatorySumBounds(
         value=value,
-        magnitude=abs(value),
         continuum=continuum,
         boundary_bound=boundary,
         variation_bound=variation_bound,
@@ -345,7 +352,6 @@ def sum_bounds(spec: OscillatorySumSpec) -> OscillatorySumBounds:
         second_order_bound=second_order,
         eta_variation=eta_variation,
         max_lambda_dt=max_lambda_dt,
-        threshold_ok=max_lambda_dt < RESONANCE_THRESHOLD,
     )
 
 
@@ -354,10 +360,16 @@ class RobustnessReport:
     """Endpoint-only adiabatic error bound with its applicability flags."""
 
     bound: float
-    threshold_ok: bool
-    spacing_ok: bool
     max_lambda_dt: float
     min_level_spacing: float
+
+    @property
+    def threshold_ok(self) -> bool:
+        return self.max_lambda_dt < RESONANCE_THRESHOLD
+
+    @property
+    def spacing_ok(self) -> bool:
+        return self.min_level_spacing > GAP_FLOOR
 
 
 def robust_adiabatic_bound(
@@ -390,8 +402,6 @@ def robust_adiabatic_bound(
     )
     return RobustnessReport(
         bound=float(bound),
-        threshold_ok=max_lambda_dt < RESONANCE_THRESHOLD,
-        spacing_ok=min_spacing > GAP_FLOOR,
         max_lambda_dt=max_lambda_dt,
         min_level_spacing=min_spacing,
     )

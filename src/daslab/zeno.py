@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import AllFail, AllPass
-from .linalg import _fix_column_phases, ground_state, unitary_eig
+from .linalg import _fix_column_phases, _lapack, ground_state, unitary_eig
 from .model import AdiabaticPath, path_at, reversal_blocks
 from .evolve import EvolutionSpec, interpolation_layers, strang_step, trotter_step_unitary
 
@@ -54,7 +54,7 @@ class OperatorFamily:
         if self.diagonalize is not None:
             return self.diagonalize(s)
         if self.kind == HERMITIAN_FAMILY:
-            return np.linalg.eigh(self.evaluate(s))
+            return _lapack("eigh", self.evaluate(s))
         return unitary_eig(self.evaluate(s))
 
 

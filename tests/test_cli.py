@@ -938,6 +938,56 @@ class TestMainEntry:
         assert "Traceback" not in err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "command, extra_config, solver",
+        [
+            ("fig1", {}, "eigh"),
+            ("fig2", {}, "eigh"),
+            ("fig3", {"dt_values": [0.4], "trace_dts": [0.4]}, "eigh"),
+            ("zeno", {"zeno_family": "hermitian-path"}, "eigh"),
+            ("zeno", {"zeno_family": "trotter-unitary"}, "eigh"),
+            ("fig1", {}, "norm"),
+            ("bound", {}, "norm"),
+        ],
+        ids=[
+            "fig1-eigh",
+            "fig2-eigh",
+            "fig3-eigh",
+            "zeno-hermitian-eigh",
+            "zeno-unitary-eigh",
+            "fig1-norm",
+            "bound-norm",
+        ],
+    )
+    def test_solver_failure_anywhere_exit_3(
+        self, tmp_path, monkeypatch, capsys, command, extra_config, solver
+    ):
+        # One kind of LAPACK call fails wherever it is made: an eigh of a
+        # single 6 x 6 matrix (the larger reversal block of the 3-site
+        # chain), or the SVD behind a spectral norm.
+        eigh, norm = np.linalg.eigh, np.linalg.norm
+
+        def failing_eigh(a, *args, **kwargs):
+            if np.shape(a) == (6, 6):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a, *args, **kwargs)
+
+        def failing_norm(x, ord=None, *args, **kwargs):
+            if ord == 2:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return norm(x, ord, *args, **kwargs)
+
+        if solver == "eigh":
+            monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        else:
+            monkeypatch.setattr(np.linalg, "norm", failing_norm)
+        config = {"n_sites": 3, "steps": 10, "t_values": [4.0], "zeno_steps": 10, **extra_config}
+        assert self.run_main(tmp_path, command, config) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: {solver} failed to converge")
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_numerical_failure_exit_code(self, tmp_path):
         # level crossing at s = 0.5 trips the gap guard inside the bound sweep
         ham = {

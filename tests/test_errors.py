@@ -234,11 +234,9 @@ class TestAdiabaticBound:
 
     def test_report_validation(self):
         with pytest.raises(ValueError):
-            BoundReport(0.1, 0.1, 0.1, 0.5)
-        with pytest.raises(ValueError):
-            BoundReport(-0.1, 0.1, 0.1, 0.1)
+            BoundReport(-0.1, 0.1, 0.1)
         with pytest.raises(NonFiniteResult):
-            BoundReport(np.inf, 0.1, 0.1, np.inf)
+            BoundReport(np.inf, 0.1, 0.1)
 
     def test_chunked_gaps_match_one_batch(self, tfim4, monkeypatch):
         whole = bound_profile(tfim4, 21)

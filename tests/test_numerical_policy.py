@@ -30,6 +30,7 @@ RETIRED = {
     "max_nodes",
     "s_samples",
     "variation_rel_tol",
+    "rel_tol",
 }
 # The self-convergence tolerance of the exact reference propagator: tests
 # tighten it, and the NoConvergence test needs an unreachable value.

@@ -4,7 +4,8 @@
 A deleted class or helper often leaves its import behind, and a moved one
 its old definition; these tests flag every name a module under
 ``src/daslab`` imports and never uses, and every top-level private function
-or class that no module of the package references.
+or class that no module of the package references.  They also keep every
+LAPACK decomposition behind the one boundary in ``linalg``.
 """
 
 import ast
@@ -130,5 +131,55 @@ def test_no_module_imports_scipy_at_import_time():
         for path in sorted(PACKAGE.glob("*.py"))
         for entry in imports_at_import_time(path.read_text(encoding="utf-8"))
         if entry.split(": ")[1].split(".")[0] == "scipy"
+    ]
+    assert problems == []
+
+
+LAPACK_SOLVERS = {"eigh", "eigvalsh", "eig", "eigvals", "svd"}
+
+
+def direct_lapack_calls(source: str) -> list[str]:
+    """References in ``source`` to a ``numpy.linalg`` decomposition, as
+    ``<...>.linalg.<solver>`` or imported from ``numpy.linalg``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in LAPACK_SOLVERS
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "linalg"
+        ):
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            found += [
+                f"line {node.lineno}: numpy.linalg.{alias.name}"
+                for alias in node.names
+                if alias.name in LAPACK_SOLVERS
+            ]
+    return sorted(found)
+
+
+def test_lapack_checker_flags_direct_decompositions():
+    source = (
+        "import numpy as np\nfrom numpy.linalg import eigvalsh, norm\n"
+        "w, v = np.linalg.eigh(a)\nu, s, vh = numpy.linalg.svd(b)\n"
+        "x = np.linalg.norm(v)\nw, v = _lapack('eigh', a)\n"
+    )
+    assert direct_lapack_calls(source) == [
+        "line 2: numpy.linalg.eigvalsh",
+        "line 3: np.linalg.eigh",
+        "line 4: numpy.linalg.svd",
+    ]
+
+
+def test_every_decomposition_goes_through_linalg():
+    """Only ``linalg`` reaches ``numpy.linalg``'s decompositions, through
+    its ``_lapack`` helper, which turns a solver that fails to converge into
+    ``ConvergenceFailure`` (exit 3) in one place."""
+    problems = [
+        f"{path.name} {entry}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "linalg.py"
+        for entry in direct_lapack_calls(path.read_text(encoding="utf-8"))
     ]
     assert problems == []

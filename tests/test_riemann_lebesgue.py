@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from daslab import model
+from daslab import model, riemann_lebesgue
 from daslab.exceptions import GapClosure, OmegaZero
 from daslab.linalg import operator_norm
 from daslab.model import AdiabaticPath, HermitianOperator, linear_schedule, path_at
@@ -217,11 +217,12 @@ class TestTotalVariation:
         g = lambda s: np.asarray(s, float) * discrete_frequency(ones(s), dt)  # noqa: E731
         assert total_variation(g, ones, dt) == pytest.approx(1.0, rel=1e-5)
 
-    def test_node_doubling_stability(self):
+    def test_node_doubling_stability(self, monkeypatch):
         rng = np.random.default_rng(43)
         f, lam = random_smooth_pair(rng)
-        coarse = total_variation(f, lam, 0.2, rel_tol=1e-6)
-        fine = total_variation(f, lam, 0.2, rel_tol=1e-8)
+        coarse = total_variation(f, lam, 0.2)
+        monkeypatch.setattr(riemann_lebesgue, "VARIATION_REL_TOL", 1e-8)
+        fine = total_variation(f, lam, 0.2)
         assert abs(coarse - fine) <= 1e-5 * max(1.0, fine)
 
 
