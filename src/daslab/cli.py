@@ -9,6 +9,8 @@ can gamma's eps_first_order on a path without exact site-reversal symmetry
 between one and two OpenBLAS threads at their defaults).  fig2, fig3
 and zeno run inside the site-reversal sector of the initial state, and
 gamma does where that sector holds the ground level on the whole grid.
+fig3 and the trotter-unitary zeno trace continue through one routine,
+:func:`~daslab.zeno.effective_traces`, as the critical-step search does.
 fig1 forms both its discretized and its Trotterized propagator in each
 sector from the sector's own path, never on the full space of a symmetric
 path, and bound diagonalizes its nodes per sector.  fig1 and gamma make
@@ -67,7 +69,7 @@ from .errors import bound_profile, endpoint_states, fidelity_error, scaling_inde
 from .eigenframes import expansion_pass, transported_stream
 from .riemann_lebesgue import OscillatorySumSpec, sum_bounds
 from .zeno import (
-    HERMITIAN_FAMILY, UNITARY_FAMILY, effective_family, hermitian_family, near_degeneracy_test,
+    HERMITIAN_FAMILY, UNITARY_FAMILY, effective_traces, hermitian_family, near_degeneracy_test,
 )
 from . import svg as svgmod
 
@@ -303,11 +305,6 @@ def _workers(threads: int):
         yield lambda fn, items: list(pool.map(fn, items))
 
 
-def _parallel(fn, items, threads: int):
-    with _workers(threads if len(items) > 1 else 1) as run:
-        return run(fn, items)
-
-
 def write_csv(path: Path, columns, rows, config: RunConfig, extra_comments=()) -> None:
     lines = [f"# daslab config_hash={config.digest()}"]
     lines += [f"# {comment}" for comment in extra_comments]
@@ -425,7 +422,9 @@ def fig2_rows(config: RunConfig) -> tuple[list[dict], float]:
             "eps_tot": fidelity_error(psi_f, tro_state),
         }
 
-    rows = _parallel(one, [float(t) for t in config.t_grid()], config.threads)
+    times = [float(t) for t in config.t_grid()]
+    with _workers(min(config.threads, len(times))) as run:
+        rows = run(one, times)
     cut = config.steps * config.robust_dt_cut
     window = [(r["T"], r["eps_tot"]) for r in rows if r["T"] <= cut and r["eps_tot"] > 0]
     index = scaling_index(window) if len(window) >= 4 else float("nan")
@@ -435,36 +434,28 @@ def fig2_rows(config: RunConfig) -> tuple[list[dict], float]:
 def fig3_rows(config: RunConfig) -> tuple[list[dict], dict]:
     """Near-degeneracy pass/fail over the dt grid plus per-dt overlap traces.
 
-    The continuation runs inside the initial state's site-reversal block,
-    the first of :func:`~daslab.model.reversal_blocks`.  A trace dt on the
-    grid reuses that grid point's trace.
+    Every trace is :func:`~daslab.zeno.effective_traces` of psi_i, the grid
+    and the trace dts off it spread over ``threads`` workers in one map.  A
+    trace dt on the grid reuses that grid point's trace.
     """
     path = config.build_path()
-    psi_i, _ = endpoint_states(path)
-    block = reversal_blocks(path, psi_i)[0]
-    path, psi_i = block.path, block.project(psi_i)
-    layers = _shared_layers(path)
-
-    def trace_at(dt: float):
-        return near_degeneracy_test(
-            effective_family(path, dt, layers),
-            steps=config.zeno_steps,
-            threshold=config.zeno_threshold,
-            initial_state=psi_i,
+    grid = [float(dt) for dt in config.dt_grid()]
+    dts = list(grid)
+    for dt in map(float, config.trace_dts):
+        if all(abs(d - dt) >= 1e-12 for d in dts):
+            dts.append(dt)
+    with _workers(min(config.threads, len(dts))) as run:
+        traces = effective_traces(
+            path, endpoint_states(path)[0], dts, config.zeno_steps, config.zeno_threshold, run
         )
-
-    dts = [float(dt) for dt in config.dt_grid()]
-    grid_traces = _parallel(trace_at, dts, config.threads)
     rows = [
         {"dt": dt, "pass": trace.passed, "min_overlap": trace.min_overlap}
-        for dt, trace in zip(dts, grid_traces)
+        for dt, trace in zip(grid, traces)
     ]
-    traces = {}
-    for dt in config.trace_dts:
-        dt = float(dt)
-        match = next((t for d, t in zip(dts, grid_traces) if abs(d - dt) < 1e-12), None)
-        traces[dt] = match if match is not None else trace_at(dt)
-    return rows, traces
+    return rows, {
+        dt: next(t for d, t in zip(dts, traces) if abs(d - dt) < 1e-12)
+        for dt in map(float, config.trace_dts)
+    }
 
 
 def rl_rows(config: RunConfig) -> list[dict]:
@@ -588,20 +579,20 @@ def zeno_rows(config: RunConfig) -> list[dict]:
     inside the initial state's site-reversal block (see
     :func:`~daslab.model.reversal_blocks`)."""
     path = config.build_path()
-    hermitian = config.zeno_family == HERMITIAN_FAMILY
+    if config.zeno_family == UNITARY_FAMILY:
+        (trace,) = effective_traces(
+            path, endpoint_states(path)[0], [config.zeno_dt], config.zeno_steps,
+            config.zeno_threshold,
+        )
+        return _trace_rows(trace)
     # The Hermitian family does not need a unique ground state of H_f.
-    psi_i = ground_state(path_at(path, 0.0).matrix) if hermitian else endpoint_states(path)[0]
+    psi_i = ground_state(path_at(path, 0.0).matrix)
     block = reversal_blocks(path, psi_i)[0]
-    path, psi_i = block.path, block.project(psi_i)
-    if hermitian:
-        family = hermitian_family(path)
-    else:
-        family = effective_family(path, config.zeno_dt, _shared_layers(path))
     trace = near_degeneracy_test(
-        family,
+        hermitian_family(block.path),
         steps=config.zeno_steps,
         threshold=config.zeno_threshold,
-        initial_state=psi_i,
+        initial_state=block.project(psi_i),
     )
     return _trace_rows(trace)
 

@@ -413,7 +413,7 @@ def _terms_from_json(raw, where: str) -> list[PauliTerm]:
 def load_path_json(source) -> AdiabaticPath:
     """Build an AdiabaticPath from a Hamiltonian definition file.
 
-    Accepts a file path, an open file object, or an already-parsed dict::
+    Accepts a file path or an already-parsed dict::
 
         {
           "n_sites": 4,
@@ -425,8 +425,6 @@ def load_path_json(source) -> AdiabaticPath:
     """
     if isinstance(source, dict):
         data = source
-    elif hasattr(source, "read"):
-        data = json.load(source)
     else:
         with open(source, "r", encoding="utf-8") as handle:
             data = json.load(handle)

@@ -17,7 +17,9 @@ import numpy as np
 from .exceptions import AllFail, AllPass
 from .linalg import _fix_column_phases, _lapack, ground_state, unitary_eig
 from .model import AdiabaticPath, path_at, reversal_blocks
-from .evolve import EvolutionSpec, interpolation_layers, strang_step, trotter_step_unitary
+from .evolve import (
+    EvolutionSpec, _in_order, interpolation_layers, strang_step, trotter_step_unitary,
+)
 
 DEFAULT_THRESHOLD = 0.99
 
@@ -42,7 +44,6 @@ class OperatorFamily:
 
     evaluate: Callable[[float], np.ndarray]
     kind: str
-    dt: float | None = None
     diagonalize: Callable[[float], tuple[np.ndarray, np.ndarray]] | None = None
 
     def __post_init__(self):
@@ -76,7 +77,6 @@ def effective_family(path: AdiabaticPath, dt: float, layers=()) -> OperatorFamil
     return OperatorFamily(
         evaluate=lambda s: trotter_step_unitary(spec, s),
         kind=UNITARY_FAMILY,
-        dt=dt,
         diagonalize=_strang_diagonalizer(spec),
     )
 
@@ -120,8 +120,6 @@ class ZenoTrace:
 
     overlaps: np.ndarray
     threshold: float
-    family: str
-    dt: float | None = None
     margins: np.ndarray | None = None
     gaps: np.ndarray | None = None
 
@@ -192,13 +190,36 @@ def near_degeneracy_test(
         distances[best] = np.inf
         gaps[j - 1] = distances.min()
         state = vectors[:, best]
-    return ZenoTrace(
-        overlaps=overlaps,
-        threshold=threshold,
-        family=family.kind,
-        dt=family.dt,
-        margins=margins,
-        gaps=gaps,
+    return ZenoTrace(overlaps=overlaps, threshold=threshold, margins=margins, gaps=gaps)
+
+
+def effective_traces(
+    path: AdiabaticPath,
+    psi: np.ndarray,
+    dt_values,
+    steps: int = DEFAULT_STEPS,
+    threshold: float = DEFAULT_THRESHOLD,
+    run=_in_order,
+) -> list[ZenoTrace]:
+    """The near-degeneracy test of the effective family (see
+    :func:`effective_family`) at each dt in ``dt_values``, continuing psi.
+
+    The continuation runs inside psi's site-reversal block, the first of
+    :func:`~daslab.model.reversal_blocks`, from psi projected onto it.  The
+    block path's layers and every dt's family are formed here, in the
+    calling thread, where :attr:`~daslab.evolve.EvolutionSpec.strang_symmetric`
+    diagonalizes each layer once for the whole grid.  ``run(fn, items)``
+    maps the tests over the families (by default in order).
+    """
+    block = reversal_blocks(path, psi)[0]
+    initial_state = block.project(psi)
+    layers = interpolation_layers(block.path)
+    families = [effective_family(block.path, float(dt), layers) for dt in dt_values]
+    return run(
+        lambda family: near_degeneracy_test(
+            family, steps=steps, threshold=threshold, initial_state=initial_state
+        ),
+        families,
     )
 
 
@@ -226,31 +247,16 @@ def critical_step_search(
 ) -> CriticalStepResult:
     """Run the near-degeneracy test on the effective family across a dt grid.
 
-    Each trace starts from the ground state of H(0) and follows the
-    two-layer interpolation step (see :func:`effective_family`) inside the
-    ground state's site-reversal block, the first of
-    :func:`~daslab.model.reversal_blocks`.  The critical step is the
-    midpoint between the last passing and the first failing dt.
-    Monotonicity of the pattern is not assumed: every grid point is
-    evaluated and a non-monotone pattern is reported via the ``monotone``
-    flag.
+    Each trace is :func:`effective_traces` of the ground state of H(0).
+    The critical step is the midpoint between the last passing and the
+    first failing dt.  Monotonicity of the pattern is not assumed: every
+    grid point is evaluated and a non-monotone pattern is reported via the
+    ``monotone`` flag.
     """
     dts = np.asarray(dt_values, dtype=float)
     if len(dts) == 0 or np.any(np.diff(dts) <= 0):
         raise ValueError("dt grid must be nonempty and strictly ascending")
-    psi = ground_state(path_at(path, 0.0).matrix)
-    block = reversal_blocks(path, psi)[0]
-    path, initial_state = block.path, block.project(psi)
-    layers = interpolation_layers(path)
-
-    traces = []
-    for dt in dts:
-        family = effective_family(path, float(dt), layers)
-        traces.append(
-            near_degeneracy_test(
-                family, steps=steps, threshold=threshold, initial_state=initial_state
-            )
-        )
+    traces = effective_traces(path, ground_state(path_at(path, 0.0).matrix), dts, steps, threshold)
     passes = np.array([trace.passed for trace in traces])
 
     if passes.all():

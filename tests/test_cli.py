@@ -5,12 +5,13 @@ import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
 import daslab
-from daslab import cli, evolve, model
+from daslab import cli, evolve, model, zeno
 from daslab.cli import (
     RunConfig,
     bound_rows,
@@ -27,6 +28,7 @@ from daslab.errors import endpoint_states, fidelity_error
 from daslab.evolve import EvolutionSpec, discrete_evolution, grid_points, trotter_evolution
 from daslab.exceptions import ConfigError
 from daslab.linalg import operator_norm
+from daslab.svg import HEIGHT, MARGIN_B
 from daslab.zeno import HERMITIAN_FAMILY, UNITARY_FAMILY
 
 from conftest import (
@@ -186,6 +188,7 @@ class TestConfig:
             raise AssertionError("continuation started on an invalid config")
 
         monkeypatch.setattr(cli, "near_degeneracy_test", no_continuation)
+        monkeypatch.setattr(zeno, "near_degeneracy_test", no_continuation)
         data = {"n_sites": 2, **bad}
         with pytest.raises(ConfigError):
             RunConfig.from_dict(data)
@@ -893,6 +896,29 @@ class TestMainEntry:
         assert (tmp_path / "fig1.csv").exists()
         svg = (tmp_path / "fig1.svg").read_text()
         assert svg.startswith("<svg")
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("rl", {"rl_steps": 10}),
+            ("fig3", {"n_sites": 2, "dt_values": [0.2, 0.4], "trace_dts": [], "zeno_steps": 5}),
+        ],
+    )
+    def test_linear_axes_svg(self, tmp_path, command, config):
+        assert self.run_main(tmp_path, command, config, extra=("--svg",)) == 0
+        root = ElementTree.parse(tmp_path / f"{command}.svg").getroot()
+        texts = root.findall("{http://www.w3.org/2000/svg}text")
+        # tick labels: centred under the x axis, right-aligned left of the y axis
+        x_ticks = [t.text for t in texts if t.get("y") == str(HEIGHT - MARGIN_B + 18)]
+        y_ticks = [t.text for t in texts if t.get("text-anchor") == "end"]
+        for ticks in (x_ticks, y_ticks):
+            assert len(ticks) >= 2
+            assert all(np.isfinite(float(tick)) for tick in ticks)
+
+    def test_config_array_exit_2(self, tmp_path, capsys):
+        assert self.run_main(tmp_path, "fig1", [{"n_sites": 2}]) == 2
+        assert "config JSON must be an object" in capsys.readouterr().err
+        assert not (tmp_path / "fig1.csv").exists()
 
     def test_fig3_writes_trace_files(self, tmp_path):
         code = self.run_main(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from daslab.evolve import Layer, interpolation_layers
+from daslab import zeno
 from daslab.exceptions import AllFail, AllPass
 from daslab.linalg import ground_state, matrix_exp_hermitian, operator_norm, unitary_eig
 from daslab.model import (
@@ -95,7 +96,6 @@ class TestNearDegeneracyTest:
         family = OperatorFamily(
             evaluate=lambda s: matrix_exp_hermitian(path_at(tfim4, s).matrix, dt),
             kind=UNITARY_FAMILY,
-            dt=float(dt),
         )
         psi = ground_state(tfim4.h_initial.matrix)
         trace = near_degeneracy_test(family, steps=80, initial_state=psi)
@@ -157,6 +157,18 @@ class TestCriticalStepSearch:
         assert endpoint_solves(seen, tfim2) == [1, 0]
         assert endpoint_solves(seen, sector) == [1, 0]
 
+    def test_first_dt_failing_brackets_at_the_start(self, tfim2, monkeypatch):
+        canned = iter(
+            ZenoTrace(overlaps=np.array([1.0, overlap]), threshold=0.99)
+            for overlap in (0.5, 1.0, 0.5)
+        )
+        monkeypatch.setattr(zeno, "near_degeneracy_test", lambda *args, **kwargs: next(canned))
+        result = critical_step_search(tfim2, [0.1, 0.3, 0.4], steps=2)
+        assert list(result.passes) == [False, True, False]
+        assert result.critical_dt == result.first_fail_dt == 0.1
+        assert result.resolution == pytest.approx(0.1)
+        assert not result.monotone
+
     def test_grid_validation(self, tfim2):
         with pytest.raises(ValueError):
             critical_step_search(tfim2, [])
@@ -179,9 +191,9 @@ class TestZenoTraceRecord:
     def test_pass_threshold_consistency(self):
         from daslab.zeno import ZenoTrace
 
-        trace = ZenoTrace(overlaps=np.array([0.995, 0.992]), threshold=0.99, family="hermitian-path")
+        trace = ZenoTrace(overlaps=np.array([0.995, 0.992]), threshold=0.99)
         assert trace.passed and trace.min_overlap == pytest.approx(0.992)
-        trace = ZenoTrace(overlaps=np.array([0.995, 0.92]), threshold=0.99, family="hermitian-path")
+        trace = ZenoTrace(overlaps=np.array([0.995, 0.92]), threshold=0.99)
         assert not trace.passed
         assert trace.first_dip == 1
 
@@ -189,12 +201,12 @@ class TestZenoTraceRecord:
         from daslab.zeno import ZenoTrace
 
         with pytest.raises(ValueError):
-            ZenoTrace(overlaps=np.array([1.5]), threshold=0.99, family="hermitian-path")
+            ZenoTrace(overlaps=np.array([1.5]), threshold=0.99)
 
 
 def generic_twin(family):
     """The same step family, diagonalized by unitary_eig on U itself."""
-    return OperatorFamily(evaluate=family.evaluate, kind=UNITARY_FAMILY, dt=family.dt)
+    return OperatorFamily(evaluate=family.evaluate, kind=UNITARY_FAMILY)
 
 
 def count_complex_eigh(monkeypatch) -> list:
@@ -330,7 +342,6 @@ class TestMargins:
             ZenoTrace(
                 overlaps=np.array([0.9, 0.8]),
                 threshold=0.5,
-                family="hermitian-path",
                 **{record: np.array([0.1])},
             )
 
