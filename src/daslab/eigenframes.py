@@ -3,16 +3,16 @@
 Each step's exponential is diagonal in the eigenbasis of H(s_j); merging
 neighboring bases into transition matrices expresses the whole discretized
 propagator as a product of diagonal phase matrices and near-identity
-transition matrices.  The expansion of that product in the off-diagonal
-parts of the transitions gives the first-order transition amplitudes into
-excited levels and the exact discrete adiabatic error.
+transition matrices.  That product gives the exact discrete adiabatic
+error, and its first order the transition amplitudes into excited levels.
 
 The eigenframes come one grid point at a time from
-:func:`transported_stream`, which holds the previous frame alone, or
-collected into a :class:`~daslab.model.PathSpectrum` whose bases are in the
-parallel-transport gauge (see :func:`transported_frames`), whose arrays the
-batched routines here read directly.  :func:`expansion_pass` folds the
-stream into every T at once.
+:func:`transported_stream`, which holds the previous frame alone and puts
+each basis in the parallel-transport gauge.  :func:`expansion_pass` folds
+the stream into every T at once; gamma and :func:`gamma_expansion`, its
+one-T case, both run it.  :func:`eigenframe_sequence` collects the stream
+into a :class:`~daslab.model.PathSpectrum` for the batched routines, which
+the tests keep as the pass's reference.
 """
 
 from __future__ import annotations
@@ -114,18 +114,17 @@ def transported_stream(stacks, strict: bool = False):
 
 def eigenframe_sequence(spec: EvolutionSpec, strict: bool = False) -> PathSpectrum:
     """Transported eigenframes of H(s_j) over the spec's grid, collected
-    from :func:`transported_stream` over the grid's stacks."""
+    from :func:`transported_stream` over the grid's stacks.
+
+    No sweep collects the frames: this and the batched routines below stay
+    as the tests' reference for :func:`expansion_pass`
+    (``TestExpansionPass::test_same_bits_as_the_batched_expansion``) and as
+    names the benchmark's tracer wraps.
+    """
     s_values, energies, bases = zip(
         *transported_stream(spectrum_stacks(spec.path, spec.grid_points()), strict)
     )
     return PathSpectrum(np.array(s_values), np.array(energies), np.array(bases))
-
-
-def transported_frames(spectrum: PathSpectrum, strict: bool = False) -> PathSpectrum:
-    """Eigenframes of a grid spectrum: the same grid and energies, with the
-    bases of :func:`transported_stream` in the parallel-transport gauge."""
-    bases = [basis for _, _, basis in transported_stream([spectrum], strict)]
-    return PathSpectrum(spectrum.s_values, spectrum.energies, np.array(bases))
 
 
 def transition_matrices(frames: PathSpectrum) -> np.ndarray:
@@ -133,14 +132,15 @@ def transition_matrices(frames: PathSpectrum) -> np.ndarray:
     stacked in one batched product.
 
     The adjoints are a temporary of this product: the frames, which a T
-    sweep keeps, hold no copy of them.
+    sweep keeps, hold no copy of them.  No sweep calls this (see
+    :func:`eigenframe_sequence`).
     """
     return np.conj(np.swapaxes(frames.bases[1:], -1, -2)) @ frames.bases[:-1]
 
 
 @dataclass(frozen=True)
 class PropagatorExpansion:
-    """Frame-basis propagator, its leading orders, and derived error data.
+    """Frame-basis propagator and derived error data.
 
     ``matrix`` is the full product of step phases and transition matrices;
     its (0, 0) element is the surviving ground amplitude, the rest of column
@@ -149,14 +149,10 @@ class PropagatorExpansion:
     0).  The product multiplies real transitions through
     :func:`~daslab.linalg.float_view_matmul`.  ``amplitudes``
     carries the first-order estimate of those transition amplitudes when the
-    caller computed it.  ``zeroth_order`` and ``first_order`` are the
-    leading terms of the product's expansion; :func:`expansion_pass`, which
-    holds one transition at a time, leaves them None.
+    caller computed it.
     """
 
     matrix: np.ndarray
-    zeroth_order: np.ndarray | None
-    first_order: np.ndarray | None
     total_time: float
     dt: float
     amplitudes: np.ndarray | None = None
@@ -187,15 +183,14 @@ def propagator_expansion(
     total_time: float,
     amplitudes: np.ndarray | None = None,
 ) -> PropagatorExpansion:
-    """Assemble the frame-basis propagator and its first two expansion orders.
+    """Assemble the frame-basis propagator from collected frames.
 
     The step phases use the raw frame energies, so the full reconstruction
     B_L matrix B_1^dag equals the discrete propagator including its ground
-    phase.  The first-order term keeps the step-k phase factor on the
-    incoming side, which is where it lands when the product is expanded.
+    phase.  No sweep calls this (see :func:`eigenframe_sequence`).
     """
     energies = frames.energies
-    n_frames, dim = energies.shape
+    n_frames = len(energies)
     if len(transitions) != n_frames - 1:
         raise ValueError(
             f"expected {n_frames - 1} transition matrices, got {len(transitions)}"
@@ -206,32 +201,7 @@ def propagator_expansion(
     gamma = np.diag(phases[0])
     for j in range(1, n_frames):
         gamma = _frame_step(transitions[j - 1], phases[j], gamma)
-
-    zeroth = np.diag(np.exp(-1j * dt * energies.sum(axis=0)))
-
-    first = np.zeros((dim, dim), dtype=complex)
-    if n_frames > 1:
-        cumulative = np.cumsum(energies, axis=0)
-        total = cumulative[-1]
-        eye = np.eye(dim)
-        for k in range(n_frames - 1):
-            incoming = np.exp(-1j * dt * cumulative[k])
-            outgoing = np.exp(-1j * dt * (total - cumulative[k]))
-            first += outgoing[:, None] * (transitions[k] - eye) * incoming[None, :]
-
-    return PropagatorExpansion(
-        matrix=gamma,
-        zeroth_order=zeroth,
-        first_order=first,
-        total_time=total_time,
-        dt=dt,
-        amplitudes=amplitudes,
-    )
-
-
-def reconstruct_discrete(frames: PathSpectrum, expansion: PropagatorExpansion) -> np.ndarray:
-    """Rebuild the discrete propagator from the frame-basis product."""
-    return frames.bases[-1] @ expansion.matrix @ frames.bases[0].conj().T
+    return PropagatorExpansion(gamma, total_time, dt, amplitudes)
 
 
 def transition_amplitudes(spec: EvolutionSpec, frames: PathSpectrum) -> np.ndarray:
@@ -241,7 +211,7 @@ def transition_amplitudes(spec: EvolutionSpec, frames: PathSpectrum) -> np.ndarr
     <0(k)|H'(s_k)|l(k)> / lambda_l(k) against the accumulated level-spacing
     phases.  The phase prefix includes step k itself, matching where the
     step-k phase sits in the expanded product; the weight is the actual grid
-    spacing.
+    spacing.  No sweep calls this (see :func:`eigenframe_sequence`).
     """
     s_values, energies, bases = frames.s_values, frames.energies, frames.bases
     n_frames, dim = energies.shape
@@ -297,8 +267,7 @@ def expansion_pass(
     :func:`transition_amplitudes` over the collected frames, so the
     matrices and amplitudes are the same bits, and no frame is held past
     the next one.  The pass holds one dim x dim accumulator per T, each
-    replaced in turn.  The expansions leave out the zeroth and first order,
-    which need every transition at once.
+    replaced in turn.
     """
     diff = path.h_final.matrix - path.h_initial.matrix
     dts = [total_time / steps for total_time in total_times]
@@ -322,25 +291,18 @@ def expansion_pass(
                 _amplitude_step(amplitude, theta, dt, prefix)
         prev = basis
     return [
-        PropagatorExpansion(
-            matrix=gamma,
-            zeroth_order=None,
-            first_order=None,
-            total_time=total_time,
-            dt=dt,
-            amplitudes=spacing * amplitude,
-        )
+        PropagatorExpansion(gamma, total_time, dt, spacing * amplitude)
         for gamma, amplitude, total_time, dt in zip(gammas, amplitudes, total_times, dts)
     ]
 
 
 def gamma_expansion(spec: EvolutionSpec) -> PropagatorExpansion:
-    """One-stop driver: frames (ground gap checked, excited degeneracies
-    tolerated), transitions, expansion, and amplitudes."""
-    frames = eigenframe_sequence(spec)
-    transitions = transition_matrices(frames)
-    amplitudes = transition_amplitudes(spec, frames)
-    return propagator_expansion(frames, transitions, spec.total_time, amplitudes)
+    """The frame propagator and first-order amplitudes of one run: the
+    one-T case of gamma's :func:`expansion_pass` over the transported frames
+    of the spec's grid (ground gap checked, excited degeneracies
+    tolerated)."""
+    frames = transported_stream(spectrum_stacks(spec.path, spec.grid_points()))
+    return expansion_pass(spec.path, frames, [spec.total_time], spec.steps)[0]
 
 
 def _chunked_level_data(path: AdiabaticPath, s_values: np.ndarray, level: int):

@@ -23,6 +23,7 @@ from .evolve import (
     exact_state_evolution,
     trotter_evolution,
 )
+from .riemann_lebesgue import simpson
 
 TRIANGLE_SLACK = 1e-9
 
@@ -152,8 +153,9 @@ class BoundProfile:
 def bound_profile(path: AdiabaticPath, quad_points: int = 201) -> BoundProfile:
     """Gaps and Simpson integral of the adiabatic bound over s in [0, 1].
 
-    Composite Simpson quadrature; the node count is forced odd.  The node
-    gaps come from :func:`path_energies`; a gap at or below GAP_FLOOR raises
+    Composite Simpson quadrature (:func:`~daslab.riemann_lebesgue.simpson`);
+    the node count is forced odd.  The node gaps come from
+    :func:`path_energies`; a gap at or below GAP_FLOOR raises
     :class:`GapClosure`.
 
     A path that site reversal maps to itself is worked block by block (see
@@ -185,11 +187,7 @@ def bound_profile(path: AdiabaticPath, quad_points: int = 201) -> BoundProfile:
         )
 
     integrand = 7.0 * d1**2 / gaps**3 + d2 / gaps**2
-    h = s_nodes[1] - s_nodes[0]
-    weights = np.ones(quad_points)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    integral = float(np.dot(weights, integrand) * h / 3.0)
+    integral = float(simpson(integrand, s_nodes[1] - s_nodes[0]))
     return BoundProfile(gaps, d1, integral)
 
 

@@ -349,7 +349,7 @@ class PathSpectrum:
     ``bases[j]`` the eigenvectors of H(s_j) as columns.
 
     :func:`path_spectrum` leaves the bases exactly as LAPACK returns them
-    (no gauge fixing); ``eigenframes.transported_frames`` returns the same
+    (no gauge fixing); ``eigenframes.transported_stream`` yields the same
     grid and energies with the bases in the parallel-transport gauge.  The
     bases are real when :func:`path_matrix` is.
     """

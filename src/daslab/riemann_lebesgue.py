@@ -10,18 +10,17 @@ decay; at lambda * dt on 2 pi Z the sum is O(1) and the bounds are vacuous.
 
 The continuum integrals use the composite and cumulative Simpson rules
 defined here in numpy, whose bytes match SciPy 1.17's ``simpson`` and
-``cumulative_simpson``; SciPy itself is imported only by the cubic spline of
-:meth:`OscillatorySumSpec.from_samples`.
+``cumulative_simpson``; the package does not import SciPy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .exceptions import GapClosure, NoConvergence, OmegaZero
+from .exceptions import GapClosure, NoConvergence, NonFiniteResult, OmegaZero
 from .linalg import GAP_FLOOR, operator_norm
 from .model import AdiabaticPath, path_at, path_energies
 
@@ -81,23 +80,12 @@ def cumulative_simpson(y, dx: float) -> np.ndarray:
     return np.concatenate(([0.0], out))
 
 
-def _as_callable(values, s_nodes=None) -> Callable:
-    if callable(values):
-        return values
-    from scipy.interpolate import CubicSpline  # only from_samples comes here
-
-    values = np.asarray(values)
-    if s_nodes is None:
-        s_nodes = np.linspace(0.0, 1.0, len(values))
-    return CubicSpline(np.asarray(s_nodes, dtype=float), values)
-
-
 @dataclass
 class OscillatorySumSpec:
-    """Sampled complex amplitude f and positive frequency lambda on [0, 1].
+    """Complex amplitude f and positive frequency lambda on [0, 1], as
+    callables of s.
 
-    f and lam may be callables or dense samples (cubic interpolation).  The
-    sum uses L samples at s_k = k/L with f(0) available for the boundary
+    The sum uses L samples at s_k = k/L with f(0) available for the boundary
     difference quotients.
     """
 
@@ -105,22 +93,6 @@ class OscillatorySumSpec:
     lam: Callable
     total_time: float
     steps: int
-
-    @classmethod
-    def from_samples(
-        cls,
-        f_values: Sequence[complex],
-        lam_values: Sequence[float],
-        total_time: float,
-        steps: int,
-        s_nodes: Sequence[float] | None = None,
-    ) -> "OscillatorySumSpec":
-        return cls(
-            f=_as_callable(np.asarray(f_values, dtype=complex), s_nodes),
-            lam=_as_callable(np.asarray(lam_values, dtype=float), s_nodes),
-            total_time=total_time,
-            steps=steps,
-        )
 
     def __post_init__(self):
         if self.total_time <= 0:
@@ -171,7 +143,10 @@ def discrete_frequency(lam, dt: float):
 
 
 def _checked_frequency(lam, dt: float):
-    omega = discrete_frequency(lam, dt)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        omega = discrete_frequency(lam, dt)
+    if not np.all(np.isfinite(omega)):
+        raise NonFiniteResult(f"step frequency is not finite at dt = {dt:.6g}")
     lam_flat = np.atleast_1d(np.asarray(lam, dtype=float))
     bad = np.abs(np.atleast_1d(omega)) < OMEGA_ZERO_RTOL * np.abs(lam_flat)
     if np.any(bad):
@@ -300,7 +275,9 @@ def sum_bounds(spec: OscillatorySumSpec) -> OscillatorySumBounds:
     difference (s = 1/L), which is the term summation by parts actually
     produces there.  At a resonance (lambda * dt on 2 pi Z) the bound
     expressions are vacuous and reported as infinity; J and the continuum
-    integral are still evaluated.  Both total variations converge to
+    integral are still evaluated.  Anywhere else a bound that overflows, or
+    a step frequency that does (dt below about 5.6e-309), raises
+    :class:`NonFiniteResult`.  Both total variations converge to
     VARIATION_REL_TOL.
     """
     value = oscillatory_sum(spec)
@@ -328,7 +305,7 @@ def sum_bounds(spec: OscillatorySumSpec) -> OscillatorySumBounds:
         omega_eta_ends = _checked_frequency(
             np.asarray(spec.lam(np.array([s_first, 1.0]))), spec.dt
         )
-        eta_boundary = float(np.sum(np.abs(eta_ends / omega_eta_ends))) / t**2
+        eta_boundary = float(np.sum(np.abs(eta_ends / omega_eta_ends))) / t / t
 
         eta_variation = total_variation(
             lambda s: np.asarray(difference_quotient(spec, s), dtype=complex),
@@ -337,7 +314,10 @@ def sum_bounds(spec: OscillatorySumSpec) -> OscillatorySumBounds:
             lo=s_first,
         )
         first_order = boundary + variation_bound
-        second_order = boundary + eta_boundary + eta_variation / t**2
+        second_order = boundary + eta_boundary + eta_variation / t / t
+        bounds = (boundary, variation_bound, first_order, second_order, eta_variation)
+        if not np.all(np.isfinite(bounds)):
+            raise NonFiniteResult(f"oscillatory-sum bounds {bounds} are not all finite")
     except OmegaZero:
         boundary = variation_bound = eta_variation = np.inf
         first_order = second_order = np.inf

@@ -24,6 +24,7 @@ from daslab.cli import (
     write_csv,
     zeno_rows,
 )
+from daslab.eigenframes import gamma_expansion
 from daslab.errors import endpoint_states, fidelity_error
 from daslab.evolve import EvolutionSpec, discrete_evolution, grid_points, trotter_evolution
 from daslab.exceptions import ConfigError
@@ -410,6 +411,21 @@ class TestRows:
         assert rows[0]["eps_adb_exact"] == pytest.approx(
             rows[0]["fidelity_check"], abs=1e-9
         )
+
+    @pytest.mark.parametrize("grid", ["endpoints", "midpoint"])
+    def test_gamma_rows_are_the_acceptance_route(self, grid):
+        # Acceptance 6 and 7 check gamma_expansion; gamma.csv is written by
+        # gamma_rows.  Both must run the one expansion_pass.
+        config = RunConfig.from_dict(
+            {"n_sites": 4, "steps": 60, "gamma_t_values": [10.0, 50.0], "grid": grid}
+        )
+        path = cli._ground_sector(config.build_path(), grid_points(60, grid))[0]
+        rows = gamma_rows(config)
+        assert [row["T"] for row in rows] == [10.0, 50.0]
+        for row in rows:
+            expansion = gamma_expansion(EvolutionSpec(path, row["T"], 60, grid))
+            assert row["eps_adb_exact"] == expansion.adiabatic_error
+            assert row["eps_first_order"] == expansion.first_order_error
 
     def test_bound_halves_when_time_doubles(self):
         config = small_config(t_values=[10.0, 20.0])
@@ -944,6 +960,22 @@ class TestMainEntry:
         assert code == 3
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "bound.csv").exists()
+
+    def test_tiny_rl_step_stays_finite(self, tmp_path, capsys):
+        # T = 1e-168, whose square underflows to 0: the bounds divide by T twice.
+        assert self.run_main(tmp_path, "rl", {"rl_dt_values": [1e-170]}) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        _, header, values = (tmp_path / "rl.csv").read_text().splitlines()
+        row = dict(zip(header.split(","), map(float, values.split(","))))
+        bounds = [row[f"{kind}_bound"] for kind in ("boundary", "first_order", "second_order")]
+        assert np.all(np.isfinite(bounds)) and bounds == [bounds[0]] * 3
+
+    def test_non_finite_rl_bound_exit_3(self, tmp_path, capsys):
+        # At dt = 1e-320 the step frequency (1 - e^{-i dt}) / (i dt) overflows.
+        assert self.run_main(tmp_path, "rl", {"rl_dt_values": [1e-320]}) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: step frequency is not finite")
+        assert "Traceback" not in err and not (tmp_path / "rl.csv").exists()
 
     @pytest.mark.parametrize("command", ["gamma", "fig1"])
     def test_grid_solver_failure_exit_3(self, tmp_path, monkeypatch, capsys, command):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import daslab
-from daslab.eigenframes import transition_amplitude_continuum, transported_frames
+from daslab.eigenframes import transition_amplitude_continuum, transported_stream
 from daslab.errors import bound_profile, endpoint_states
 from daslab.exceptions import DegenerateEndpoint, DegenerateGround, DegeneratePath, GapClosure
 from daslab.linalg import GAP_FLOOR, ground_state
@@ -59,7 +59,7 @@ def public_callables():
 def test_no_per_call_tolerance_parameters():
     callables = dict(public_callables())
     assert "daslab.evolve.exact_evolution" in callables
-    assert "daslab.riemann_lebesgue.OscillatorySumSpec.from_samples" in callables
+    assert "daslab.cli.RunConfig.from_dict" in callables
     found = [
         (qualname, param)
         for qualname, fn in callables.items()
@@ -77,9 +77,9 @@ def constant_gap_path(gap: float) -> AdiabaticPath:
 GUARDS = {
     "ground_state": (DegenerateGround, lambda path: ground_state(path.h_initial.matrix)),
     "endpoint_states": (DegenerateEndpoint, endpoint_states),
-    "transported_frames": (
+    "transported_stream": (
         DegeneratePath,
-        lambda path: transported_frames(path_spectrum(path, np.linspace(0.0, 1.0, 5))),
+        lambda path: list(transported_stream([path_spectrum(path, np.linspace(0.0, 1.0, 5))])),
     ),
     "bound_profile": (GapClosure, bound_profile),
     "projector_frame": (DegenerateGround, lambda path: projector_frame(path.h_initial)),

@@ -5,7 +5,8 @@ A deleted class or helper often leaves its import behind, and a moved one
 its old definition; these tests flag every name a module under
 ``src/daslab`` imports and never uses, and every top-level private function
 or class that no module of the package references.  They also keep every
-LAPACK decomposition behind the one boundary in ``linalg``.
+LAPACK decomposition behind the one boundary in ``linalg``, and SciPy out
+of the package.
 """
 
 import ast
@@ -96,40 +97,38 @@ def test_every_private_helper_has_a_caller():
     assert unreferenced_private_definitions(sources) == []
 
 
-def imports_at_import_time(source: str) -> list[str]:
-    """Absolute modules that ``source`` imports when it is itself imported:
-    every import statement outside a function body."""
+def imported_modules(source: str) -> list[str]:
+    """Absolute modules that ``source`` imports anywhere, function bodies
+    included."""
     found = []
-    stack = list(ast.parse(source).body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             found += [f"line {node.lineno}: {alias.name}" for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found.append(f"line {node.lineno}: {node.module}")
-        stack.extend(ast.iter_child_nodes(node))
     return sorted(found)
 
 
-def test_import_checker_skips_function_bodies():
+def test_import_checker_reads_function_bodies():
     source = (
         "import numpy as np\nfrom . import model\n"
         "try:\n    import scipy.linalg\nexcept ImportError:\n    pass\n"
         "def spline():\n    from scipy.interpolate import CubicSpline\n"
     )
-    assert imports_at_import_time(source) == ["line 1: numpy", "line 4: scipy.linalg"]
+    assert imported_modules(source) == [
+        "line 1: numpy",
+        "line 4: scipy.linalg",
+        "line 8: scipy.interpolate",
+    ]
 
 
-def test_no_module_imports_scipy_at_import_time():
-    """The package runs on numpy alone; SciPy is reached only from inside
-    the one function that needs it (``OscillatorySumSpec.from_samples``'s
-    spline), so importing daslab never loads it."""
+def test_no_module_imports_scipy():
+    """The package runs on numpy alone: no module imports SciPy, not even
+    inside a function, so SciPy is a dependency of the tests only."""
     problems = [
         f"{path.name} {entry}"
         for path in sorted(PACKAGE.glob("*.py"))
-        for entry in imports_at_import_time(path.read_text(encoding="utf-8"))
+        for entry in imported_modules(path.read_text(encoding="utf-8"))
         if entry.split(": ")[1].split(".")[0] == "scipy"
     ]
     assert problems == []

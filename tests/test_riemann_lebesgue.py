@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from daslab import model, riemann_lebesgue
-from daslab.exceptions import GapClosure, OmegaZero
+from daslab.exceptions import GapClosure, NonFiniteResult, OmegaZero
 from daslab.linalg import operator_norm
 from daslab.model import AdiabaticPath, HermitianOperator, linear_schedule, path_at
 from daslab.eigenframes import gamma_expansion
@@ -115,19 +115,6 @@ class TestOscillatorySum:
             f=ones, lam=ones, total_time=2 * np.pi * steps, steps=steps
         )
         assert abs(oscillatory_sum(spec)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_sample_based_spec(self):
-        nodes = np.linspace(0, 1, 101)
-        spec = OscillatorySumSpec.from_samples(
-            f_values=np.exp(1j * nodes), lam_values=1.0 + 0.5 * nodes,
-            total_time=30.0, steps=60, s_nodes=nodes,
-        )
-        direct = OscillatorySumSpec(
-            f=lambda s: np.exp(1j * np.asarray(s, float)),
-            lam=lambda s: 1.0 + 0.5 * np.asarray(s, float),
-            total_time=30.0, steps=60,
-        )
-        assert abs(oscillatory_sum(spec) - oscillatory_sum(direct)) <= 1e-8
 
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError):
@@ -272,6 +259,14 @@ class TestSumBounds:
             f=ones, lam=lambda s: 4.0 * ones(s), total_time=100.0, steps=100
         )
         assert not sum_bounds(spec).threshold_ok  # lambda dt = 4 > 3.78
+
+    def test_overflowing_bound_raises(self):
+        # |f| / T = 1e309 off resonance: the boundary term overflows.
+        huge = lambda s: 1e300 * ones(s)  # noqa: E731
+        with pytest.raises(NonFiniteResult):
+            sum_bounds(OscillatorySumSpec(f=huge, lam=ones, total_time=1e-9, steps=10))
+        report = sum_bounds(OscillatorySumSpec(f=huge, lam=ones, total_time=1e-7, steps=10))
+        assert report.second_order_bound == report.boundary_bound == pytest.approx(2e307)
 
     def test_complex_increment_inequality(self):
         # discrete total increment never exceeds the integral of |z'|
