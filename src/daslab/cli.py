@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import ConfigError, DimensionTooLarge, SimulationError
-from .linalg import GAP_FLOOR, ground_state, operator_norm
+from .linalg import GAP_FLOOR, operator_norm, positive_definite
 from .model import (
     MAX_SCHEDULE_COEFFICIENTS,
     MAX_SITES,
@@ -44,10 +44,11 @@ from .model import (
     PARITY_TOL,
     _SCHEDULE_NAMES,
     AdiabaticPath,
+    block_ground_state,
     linear_schedule,
     load_path_json,
     path_at,
-    path_energies,
+    path_matrix,
     polynomial_schedule,
     reversal_blocks,
     spectrum_stacks,
@@ -498,18 +499,29 @@ def gamma_rows(config: RunConfig) -> list[dict]:
     each stack folded into every T's state by
     :func:`~daslab.evolve.discrete_state` from the raw (untransported)
     bases, so it stays independent of the frame expansion.
-    Everything runs inside the site-reversal sector of psi_i, with psi_f
-    projected onto it, where that sector holds the ground level at every
-    grid point (see :func:`_ground_sector`), and on the full space
-    otherwise.
+
+    The pass runs inside the site-reversal sector of psi_i, with psi_f
+    projected onto it, when psi_f keeps its norm there within PARITY_TOL.
+    Each stack of that pass checks that the sector holds the ground level
+    (see :func:`_rival_above`); at the first stack where it does not, the
+    pass is dropped and run again on the full space.  Where the sector
+    holds the ground level at every grid point, the couplings to the other
+    sector vanish and the full-space ground gap is above GAP_FLOOR exactly
+    when the sector's is, so the frames and their gap guard give the
+    full-space result.
     """
     s_values = grid_points(config.steps, config.grid)
-    path, psi_i, psi_f = _ground_sector(config.build_path(), s_values)
+    path = config.build_path()
+    psi_i, psi_f = endpoint_states(path)
+    blocks = reversal_blocks(path, psi_i)
+    phi_i, phi_f = map(blocks[0].project, (psi_i, psi_f))
 
-    def one_pass(times: list[float]) -> list[dict]:
+    def one_pass(path, psi_i, psi_f, rival, times: list[float]) -> list[dict]:
         states = [psi_i] * len(times)
 
         def fold_states(stack):
+            if rival is not None and not _rival_above(rival, stack):
+                raise _SectorLost
             for i, total_time in enumerate(times):
                 states[i] = discrete_state(stack, total_time / config.steps, states[i])
             return stack
@@ -527,33 +539,33 @@ def gamma_rows(config: RunConfig) -> list[dict]:
             for expansion, state in zip(expansions, states)
         ]
 
-    groups = _t_groups([float(t) for t in config.gamma_t_values], path.dim**2)
-    return [row for group in groups for row in one_pass(group)]
+    def rows(*sector) -> list[dict]:
+        groups = _t_groups([float(t) for t in config.gamma_t_values], sector[0].dim**2)
+        return [row for group in groups for row in one_pass(*sector, group)]
 
-
-def _ground_sector(path: AdiabaticPath, s_values) -> tuple:
-    """``(path, psi_i, psi_f)`` on psi_i's site-reversal sector when that
-    sector holds the ground level of H(s) at every point of ``s_values``,
-    and on the full path otherwise.
-
-    The sector is kept when psi_f's projection keeps its norm within
-    PARITY_TOL and the other sector's lowest level lies more than GAP_FLOOR
-    above the sector's ground level at every grid point.  Then the
-    full-space ground level is the sector's, the couplings to the other
-    sector vanish, and the full-space ground gap is above GAP_FLOOR exactly
-    when the sector's is, so the frames and their gap guard give the
-    full-space result.  Both lowest levels come from
-    :func:`~daslab.model.path_energies`, eigenvalues alone, so the choice is
-    made before any pass forms a basis; only their first columns are kept.
-    """
-    psi_i, psi_f = endpoint_states(path)
-    blocks = reversal_blocks(path, psi_i)
-    phi_i, phi_f = map(blocks[0].project, (psi_i, psi_f))
     if len(blocks) == 2 and abs(np.linalg.norm(phi_f) - 1.0) <= PARITY_TOL:
-        ground, rival = (path_energies(block.path, s_values)[:, 0].copy() for block in blocks)
-        if np.all(rival - ground > GAP_FLOOR):
-            return blocks[0].path, phi_i, phi_f
-    return path, psi_i, psi_f
+        try:
+            return rows(blocks[0].path, phi_i, phi_f, blocks[1].path)
+        except _SectorLost:
+            pass
+    return rows(path, psi_i, psi_f, None)
+
+
+class _SectorLost(Exception):
+    """Raised inside gamma's sector pass when the other sector holds the
+    ground level at some grid point."""
+
+
+def _rival_above(rival: AdiabaticPath, stack) -> bool:
+    """Whether H_rival(s) - (E0(s) + GAP_FLOOR) I is positive definite at
+    every grid point of ``stack``, the sector's spectrum on those points:
+    that is, whether every level of the rival sector lies more than
+    GAP_FLOOR above the sector's ground level E0(s), read off the stack's
+    own energies.  The rival stack is formed here and dropped."""
+    shifted = path_matrix(rival, stack.s_values)
+    diagonal = np.arange(rival.dim)
+    shifted[:, diagonal, diagonal] -= (stack.energies[:, 0] + GAP_FLOOR)[:, None]
+    return positive_definite(shifted)
 
 
 def bound_rows(config: RunConfig) -> list[dict]:
@@ -586,7 +598,7 @@ def zeno_rows(config: RunConfig) -> list[dict]:
         )
         return _trace_rows(trace)
     # The Hermitian family does not need a unique ground state of H_f.
-    psi_i = ground_state(path_at(path, 0.0).matrix)
+    psi_i = block_ground_state(path_at(path, 0.0))
     block = reversal_blocks(path, psi_i)[0]
     trace = near_degeneracy_test(
         hermitian_family(block.path),

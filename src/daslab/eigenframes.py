@@ -23,6 +23,7 @@ import numpy as np
 
 from .exceptions import DegeneratePath, GapClosure
 from .linalg import (
+    DEGENERACY_CLUSTER_TOL,
     GAP_FLOOR,
     _eigenvalue_clusters,
     _fix_column_phases,
@@ -54,9 +55,10 @@ def transported_stream(stacks, strict: bool = False):
     ``(s, energies, basis)`` per grid point with the basis in the
     parallel-transport gauge.
 
-    Non-degenerate columns of frame j are rephased so their overlap with the
-    matching column of frame j-1 is real nonnegative.  Degenerate clusters
-    (spacing below DEGENERACY_CLUSTER_TOL) are polar-aligned as blocks.
+    Non-degenerate columns of frame j are rephased, all by one batched
+    overlap, so their overlap with the matching column of frame j-1 is real
+    nonnegative.  Degenerate clusters (spacing below DEGENERACY_CLUSTER_TOL)
+    are polar-aligned as blocks.
     Frame 0 takes the deterministic column phases of ``_fix_column_phases``
     and its clusters are aligned against frame 1's raw basis, so the first
     transition is as smooth as the rest: frame 0 is held until frame 1
@@ -98,13 +100,14 @@ def transported_stream(stacks, strict: bool = False):
                 yield lead
                 lead = None
             cur = raw.copy()
+            single = np.ones(len(energies), dtype=bool)
             for lo, hi in _eigenvalue_clusters(energies):
                 if hi - lo > 1:
                     cur[:, lo:hi] = _align_block(prev[:, lo:hi], cur[:, lo:hi])
-                else:
-                    z = np.vdot(prev[:, lo], cur[:, lo])
-                    if abs(z) > 0:
-                        cur[:, lo] *= z.conj() / abs(z)
+                    single[lo:hi] = False
+            overlaps = np.einsum("ij,ij->j", prev[:, single].conj(), raw[:, single])
+            mags = np.abs(overlaps)
+            cur[:, single] *= np.where(mags > 0, overlaps.conj() / np.where(mags > 0, mags, 1.0), 1.0)
             yield s, energies, cur
             prev = cur
         del stack, raw  # so that the next stack is formed without this one
@@ -307,14 +310,20 @@ def gamma_expansion(spec: EvolutionSpec) -> PropagatorExpansion:
 
 def _chunked_level_data(path: AdiabaticPath, s_values: np.ndarray, level: int):
     """Eigendata for columns 0 and `level` along a dense grid, read one
-    :func:`~daslab.model.spectrum_stacks` stack at a time."""
-    gaps, v0, vl = [], [], []
+    :func:`~daslab.model.spectrum_stacks` stack at a time: the level's gap
+    to the ground level, its spacing to the nearer of levels level - 1 and
+    level + 1, and both columns."""
+    gaps, near, v0, vl = [], [], [], []
     for spectrum in spectrum_stacks(path, s_values):
         w, v = spectrum.energies, spectrum.bases
         gaps.append(w[:, level] - w[:, 0])
+        near.append(np.diff(w[:, level - 1:level + 2], axis=1).min(axis=1))
         v0.append(v[:, :, 0])
         vl.append(v[:, :, level])
-    return np.concatenate(gaps), np.concatenate(v0, dtype=complex), np.concatenate(vl, dtype=complex)
+    return (
+        np.concatenate(gaps), np.concatenate(near),
+        np.concatenate(v0, dtype=complex), np.concatenate(vl, dtype=complex),
+    )
 
 
 def _transport_phases(vectors: np.ndarray) -> np.ndarray:
@@ -335,18 +344,32 @@ def transition_amplitude_continuum(
     :func:`~daslab.riemann_lebesgue.oscillatory_integral` rule on grids
     doubled from CONTINUUM_START_NODES to at most CONTINUUM_MAX_NODES;
     raises :class:`GapClosure` when the level spacing is at or below
-    GAP_FLOOR.  Eigenvectors along the grid are transported to the smooth
-    gauge, so the integrand's phase is continuous.
+    GAP_FLOOR, and :class:`DegeneratePath` when the level lies within
+    DEGENERACY_CLUSTER_TOL of level - 1 or level + 1 at a node inside
+    (0, 1), both on the first grid.  There the level, taken by its index,
+    changes eigenvector along the path, which no grid resolves.  At s = 0
+    and s = 1 such a degeneracy is tolerated, as the standard spin-chain
+    endpoints have it: it puts an arbitrary vector of the eigenspace into
+    one node, whose weight the doubling removes.  Eigenvectors along the
+    grid are transported to the smooth gauge, so the integrand's phase is
+    continuous.
     """
     if level < 1 or level >= path.dim:
         raise ValueError(f"level {level} outside [1, {path.dim})")
     diff = path.h_final.matrix - path.h_initial.matrix
 
     def samples(s_values):
-        gaps, v0, vl = _chunked_level_data(path, s_values, level)
+        gaps, near, v0, vl = _chunked_level_data(path, s_values, level)
         if gaps.min() <= GAP_FLOOR:
             raise GapClosure(
                 f"level {level} spacing {gaps.min():.3e} at or below {GAP_FLOOR:.1e}"
+            )
+        inner = np.flatnonzero(near[1:-1] < DEGENERACY_CLUSTER_TOL)
+        if inner.size:
+            raise DegeneratePath(
+                f"level {level} within {DEGENERACY_CLUSTER_TOL:.1e} of a neighbour "
+                f"at s = {s_values[inner[0] + 1]:.6f}",
+                level_a=level,
             )
         g0 = _transport_phases(v0)
         gl = _transport_phases(vl)

@@ -15,8 +15,8 @@ from .exceptions import (
     InsufficientData,
     NonFiniteResult,
 )
-from .linalg import GAP_FLOOR, ground_state, operator_norm
-from .model import PARITY_TOL, AdiabaticPath, path_energies, reversal_blocks
+from .linalg import GAP_FLOOR, operator_norm
+from .model import PARITY_TOL, AdiabaticPath, block_ground_state, path_energies, reversal_blocks
 from .evolve import (
     EvolutionSpec,
     discrete_evolution,
@@ -76,11 +76,13 @@ class ErrorTriplet:
 
 
 def endpoint_states(path: AdiabaticPath):
-    """Ground states of H_i and H_f; raises :class:`DegenerateEndpoint` when
-    either ground gap is at or below GAP_FLOOR."""
+    """Ground states of H_i and H_f, each found in its site-reversal blocks
+    where it has them (:func:`~daslab.model.block_ground_state`); raises
+    :class:`DegenerateEndpoint` when either ground gap is at or below
+    GAP_FLOOR."""
     try:
-        psi_i = ground_state(path.h_initial.matrix)
-        psi_f = ground_state(path.h_final.matrix)
+        psi_i = block_ground_state(path.h_initial)
+        psi_f = block_ground_state(path.h_final)
     except DegenerateGround as exc:
         raise DegenerateEndpoint(str(exc)) from exc
     return psi_i, psi_f

@@ -4,7 +4,8 @@ All routines are pure functions on ``numpy`` arrays.  Every numerical
 tolerance is a module constant; no public routine takes one as a parameter.
 Every LAPACK decomposition of the package goes through :func:`_lapack`, the
 one place where a solver that fails to converge becomes
-:class:`ConvergenceFailure`.
+:class:`ConvergenceFailure`, except the Cholesky test of
+:func:`positive_definite`, whose failure is its answer.
 ``GAP_FLOOR`` and ``DEGENERACY_CLUSTER_TOL`` are the package-wide gap rules:
 a gap at or below ``GAP_FLOOR`` is closed wherever one is divided by, and
 eigenvalues closer than ``DEGENERACY_CLUSTER_TOL`` form one degenerate
@@ -41,6 +42,17 @@ def _lapack(name: str, a, *args, **kwargs):
         return getattr(np.linalg, name)(a, *args, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"{name} failed to converge: {exc}") from exc
+
+
+def positive_definite(a) -> bool:
+    """Whether every matrix of a Hermitian stack is positive definite, by one
+    batched Cholesky factorization.  A matrix that is not is an answer, not
+    a solver failure, so it gives False and never raises."""
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -96,14 +108,10 @@ def normalized_state(v) -> np.ndarray:
 
 
 def _eigenvalue_clusters(values: np.ndarray):
-    """Yield (start, stop) index ranges of ascending eigenvalues closer than
+    """The (start, stop) index ranges of ascending eigenvalues closer than
     DEGENERACY_CLUSTER_TOL."""
-    n = len(values)
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or values[i] - values[i - 1] >= DEGENERACY_CLUSTER_TOL:
-            yield start, i
-            start = i
+    bounds = [0, *(np.flatnonzero(np.diff(values) >= DEGENERACY_CLUSTER_TOL) + 1), len(values)]
+    return zip(bounds[:-1], bounds[1:])
 
 
 def _fix_column_phases(v: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Pauli-sum Hamiltonians, interpolated adiabatic paths, and gap evaluation.
 
-Matrices are dense; site 0 is the leftmost Kronecker factor.  Schedules carry
-their first two derivatives analytically so path derivatives are exact.
+Matrices are dense; site 0 is the leftmost Kronecker factor, the top bit
+of a basis index.  Schedules carry their first two derivatives analytically
+so path derivatives are exact.
 """
 
 from __future__ import annotations
@@ -13,15 +14,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exceptions import DimensionTooLarge, OutOfRange
-from .linalg import _lapack, as_complex_matrix, hermitian_eig, require_hermitian
-
-PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
+from .exceptions import DegenerateGround, DimensionTooLarge, OutOfRange
+from .linalg import (
+    GAP_FLOOR,
+    _fix_column_phases,
+    _lapack,
+    as_complex_matrix,
+    ground_state,
+    hermitian_eig,
+    real_if_exact,
+    require_hermitian,
+)
 
 MIN_SITES = 2
 MAX_SITES = 12
@@ -65,22 +68,31 @@ class PauliTerm:
             seen.add(site)
 
 
-def pauli_term_matrix(term: PauliTerm, n_sites: int) -> np.ndarray:
-    axes = dict(term.factors)
-    for site in axes:
-        if site >= n_sites:
-            raise ValueError(f"site {site} outside [0, {n_sites})")
-    out = np.array([[term.coefficient]], dtype=complex)
-    for site in range(n_sites):
-        out = np.kron(out, PAULI[axes.get(site, "I")])
-    return out
-
-
 def pauli_sum_matrix(terms: Sequence[PauliTerm], n_sites: int) -> np.ndarray:
+    """The dense matrix of a sum of Pauli terms on ``n_sites`` sites.
+
+    Each term is a signed permutation of the 2^N basis, site 0 the top bit:
+    it maps |b> to i^(number of Y) (-1)^popcount(b & zmask) |b ^ flip>, with
+    ``flip`` the X and Y sites and ``zmask`` the Z and Y sites.  The terms
+    are added in the order given, each entry a coefficient times one of
+    1, i, -1, -i, so every entry equals that of the Kronecker product of
+    the single-site matrices summed in the same order.
+    """
     dim = 2**n_sites
+    index = np.arange(dim)
     out = np.zeros((dim, dim), dtype=complex)
     for term in terms:
-        out += pauli_term_matrix(term, n_sites)
+        flip = zmask = y_count = 0
+        for site, axis in term.factors:
+            if site >= n_sites:
+                raise ValueError(f"site {site} outside [0, {n_sites})")
+            bit = 1 << (n_sites - 1 - site)
+            flip |= bit if axis != "Z" else 0
+            zmask |= bit if axis != "X" else 0
+            y_count += axis == "Y"
+        value = term.coefficient * (1, 1j, -1, -1j)[y_count % 4]
+        odd = np.bitwise_count(index & zmask) & 1
+        out[index ^ flip, index] += np.where(odd, -value, value)
     return out
 
 
@@ -227,11 +239,13 @@ def _identity(x):
 
 
 @lru_cache(maxsize=16)
-def _orbit_maps(dim: int, parity: int) -> tuple[Callable, Callable]:
-    """``gather`` and ``project`` of the parity block of the 2^N basis:
-    ``gather(M)`` is Q^T M Q for a dim x dim M that commutes with site
-    reversal, read off by orbit (see :func:`operator_blocks`), and
-    ``project(v)`` is Q^T v (see :class:`ReversalBlock`)."""
+def _orbit_maps(dim: int, parity: int) -> tuple[Callable, Callable, Callable]:
+    """``gather``, ``project`` and ``lift`` of the parity block of the 2^N
+    basis: ``gather(M)`` is Q^T M Q for a dim x dim M that commutes with
+    site reversal, read off by orbit (see :func:`operator_blocks`),
+    ``project(v)`` is Q^T v (see :class:`ReversalBlock`), and ``lift(c)``
+    is Q c, a complex state whose entries at z and Rz are p times each
+    other exactly."""
     r = _reversal_permutation(dim)
     index = np.arange(dim)
     reps = index[(index < r) | ((index == r) & (parity == 1))]
@@ -248,7 +262,15 @@ def _orbit_maps(dim: int, parity: int) -> tuple[Callable, Callable]:
         v = np.asarray(v).ravel()
         return (v[reps] + parity * v[mirrored]) / np.sqrt(2 * multiplicity)
 
-    return gather, project
+    weight = np.sqrt(multiplicity / 2)  # Q's entries: 1 on palindromes
+
+    def lift(c: np.ndarray) -> np.ndarray:
+        out = np.zeros(dim, dtype=complex)
+        out[reps] = c * weight
+        out[mirrored] = parity * out[reps]  # palindromes have parity +1
+        return out
+
+    return gather, project, lift
 
 
 def operator_blocks(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -307,6 +329,32 @@ def reversal_blocks(path: AdiabaticPath, state: np.ndarray | None = None) -> tup
         return ReversalBlock(AdiabaticPath(h_i, h_f, path.schedule), _orbit_maps(path.dim, p)[1])
 
     return block(parity), block(-parity)
+
+
+def block_ground_state(h: HermitianOperator) -> np.ndarray:
+    """The ground state of h, found in its site-reversal blocks when R maps
+    h to itself exactly (see :func:`operator_blocks`), and by
+    :func:`~daslab.linalg.ground_state` on the full space otherwise.
+
+    Each block is diagonalized once, in real arithmetic when it is real
+    (:func:`~daslab.linalg.real_if_exact`), and the block with the lower
+    ground level holds the ground state.  The ground gap is the smaller of
+    that block's second level and the other block's first, less the ground
+    level; at or below GAP_FLOOR it raises :class:`DegenerateGround`, as
+    ``ground_state`` does.  The block's vector is lifted by Q and takes the
+    column phase of ``ground_state``, so it has exact parity.
+    """
+    blocks = operator_blocks(h.matrix)
+    if blocks is None:
+        return ground_state(h.matrix)
+    solved = [_lapack("eigh", real_if_exact(block)) for block in blocks]
+    k = int(solved[1][0][0] < solved[0][0][0])
+    (w, v), rival = solved[k], solved[1 - k][0]
+    gap = min(w[1] if len(w) > 1 else np.inf, rival[0]) - w[0]
+    if gap <= GAP_FLOOR:
+        raise DegenerateGround(f"ground gap {gap:.3e} at or below GAP_FLOOR {GAP_FLOOR:.3e}")
+    lift = _orbit_maps(h.dim, (1, -1)[k])[2]
+    return _fix_column_phases(lift(v[:, 0])[:, None])[:, 0]
 
 
 def path_at(path: AdiabaticPath, s: float, order: int = 0) -> HermitianOperator:

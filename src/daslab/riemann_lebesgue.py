@@ -32,6 +32,16 @@ OMEGA_ZERO_RTOL = 1e-12
 VARIATION_START_NODES = 1024
 VARIATION_MAX_NODES = 2**21
 VARIATION_REL_TOL = 1e-6
+# A change at or below this multiple of eps * max|ratio| * nodes is rounding
+# and counts as converged too: central differences of a ratio that is
+# constant up to rounding give a variation of about that size, which
+# doubles with the nodes.  The difference quotient of a linear amplitude
+# carries its L-fold cancellation into the ratio: for f(s) = s, lambda = 1
+# the change between grids measured up to 9 times that size at L = 1000
+# and 348 times at L = 10^4, so 2^10 covers L up to 10^4.  At
+# VARIATION_MAX_NODES the level is 4.8e-7 max|ratio|, still below the
+# relative test for any variation of the ratio's own size.
+VARIATION_ROUNDING = 2.0**10
 
 # Node doubling of oscillatory_integral, likewise.
 INTEGRAL_START_NODES = 512
@@ -180,10 +190,12 @@ def total_variation(g: Callable, lam: Callable, dt: float, lo: float = 0.0) -> f
     """Integral of |(g/omega)'| over [lo, 1], self-converged by node doubling.
 
     The grid doubles from VARIATION_START_NODES until two successive values
-    agree to VARIATION_REL_TOL; past VARIATION_MAX_NODES
-    :class:`NoConvergence` is raised.  The derivative comes from dense
-    central differences, so g only needs to be evaluable, not differentiable
-    in closed form.
+    agree to VARIATION_REL_TOL, or differ by no more than the ratio's
+    rounding level, VARIATION_ROUNDING * eps * max|ratio| * nodes (a ratio
+    that is constant up to rounding has no variation to resolve); past
+    VARIATION_MAX_NODES :class:`NoConvergence` is raised.  The derivative
+    comes from dense central differences, so g only needs to be evaluable,
+    not differentiable in closed form.
     """
     previous = None
     nodes = VARIATION_START_NODES
@@ -192,7 +204,8 @@ def total_variation(g: Callable, lam: Callable, dt: float, lo: float = 0.0) -> f
         ratio = np.asarray(g(s), dtype=complex) / _checked_frequency(lam(s), dt)
         derivative = np.gradient(ratio, s)
         value = float(np.trapezoid(np.abs(derivative), s))
-        tol = VARIATION_REL_TOL * max(1e-300, value)
+        rounding = VARIATION_ROUNDING * np.finfo(float).eps * float(np.abs(ratio).max()) * nodes
+        tol = max(VARIATION_REL_TOL * max(1e-300, value), rounding)
         if previous is not None and abs(value - previous) <= tol:
             return value
         previous = value

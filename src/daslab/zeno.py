@@ -16,7 +16,7 @@ import numpy as np
 
 from .exceptions import AllFail, AllPass
 from .linalg import _fix_column_phases, _lapack, ground_state, unitary_eig
-from .model import AdiabaticPath, path_at, reversal_blocks
+from .model import AdiabaticPath, block_ground_state, path_at, reversal_blocks
 from .evolve import (
     EvolutionSpec, _in_order, interpolation_layers, strang_step, trotter_step_unitary,
 )
@@ -256,7 +256,7 @@ def critical_step_search(
     dts = np.asarray(dt_values, dtype=float)
     if len(dts) == 0 or np.any(np.diff(dts) <= 0):
         raise ValueError("dt grid must be nonempty and strictly ascending")
-    traces = effective_traces(path, ground_state(path_at(path, 0.0).matrix), dts, steps, threshold)
+    traces = effective_traces(path, block_ground_state(path_at(path, 0.0)), dts, steps, threshold)
     passes = np.array([trace.passed for trace in traces])
 
     if passes.all():

@@ -26,7 +26,7 @@ from daslab.cli import (
 )
 from daslab.eigenframes import gamma_expansion
 from daslab.errors import endpoint_states, fidelity_error
-from daslab.evolve import EvolutionSpec, discrete_evolution, grid_points, trotter_evolution
+from daslab.evolve import EvolutionSpec, discrete_evolution, trotter_evolution
 from daslab.exceptions import ConfigError
 from daslab.linalg import operator_norm
 from daslab.svg import HEIGHT, MARGIN_B
@@ -413,14 +413,17 @@ class TestRows:
         )
 
     @pytest.mark.parametrize("grid", ["endpoints", "midpoint"])
-    def test_gamma_rows_are_the_acceptance_route(self, grid):
+    def test_gamma_rows_are_the_acceptance_route(self, monkeypatch, grid):
         # Acceptance 6 and 7 check gamma_expansion; gamma.csv is written by
-        # gamma_rows.  Both must run the one expansion_pass.
+        # gamma_rows.  Both must run the one expansion_pass, here on psi_i's
+        # sector of the 4-site TFIM, which holds the ground level throughout.
         config = RunConfig.from_dict(
             {"n_sites": 4, "steps": 60, "gamma_t_values": [10.0, 50.0], "grid": grid}
         )
-        path = cli._ground_sector(config.build_path(), grid_points(60, grid))[0]
+        passes = gamma_pass_paths(monkeypatch)
         rows = gamma_rows(config)
+        (path,) = passes
+        assert path.dim == 10
         assert [row["T"] for row in rows] == [10.0, 50.0]
         for row in rows:
             expansion = gamma_expansion(EvolutionSpec(path, row["T"], 60, grid))
@@ -445,17 +448,18 @@ class TestRows:
 
     @pytest.mark.parametrize(
         "rows, full, sector",
-        [(fig1_rows, [1, 1], [1, 0]), (cli.fig2_rows, [1, 1], [1, 0]), (fig3_rows, [1, 1], [1, 0])],
+        [(fig1_rows, [0, 0], [2, 1]), (cli.fig2_rows, [0, 0], [2, 1]), (fig3_rows, [0, 0], [2, 1])],
         ids=["fig1_rows", "fig2_rows", "fig3_rows"],
     )
     def test_layers_diagonalized_once_per_sweep(self, monkeypatch, rows, full, sector):
         # 4 T values, or 2 dt values plus an off-grid trace dt, on 2 workers:
-        # H_i and H_f are each diagonalized once for the endpoint ground
-        # state, and the block of H_i in the initial state's reversal
-        # sector once for its Trotter layer; H_f's layer is diagonal and
-        # needs no eigh.  fig2's and fig3's layers are the blocks of H_i and
-        # H_f in that sector.  fig1's Trotter layers are the blocks of both
-        # sectors, so H_i is diagonalized once per block (the other
+        # neither H_i nor H_f is diagonalized on the full space.  Their
+        # blocks are, once each, for the endpoint ground states, and the
+        # block of H_i in the initial state's reversal sector once more for
+        # its Trotter layer; H_f's layer is diagonal and needs no eigh.
+        # fig2's and fig3's layers are the blocks of H_i and H_f in that
+        # sector.  fig1's Trotter layers are the blocks of both sectors, so
+        # H_i is diagonalized once per block for its layer (the other
         # sector's block has dim 1 here and is read from its diagonal), and
         # no full-space layer eigh is made.
         config = small_config(threads=2, trace_dts=[0.3, 0.5])
@@ -525,6 +529,20 @@ def csv_rows(path: Path) -> list[dict]:
     lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
     header = lines[0].split(",")
     return [dict(zip(header, map(float, line.split(",")))) for line in lines[1:]]
+
+
+def gamma_pass_paths(monkeypatch) -> list:
+    """Record the path of every pass gamma starts from now on: the sector
+    path of a pass that is kept or dropped, then any full-space rerun."""
+    paths = []
+    expansion_pass = cli.expansion_pass
+
+    def recording(path, *args):
+        paths.append(path)
+        return expansion_pass(path, *args)
+
+    monkeypatch.setattr(cli, "expansion_pass", recording)
+    return paths
 
 
 def full_space(monkeypatch) -> None:
@@ -597,10 +615,10 @@ class TestSectorSweeps:
         config = sweep_config(tmp_path, hamiltonian)
         path = config.build_path()
         assert model.reversal_blocks(path, endpoint_states(path)[0])[0].path.dim == 10
-        grid = grid_points(config.steps, config.grid)
-        assert cli._ground_sector(path, grid)[0].dim == 10
         fig2, index = cli.fig2_rows(config)
+        passes = gamma_pass_paths(monkeypatch)
         gamma = gamma_rows(config)
+        assert [p.dim for p in passes] == [10]
         full_space(monkeypatch)
         full_fig2, full_index = cli.fig2_rows(config)
         full_gamma = gamma_rows(config)
@@ -736,11 +754,13 @@ class TestSectorSweeps:
         # sector, so gamma runs on the full space.  At steps 20 the even
         # sector's triplet is degenerate at s = 1 (field 0); with the field
         # it is split and the even sector ends at |00>.
+        # psi_f has no part in psi_i's sector, so no sector pass is tried.
         for field in (0.0, 0.5):
             config = sweep_config(tmp_path, singlet_target_json(field))
-            path = config.build_path()
-            assert cli._ground_sector(path, [0.0, 1.0])[0] is path
-            rows = gamma_rows(config)
+            with monkeypatch.context() as patch:
+                passes = gamma_pass_paths(patch)
+                rows = gamma_rows(config)
+                assert [p.dim for p in passes] == [config.build_path().dim]
             assert all(r["eps_adb_exact"] == pytest.approx(1.0, abs=1e-12) for r in rows)
             with monkeypatch.context() as patch:
                 full_space(patch)
@@ -755,9 +775,18 @@ class TestSectorSweeps:
         block = model.reversal_blocks(path, psi_i)[0]
         sector, phi_f = block.path, block.project(psi_f)
         assert sector.dim == 3 and np.linalg.norm(phi_f) == pytest.approx(1.0, abs=1e-14)
-        assert cli._ground_sector(path, [0.0, 1.0])[0].dim == 3
-        assert cli._ground_sector(path, [0.0, 0.5, 1.0])[0] is path
-        rows = gamma_rows(config)
+        # On the grid [0, 1] the sector holds the ground level and its pass
+        # stands; on [0, 0.5, 1] the pass is dropped at s = 1/2 and gamma
+        # runs again on the full space.
+        for steps, dims in ((2, [3]), (3, [3, 4])):
+            with monkeypatch.context() as patch:
+                passes = gamma_pass_paths(patch)
+                gamma_rows(sweep_config(tmp_path, mid_path_singlet_json(), steps=steps))
+                assert [p.dim for p in passes] == dims, steps
+        with monkeypatch.context() as patch:
+            passes = gamma_pass_paths(patch)
+            rows = gamma_rows(config)
+            assert [p.dim for p in passes] == [3, 4]
         full_space(monkeypatch)
         assert rows == gamma_rows(config)
 

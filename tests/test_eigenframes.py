@@ -25,7 +25,7 @@ from daslab.eigenframes import (
     transition_matrices,
     transported_stream,
 )
-from daslab import model
+from daslab import eigenframes, model
 from daslab.riemann_lebesgue import oscillatory_integral
 
 
@@ -303,6 +303,16 @@ class TestContinuum:
         )
         with pytest.raises(GapClosure):
             transition_amplitude_continuum(path, 10.0, 1)
+
+    def test_degenerate_neighbour_refused_on_the_first_grid(self, monkeypatch):
+        # TFIM N = 3 at level 1: an even and an odd level meet within 1e-9
+        # near s = 1 (2.9e-14 apart at s = 0.9995), so level 1 changes
+        # eigenvector there.  It doubled to 2^20 nodes and raised
+        # NoConvergence after about 25 s; with one grid allowed it must
+        # raise DegeneratePath.
+        monkeypatch.setattr(eigenframes, "CONTINUUM_MAX_NODES", eigenframes.CONTINUUM_START_NODES)
+        with pytest.raises(DegeneratePath, match="level 1"):
+            transition_amplitude_continuum(tfim_path(3), 20.0, 1)
 
     def test_level_validation(self, tfim2):
         with pytest.raises(ValueError):

@@ -172,6 +172,28 @@ class TestErrorTriplet:
         with pytest.raises(DegenerateEndpoint):
             error_triplet(spec)
 
+    def test_tied_block_ground_levels_rejected(self):
+        # Z0 Z1 has one ground level in each site-reversal block, tied at -1.
+        tied = model.pauli_sum_matrix([model.PauliTerm(1.0, ((0, "Z"), (1, "Z")))], 2)
+        path = AdiabaticPath(tfim_path(2).h_initial, HermitianOperator(tied), linear_schedule())
+        with pytest.raises(DegenerateEndpoint):
+            endpoint_states(path)
+
+    def test_endpoint_states_solve_no_full_space_matrix(self, monkeypatch):
+        # At 8 sites the ground states come from the blocks, dims 136 and
+        # 120: no eigh or eigvalsh of a 256 x 256 matrix is made.
+        shapes = []
+        for name in ("eigh", "eigvalsh"):
+            solver = getattr(np.linalg, name)
+
+            def recording(a, *args, _solver=solver, **kwargs):
+                shapes.append(np.shape(a))
+                return _solver(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        endpoint_states(tfim_path(8))
+        assert sorted(shapes) == [(120, 120), (120, 120), (136, 136), (136, 136)]
+
     def test_triplet_validation(self):
         with pytest.raises(ValueError):
             ErrorTriplet(

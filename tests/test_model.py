@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from daslab.evolve import EvolutionSpec, discrete_evolution, trotter_evolution
-from daslab.exceptions import DimensionTooLarge, OutOfRange
+from daslab.exceptions import DegenerateGround, DimensionTooLarge, OutOfRange
 from daslab.linalg import ground_state, operator_norm
 from daslab.model import (
     MAX_SCHEDULE_COEFFICIENTS,
     AdiabaticPath,
     HermitianOperator,
     PauliTerm,
+    _reversal_permutation,
+    block_ground_state,
     build_tfim,
     linear_schedule,
     load_path_json,
@@ -25,7 +27,43 @@ from daslab.model import (
     tfim_path,
 )
 
-from conftest import odd_ground_json
+from conftest import odd_ground_json, rotated_tfim_json, site0_field_json
+
+PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+}
+
+
+def pauli_term_matrix(term: PauliTerm, n_sites: int) -> np.ndarray:
+    """The Kronecker reference: the coefficient times the product of one
+    2 x 2 factor per site, site 0 leftmost."""
+    axes = dict(term.factors)
+    out = np.array([[term.coefficient]], dtype=complex)
+    for site in range(n_sites):
+        out = np.kron(out, PAULI[axes.get(site, "I")])
+    return out
+
+
+def kron_sum_matrix(terms, n_sites: int) -> np.ndarray:
+    out = np.zeros((2**n_sites, 2**n_sites), dtype=complex)
+    for term in terms:
+        out += pauli_term_matrix(term, n_sites)
+    return out
+
+
+def random_pauli_sum(rng, n_sites: int) -> list[PauliTerm]:
+    """Up to 12 terms of 1 to n_sites factors on distinct sites, each axis
+    X, Y or Z; sites repeat across terms, and every site appears."""
+    terms = [PauliTerm(float(rng.normal()), ((j, str(rng.choice(list("XYZ")))),)) for j in range(n_sites)]
+    for _ in range(rng.integers(1, 12)):
+        sites = rng.choice(n_sites, size=rng.integers(1, n_sites + 1), replace=False)
+        factors = tuple((int(j), str(rng.choice(list("XYZ")))) for j in sites)
+        terms.append(PauliTerm(float(rng.normal()), factors))
+    rng.shuffle(terms)
+    return terms
 
 
 def ising_diagonal_oracle(n_sites, periodic=False):
@@ -92,6 +130,19 @@ class TestPauliTerms:
     def test_kron_ordering_site0_leftmost(self):
         m = pauli_sum_matrix([PauliTerm(1.0, ((0, "Z"),))], 2)
         assert np.allclose(np.diag(m), [1.0, 1.0, -1.0, -1.0])
+
+    @pytest.mark.parametrize("n_sites", range(2, 9))
+    def test_bit_masks_equal_the_kronecker_reference(self, n_sites):
+        # Every entry is a coefficient times 1, i, -1 or -i, added in the
+        # order given, so the two builds agree exactly.
+        rng = np.random.default_rng(100 + n_sites)
+        for _ in range(40 if n_sites <= 6 else 5):
+            terms = random_pauli_sum(rng, n_sites)
+            assert np.array_equal(pauli_sum_matrix(terms, n_sites), kron_sum_matrix(terms, n_sites))
+
+    def test_site_outside_the_chain_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            pauli_sum_matrix([PauliTerm(1.0, ((2, "X"),))], 2)
 
 
 class TestPathAt:
@@ -360,8 +411,12 @@ class TestScatter:
         m = reversal_commuting(rng, n_sites)
         v = rng.standard_normal(path.dim)
         for k, (parity, gathered, block) in enumerate(zip((1, -1), operator_blocks(m), blocks)):
-            gather, project = _orbit_maps(path.dim, parity)
+            gather, project, lift = _orbit_maps(path.dim, parity)
             np.testing.assert_array_equal(gathered, gather(m))
+            # lift is Q, the adjoint of project, and project undoes it
+            c = rng.standard_normal(len(gathered))
+            assert abs(np.vdot(lift(c), v) - np.vdot(c, project(v))) <= 1e-14
+            assert np.abs(project(lift(c)) - c).max() <= 1e-15
             # the block path is read through the same maps
             assert len(gathered) == block.path.dim
             np.testing.assert_array_equal(block.project(v), project(v))
@@ -498,3 +553,40 @@ class TestReversalSector:
         assert sector.dim == 2
         assert np.linalg.norm(phi) == pytest.approx(1.0, abs=1e-15)
         assert np.linalg.eigvalsh(sector.h_initial.matrix)[0] == pytest.approx(energies[0], abs=1e-13)
+
+
+class TestBlockGroundState:
+    """Endpoint ground states are found in the site-reversal blocks: they
+    match the full-space ground state to rounding and have exact parity."""
+
+    @pytest.mark.parametrize(
+        "path",
+        [tfim_path(4), tfim_path(8), load_path_json(rotated_tfim_json(8)), tfim_path(5, periodic=True)],
+        ids=["tfim4", "tfim8", "rotated8", "periodic5"],
+    )
+    def test_matches_the_full_space_with_exact_parity(self, path):
+        r = _reversal_permutation(path.dim)
+        for h in (path.h_initial, path.h_final):
+            psi = block_ground_state(h)
+            assert np.abs(psi - ground_state(h.matrix)).max() <= 1e-15
+            assert np.array_equal(psi[r], psi) or np.array_equal(psi[r], -psi)
+
+    def test_odd_ground_state_lifted_from_the_odd_block(self):
+        path = load_path_json(odd_ground_json())
+        psi = block_ground_state(path.h_initial)
+        assert np.array_equal(psi[_reversal_permutation(path.dim)], -psi)
+        assert np.abs(psi - ground_state(path.h_initial.matrix)).max() <= 1e-15
+
+    def test_path_without_the_symmetry_keeps_the_full_space_route(self):
+        path = load_path_json(site0_field_json(4))
+        assert operator_blocks(path.h_final.matrix) is None
+        assert np.array_equal(block_ground_state(path.h_final), ground_state(path.h_final.matrix))
+
+    def test_tied_block_ground_levels_raise(self):
+        # Z0 Z1: |01> and |10> at -1, so (|01> + |10>) / sqrt(2) and
+        # (|01> - |10>) / sqrt(2) tie as the two blocks' ground levels.
+        h = HermitianOperator(pauli_sum_matrix([PauliTerm(1.0, ((0, "Z"), (1, "Z")))], 2))
+        even, odd = operator_blocks(h.matrix)
+        assert np.linalg.eigvalsh(even)[0] == np.linalg.eigvalsh(odd)[0] == -1.0
+        with pytest.raises(DegenerateGround):
+            block_ground_state(h)

@@ -5,8 +5,9 @@ A deleted class or helper often leaves its import behind, and a moved one
 its old definition; these tests flag every name a module under
 ``src/daslab`` imports and never uses, and every top-level private function
 or class that no module of the package references.  They also keep every
-LAPACK decomposition behind the one boundary in ``linalg``, and SciPy out
-of the package.
+LAPACK decomposition behind the one boundary in ``linalg``, SciPy out of
+the package, and ``np.kron`` out of it too: Pauli sums are built from bit
+masks, and the Kronecker build is the tests' reference.
 """
 
 import ast
@@ -134,7 +135,7 @@ def test_no_module_imports_scipy():
     assert problems == []
 
 
-LAPACK_SOLVERS = {"eigh", "eigvalsh", "eig", "eigvals", "svd"}
+LAPACK_SOLVERS = {"eigh", "eigvalsh", "eig", "eigvals", "svd", "cholesky"}
 
 
 def direct_lapack_calls(source: str) -> list[str]:
@@ -180,5 +181,33 @@ def test_every_decomposition_goes_through_linalg():
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "linalg.py"
         for entry in direct_lapack_calls(path.read_text(encoding="utf-8"))
+    ]
+    assert problems == []
+
+
+def kron_calls(source: str) -> list[str]:
+    """References in ``source`` to numpy's ``kron``, as ``<...>.kron`` or
+    imported by name from numpy."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "kron":
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [f"line {node.lineno}: numpy.kron" for alias in node.names if alias.name == "kron"]
+    return sorted(found)
+
+
+def test_kron_checker_flags_attribute_and_import():
+    source = "import numpy as np\nfrom numpy import kron, eye\nm = np.kron(a, b)\nk = 'np.kron'\n"
+    assert kron_calls(source) == ["line 2: numpy.kron", "line 3: np.kron"]
+
+
+def test_no_module_builds_with_kron():
+    """Pauli terms are signed permutations built from bit masks
+    (``model.pauli_sum_matrix``); no module forms a Kronecker product."""
+    problems = [
+        f"{path.name} {entry}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for entry in kron_calls(path.read_text(encoding="utf-8"))
     ]
     assert problems == []

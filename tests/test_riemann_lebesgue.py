@@ -213,6 +213,22 @@ class TestTotalVariation:
         assert abs(coarse - fine) <= 1e-5 * max(1.0, fine)
 
 
+    @pytest.mark.parametrize("total_time, steps", [(50.0, 100), (10.0, 10)])
+    def test_ratio_constant_up_to_rounding_converges_at_once(self, monkeypatch, total_time, steps):
+        # The difference quotient of f(s) = s is constant, so the variation
+        # of eta / omega is rounding alone, about L / 10 times
+        # eps * max|ratio| * nodes.  Capped at the first comparison (2048
+        # nodes), both variations must converge there.
+        monkeypatch.setattr(
+            riemann_lebesgue, "VARIATION_MAX_NODES", 2 * riemann_lebesgue.VARIATION_START_NODES
+        )
+        linear = lambda s: np.asarray(s, dtype=float) + 0.0  # noqa: E731
+        report = sum_bounds(OscillatorySumSpec(f=linear, lam=ones, total_time=total_time, steps=steps))
+        bounds = (report.boundary_bound, report.variation_bound, report.first_order_bound, report.second_order_bound)
+        assert np.all(np.isfinite(bounds))
+        assert report.eta_variation <= 1e-10
+
+
 class TestSumBounds:
     def test_constant_case_discrete_vs_continuum_factor(self):
         # ratio |J| / |I| stays <= 2 below the threshold in T/L

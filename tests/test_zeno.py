@@ -145,17 +145,17 @@ class TestCriticalStepSearch:
             )
 
     def test_layers_diagonalized_once_for_the_whole_grid(self, tfim2, monkeypatch):
-        # H_i is diagonalized for the initial state, and its block in that
-        # state's reversal sector for the layer; H_f and its block never:
-        # the layer is diagonal.  That holds however many dt values the
-        # grid has.
+        # H_i is never diagonalized on the full space: its block in the
+        # initial state's reversal sector is, once for the initial state
+        # and once for the layer; H_f and its block never: the layer is
+        # diagonal.  That holds however many dt values the grid has.
         sector = reversal_blocks(tfim2, ground_state(tfim2.h_initial.matrix))[0].path
         assert sector.dim == 3
         seen = record_eigh(monkeypatch)
         with pytest.raises(AllPass):
             critical_step_search(tfim2, [0.01, 0.02, 0.03], steps=30)
-        assert endpoint_solves(seen, tfim2) == [1, 0]
-        assert endpoint_solves(seen, sector) == [1, 0]
+        assert endpoint_solves(seen, tfim2) == [0, 0]
+        assert endpoint_solves(seen, sector) == [2, 0]
 
     def test_first_dt_failing_brackets_at_the_start(self, tfim2, monkeypatch):
         canned = iter(
