@@ -87,6 +87,27 @@ def grid_points(steps: int, grid: str = "endpoints") -> np.ndarray:
     return (np.arange(steps) + 0.5) / steps
 
 
+def _exact_diagonal(matrix: np.ndarray) -> np.ndarray | None:
+    """A view of the diagonal of ``matrix`` when every off-diagonal entry is
+    exactly zero, else None."""
+    diagonal = np.diagonal(matrix)
+    if np.count_nonzero(matrix) == np.count_nonzero(diagonal):
+        return diagonal
+    return None
+
+
+def _layer_action(matrix: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """y -> matrix @ y as a new array: the diagonal times y when the matrix
+    is diagonal (see :func:`_exact_diagonal`), else one product through
+    :func:`~daslab.linalg.float_view_matmul`."""
+    diagonal = _exact_diagonal(matrix)
+    if diagonal is not None:
+        diagonal = diagonal.copy()
+        return lambda y: diagonal * y
+    matrix = real_if_exact(matrix)
+    return lambda y: float_view_matmul(matrix, y)
+
+
 @dataclass(frozen=True)
 class Layer:
     """One term H_k(s) = weight(s) * matrix of the step Hamiltonian.
@@ -108,8 +129,8 @@ class Layer:
         """(w, V) of the fixed matrix.  A matrix whose off-diagonal entries
         are exactly zero is its own eigenbasis: (its real diagonal, None),
         with no ``eigh``."""
-        diagonal = np.diagonal(self.matrix)
-        if np.count_nonzero(self.matrix) == np.count_nonzero(diagonal):
+        diagonal = _exact_diagonal(self.matrix)
+        if diagonal is not None:
             return diagonal.real.copy(), None
         return _lapack("eigh", self.matrix)
 
@@ -332,6 +353,13 @@ def solve_ivp(fun: Callable, t_span: tuple[float, float], y0: np.ndarray, rtol: 
     the step-size control repeat SciPy 1.17's ``solve_ivp(method="DOP853")``
     operation for operation, so the final state and ``nfev`` are bit for bit
     SciPy's.  Only the last state is kept: there is no dense output.
+
+    Each stage input is formed in one buffer, as the stage sum times h
+    plus y in place: SciPy's ``y + dot * h``, the same roundings.  ``fun``
+    is called directly and must not keep the ``y`` it is given, since the
+    next stage overwrites it.  Its result is copied into the stage array,
+    which casts it to y's dtype as SciPy's wrapper does.  ``nfev`` counts
+    two evaluations for the initial step and twelve per attempted step.
     """
     t, t_bound = map(float, t_span)
     if not t < t_bound:
@@ -339,21 +367,16 @@ def solve_ivp(fun: Callable, t_span: tuple[float, float], y0: np.ndarray, rtol: 
     y = np.asarray(y0)
     dtype = complex if np.iscomplexobj(y) else float
     y = y.astype(dtype, copy=False)
-    nfev = 0
 
-    def f(t, y):
-        nonlocal nfev
-        nfev += 1
-        return np.asarray(fun(t, y), dtype=dtype)
-
-    a, b, c, e3, e5 = _dop853.A, _dop853.B, _dop853.C, _dop853.E3, _dop853.E5
-    f_y = f(t, y)
+    b, e3, e5 = _dop853.B, _dop853.E3, _dop853.E5
+    f_y = np.asarray(fun(t, y), dtype=dtype)
     # Initial step (Hairer, Norsett & Wanner, Sec. II.4).
     scale = ODE_ATOL + np.abs(y) * rtol
     d0, d1 = _rms(y / scale), _rms(f_y / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_bound - t)
-    d2 = _rms((f(t + h0, y + h0 * f_y) - f_y) / scale) / h0
+    d2 = _rms((np.asarray(fun(t + h0, y + h0 * f_y), dtype=dtype) - f_y) / scale) / h0
+    nfev = 2
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -361,6 +384,14 @@ def solve_ivp(fun: Callable, t_span: tuple[float, float], y0: np.ndarray, rtol: 
     h_abs = min(100 * h0, h1, t_bound - t)
 
     k = np.empty((_dop853.N_STAGES + 1, y.size), dtype=dtype)
+    stage_y = np.empty(y.size, dtype=dtype)
+    # Stages 1..11 of a step: s, the node C[s] as a Python float, the
+    # columns k[:s] that the stage sums and the row A[s, :s] in y's dtype,
+    # which np.dot would otherwise cast on every call.
+    stages = [
+        (s, float(_dop853.C[s]), k.T[:, :s], _dop853.A[s, :s].astype(dtype))
+        for s in range(1, _dop853.N_STAGES)
+    ]
     while t < t_bound:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -374,10 +405,14 @@ def solve_ivp(fun: Callable, t_span: tuple[float, float], y0: np.ndarray, rtol: 
             h = t_new - t
             h_abs = np.abs(h)
             k[0] = f_y
-            for s in range(1, _dop853.N_STAGES):
-                k[s] = f(t + c[s] * h, y + np.dot(k[:s].T, a[s, :s]) * h)
+            for s, node, columns, row in stages:
+                np.dot(columns, row, out=stage_y)
+                stage_y *= h
+                stage_y += y
+                k[s] = fun(t + node * h, stage_y)
             y_new = y + h * np.dot(k[:-1].T, b)
-            k[-1] = f_new = f(t + h, y_new)
+            k[-1] = fun(t + h, y_new)
+            nfev += _dop853.N_STAGES
             scale = ODE_ATOL + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             err5 = np.linalg.norm(np.dot(k.T, e5) / scale) ** 2
             err3 = np.linalg.norm(np.dot(k.T, e3) / scale) ** 2
@@ -394,7 +429,7 @@ def solve_ivp(fun: Callable, t_span: tuple[float, float], y0: np.ndarray, rtol: 
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
             rejected = True
-        t, y, f_y = t_new, y_new, f_new
+        t, y, f_y = t_new, y_new, k[-1].copy()
     return OdeResult(
         y, nfev, True, "The solver successfully reached the end of the integration interval."
     )
@@ -412,22 +447,31 @@ def exact_state_evolution(
     relative tolerance rtol, at least ODE_RTOL_FLOOR, and absolute
     tolerance ODE_ATOL; an independent route from the CF4 product, and much
     cheaper when only the final state is needed.  The state is bit for bit
-    the one SciPy 1.17's DOP853 gives.
+    the one SciPy 1.17's DOP853 gives on the same right-hand side.
+
+    Each evaluation reads p(s) once and applies H_i and H_f to the state
+    apart: an endpoint whose off-diagonal entries are exactly zero (the rule
+    of ``Layer.eig``) as its diagonal times the state, any other by one
+    matrix-vector product (:func:`~daslab.linalg.float_view_matmul`).
     """
     if not rtol >= ODE_RTOL_FLOOR:
         raise ValueError(f"rtol must be at least {ODE_RTOL_FLOOR:.3e}, got {rtol}")
     psi = normalized_state(psi)
-    dim = path.dim
-    hi = path.h_initial.matrix
-    # One product per call gives H_i y and (H_f - H_i) y; H(s) y is their
-    # p(s)-weighted sum, so no dim x dim matrix is formed per call.
-    # Real H_i and H_f act on the real and imaginary parts of y at once.
-    stacked = real_if_exact(np.concatenate([hi, path.h_final.matrix - hi]))
+    # H(s) y = H_i y + p(s) (H_f y - H_i y), so no dim x dim matrix is
+    # formed per call.  H_f of every TFIM or rotated block path is diagonal
+    # and scales y, which leaves fig2 one dim x dim product per call.
+    apply_i, apply_f = (_layer_action(h.matrix) for h in (path.h_initial, path.h_final))
     p = path.schedule.p
+    rate = -1j * total_time
 
     def rhs(s, y):
-        z = float_view_matmul(stacked, y)
-        return -1j * total_time * (z[:dim] + float(p(s)) * z[dim:])
+        h_i_y = apply_i(y)
+        z = apply_f(y)
+        z -= h_i_y
+        z *= float(p(s))
+        z += h_i_y
+        z *= rate
+        return z
 
     solution = solve_ivp(rhs, (0.0, 1.0), psi, rtol)
     if not solution.success:

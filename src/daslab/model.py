@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -109,6 +109,13 @@ class HermitianOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def blocks(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """:func:`operator_blocks` of the matrix, gathered on first use and
+        kept, so that the endpoint ground states and the block paths of a
+        sweep read one gather."""
+        return operator_blocks(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -296,8 +303,9 @@ def reversal_blocks(path: AdiabaticPath, state: np.ndarray | None = None) -> tup
     A. W. Sandvik, AIP Conf. Proc. 1297, 135 (2010), arXiv:1101.3281).  A
     block is gathered by orbit, M_p[a, b] = (M[z, y] + p M[z, Ry]) w_z w_y
     with w = 1/sqrt(2) on palindromes and 1 elsewhere, so a diagonal M keeps
-    an exactly diagonal block; :func:`operator_blocks` forms the blocks of
-    H_i and H_f, and so each block path's H(s).  Representatives z <= Rz
+    an exactly diagonal block; the blocks of H_i and H_f, gathered once
+    per operator (:attr:`HermitianOperator.blocks`), form each block path's
+    H(s).  Representatives z <= Rz
     are in ascending order.  Both blocks are non-empty from two sites on.
 
     A propagator of H(s), discretized or Trotterized, is then the direct
@@ -310,7 +318,7 @@ def reversal_blocks(path: AdiabaticPath, state: np.ndarray | None = None) -> tup
     R does not map both endpoints to themselves exactly, or when ``state``
     has no parity.
     """
-    endpoints = [operator_blocks(h.matrix) for h in (path.h_initial, path.h_final)]
+    endpoints = [path.h_initial.blocks, path.h_final.blocks]
     parity = None
     if all(blocks is not None for blocks in endpoints):
         parity = 1
@@ -332,8 +340,8 @@ def reversal_blocks(path: AdiabaticPath, state: np.ndarray | None = None) -> tup
 
 
 def block_ground_state(h: HermitianOperator) -> np.ndarray:
-    """The ground state of h, found in its site-reversal blocks when R maps
-    h to itself exactly (see :func:`operator_blocks`), and by
+    """The ground state of h, found in its site-reversal blocks
+    (:attr:`HermitianOperator.blocks`) when R maps h to itself exactly, and by
     :func:`~daslab.linalg.ground_state` on the full space otherwise.
 
     Each block is diagonalized once, in real arithmetic when it is real
@@ -344,7 +352,7 @@ def block_ground_state(h: HermitianOperator) -> np.ndarray:
     ``ground_state`` does.  The block's vector is lifted by Q and takes the
     column phase of ``ground_state``, so it has exact parity.
     """
-    blocks = operator_blocks(h.matrix)
+    blocks = h.blocks
     if blocks is None:
         return ground_state(h.matrix)
     solved = [_lapack("eigh", real_if_exact(block)) for block in blocks]

@@ -470,6 +470,28 @@ class TestRows:
         assert endpoint_solves(seen, path) == full
         assert endpoint_solves(seen, block.path) == sector
 
+    @pytest.mark.parametrize(
+        "rows", [fig1_rows, cli.fig2_rows, fig3_rows, gamma_rows, zeno_rows],
+        ids=["fig1_rows", "fig2_rows", "fig3_rows", "gamma_rows", "zeno_rows"],
+    )
+    def test_endpoint_blocks_gathered_once_per_sweep(self, monkeypatch, rows):
+        # The endpoint ground states and the block paths read the same
+        # reversal blocks of H_i and H_f: each endpoint is gathered once.
+        gathered = []
+        operator_blocks = model.operator_blocks
+
+        def recording(matrix):
+            gathered.append(matrix)
+            return operator_blocks(matrix)
+
+        monkeypatch.setattr(model, "operator_blocks", recording)
+        config = small_config(n_sites=4, zeno_family=UNITARY_FAMILY)
+        rows(config)
+        path = config.build_path()
+        assert len(gathered) == 2
+        assert np.array_equal(gathered[0], path.h_initial.matrix)
+        assert np.array_equal(gathered[1], path.h_final.matrix)
+
     def test_fig1_forms_trotter_steps_per_block(self, monkeypatch):
         # At 4 sites every Trotter and discretized fold of fig1, and every
         # unitarity check, is on a reversal block, dims 10 and 6, never on

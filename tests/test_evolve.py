@@ -8,9 +8,11 @@ import pytest
 from daslab import evolve, model
 from daslab.exceptions import NoConvergence
 from daslab.linalg import (
+    float_view_matmul,
     ground_state,
     matrix_exp_hermitian,
     operator_norm,
+    real_if_exact,
     unitarity_defect,
 )
 from daslab.model import (
@@ -97,6 +99,56 @@ def rotated_path(n_sites=3, phi=0.7):
     ]
     ising.append({"coeff": 0.3, "factors": [[0, "X"], [1, "Y"]]})
     return load_path_json({"n_sites": n_sites, "h_initial": field, "h_final": ising})
+
+
+# The stacked form and fig2's right-hand side round H(s) y differently, by
+# a few ulp per evaluation; over the 938-4,958 evaluations of each
+# test_fig2_state_route solve the final states part by at most 8.7e-15 in
+# any entry.
+STACKED_FORM_TOL = 1e-14
+
+
+def x_in_h_final_json(n_sites: int) -> dict:
+    """The TFIM with a transverse field 0.3 X_j left in H_f: H_f stays real
+    and reversal-symmetric, but not diagonal."""
+    return {
+        "n_sites": n_sites,
+        "h_initial": [{"coeff": -1.0, "factors": [[j, "X"]]} for j in range(n_sites)],
+        "h_final": [{"coeff": -1.0, "factors": [[j, "Z"]]} for j in range(n_sites)]
+        + [{"coeff": -1.0, "factors": [[j, "Z"], [j + 1, "Z"]]} for j in range(n_sites - 1)]
+        + [{"coeff": 0.3, "factors": [[j, "X"]]} for j in range(n_sites)],
+    }
+
+
+def fig2_block(path_kind: str, tmp_path) -> tuple[AdiabaticPath, np.ndarray]:
+    """fig2's block path and initial state on 4 sites: the TFIM, or a path
+    loaded from a Hamiltonian file (the rotated TFIM, or the TFIM with an X
+    field in H_f)."""
+    if path_kind == "tfim4_sector":
+        path = tfim_path(4)
+    else:
+        raw = rotated_tfim_json(4) if path_kind == "rotated4" else x_in_h_final_json(4)
+        target = tmp_path / "path.json"
+        target.write_text(json.dumps(raw))
+        path = model.load_path_json(target)
+    psi = ground_state(path.h_initial.matrix)
+    block = model.reversal_blocks(path, psi)[0]
+    return block.path, block.project(psi)
+
+
+def stacked_rhs(path: AdiabaticPath, total_time: float):
+    """-i T H(s) y with H_i y and (H_f - H_i) y from one product by the
+    2 dim x dim matrix [H_i; H_f - H_i], on y's float view when that matrix is real:
+    the reference for fig2's right-hand side."""
+    dim, hi = path.dim, path.h_initial.matrix
+    stacked = real_if_exact(np.concatenate([hi, path.h_final.matrix - hi]))
+    p = path.schedule.p
+
+    def rhs(s, y):
+        z = float_view_matmul(stacked, y)
+        return -1j * total_time * (z[:dim] + float(p(s)) * z[dim:])
+
+    return rhs
 
 
 class TestGrids:
@@ -706,28 +758,26 @@ class TestDop853MatchesScipy:
         monkeypatch.setattr(evolve, "solve_ivp", both)
         return pairs
 
-    @pytest.mark.parametrize("path_kind", ["tfim4_sector", "rotated4"])
+    @pytest.mark.parametrize("path_kind", ["tfim4_sector", "rotated4", "x_in_h_final4"])
     def test_fig2_state_route(self, tmp_path, monkeypatch, path_kind):
-        if path_kind == "tfim4_sector":
-            path = tfim_path(4)
-        else:
-            target = tmp_path / "rotated.json"
-            target.write_text(json.dumps(rotated_tfim_json(4)))
-            path = model.load_path_json(target)
-        psi = ground_state(path.h_initial.matrix)
-        block = model.reversal_blocks(path, psi)[0]
-        path, psi = block.path, block.project(psi)
+        path, psi = fig2_block(path_kind, tmp_path)
         # fig2's real-view product on the TFIM block, the complex one on the
-        # rotated chain.
+        # rotated chain.  H_f of both blocks is diagonal and scales the
+        # state; the X field in H_f makes it a second product.
         assert path.h_initial.matrix.imag.any() == (path_kind == "rotated4")
+        assert (evolve._exact_diagonal(path.h_final.matrix) is None) == (path_kind == "x_in_h_final4")
         pairs = self.paired(monkeypatch)
         for total_time in (8.0, 40.0):
             exact_state_evolution(path, total_time, psi, rtol=1e-9)
         assert len(pairs) == 2
-        for ours, theirs in pairs:
+        psi = psi / np.linalg.norm(psi)
+        for total_time, (ours, theirs) in zip((8.0, 40.0), pairs):
             assert theirs.success
             assert np.array_equal(ours.y, theirs.y[:, -1])
             assert ours.nfev == theirs.nfev
+            stacked = solve_ivp(stacked_rhs(path, total_time), (0.0, 1.0), psi, 1e-9)
+            assert stacked.nfev == ours.nfev
+            assert np.abs(stacked.y - ours.y).max() <= STACKED_FORM_TOL
 
     def test_random_hermitian_problem_with_rejected_steps(self):
         rng = np.random.default_rng(11)
@@ -780,3 +830,38 @@ class TestDop853MatchesScipy:
             exact_state_evolution(tfim2, 5.0, psi, rtol=1e-15)
         assert evolve.ODE_RTOL_FLOOR == 100 * np.finfo(float).eps
         exact_state_evolution(tfim2, 5.0, psi, rtol=evolve.ODE_RTOL_FLOOR)
+
+
+class TestSolveIvpCounts:
+    """``nfev`` is counted per attempted step, not per call: it must equal
+    the calls that the right-hand side sees."""
+
+    @staticmethod
+    def counted(fun):
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return fun(t, y)
+
+        return rhs, calls
+
+    def test_nfev_is_every_call_with_rejected_steps(self):
+        rng = np.random.default_rng(11)
+        h0, h1 = random_hermitian(rng, 16), random_hermitian(rng, 16)
+        rhs, calls = self.counted(lambda s, y: -1j * 60.0 * ((1 - s) * (h0 @ y) + s * (h1 @ y)))
+        result = solve_ivp(rhs, (0.0, 1.0), random_state(rng, 16), 1e-10)
+        assert result.success
+        assert result.nfev == len(calls)
+        # Two calls pick the first step, and each attempt ends with a call
+        # at t + h.  The attempt after a rejection restarts from the same t
+        # with a shorter step, so its end comes before the rejected one's.
+        ends = calls[13::12]
+        assert any(later < earlier for earlier, later in zip(ends, ends[1:]))
+
+    def test_nfev_is_every_call_when_the_step_underflows(self):
+        rhs, calls = self.counted(lambda s, y: np.full_like(y, np.nan) if s > 0.3 else -1j * y)
+        with np.errstate(invalid="ignore"):
+            result = solve_ivp(rhs, (0.0, 1.0), np.ones(4, dtype=complex), 1e-9)
+        assert not result.success
+        assert result.nfev == len(calls)

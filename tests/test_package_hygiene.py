@@ -7,7 +7,8 @@ its old definition; these tests flag every name a module under
 or class that no module of the package references.  They also keep every
 LAPACK decomposition behind the one boundary in ``linalg``, SciPy out of
 the package, and ``np.kron`` out of it too: Pauli sums are built from bit
-masks, and the Kronecker build is the tests' reference.
+masks, and the Kronecker build is the tests' reference.  The float64 view
+of a complex array stays inside ``linalg.float_view_matmul``.
 """
 
 import ast
@@ -211,3 +212,56 @@ def test_no_module_builds_with_kron():
         for entry in kron_calls(path.read_text(encoding="utf-8"))
     ]
     assert problems == []
+
+
+FLOAT64_NAMES = {"float64", "f8", "<f8", "double"}
+
+
+def float64_views(source: str) -> list[str]:
+    """Calls in ``source`` of ``<...>.view`` that reinterpret an array as
+    float64: the dtype given as ``np.float64``, ``float64``, ``np.double``
+    or a string such as ``"f8"``, by position or as ``dtype=``."""
+    def names_float64(node) -> bool:
+        if isinstance(node, ast.Constant):
+            return node.value in FLOAT64_NAMES
+        if isinstance(node, ast.Attribute):
+            return node.attr in FLOAT64_NAMES
+        return isinstance(node, ast.Name) and node.id in FLOAT64_NAMES
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "view"
+            and any(names_float64(arg) for arg in [*node.args, *(k.value for k in node.keywords)])
+        ):
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return sorted(found)
+
+
+def test_float_view_checker_flags_every_spelling():
+    source = (
+        "import numpy as np\na = x.view(np.float64)\nb = x.view(dtype='f8').reshape(3, -1)\n"
+        "c = x.view(np.complex128)\nd = y.view()\ne = x.astype(np.float64)\n"
+        "f = numpy.ndarray.view(x, np.double)\n"
+    )
+    assert float64_views(source) == [
+        "line 2: x.view(np.float64)",
+        "line 3: x.view(dtype='f8')",
+        "line 7: numpy.ndarray.view(x, np.double)",
+    ]
+
+
+def test_only_linalg_views_complex_arrays_as_floats():
+    """A complex array is read as interleaved float64 pairs in one place,
+    ``linalg.float_view_matmul``, so every real product on a complex
+    state or accumulator goes through it."""
+    problems = [
+        f"{path.name} {entry}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "linalg.py"
+        for entry in float64_views(path.read_text(encoding="utf-8"))
+    ]
+    assert problems == []
+    assert len(float64_views((PACKAGE / "linalg.py").read_text(encoding="utf-8"))) == 1
