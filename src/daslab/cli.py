@@ -508,7 +508,9 @@ def gamma_rows(config: RunConfig) -> list[dict]:
     holds the ground level at every grid point, the couplings to the other
     sector vanish and the full-space ground gap is above GAP_FLOOR exactly
     when the sector's is, so the frames and their gap guard give the
-    full-space result.
+    full-space result.  The full-space pass, the rerun and a path without
+    the symmetry alike, keeps the raw path and states, so it is not
+    rephased to real (see :func:`~daslab.model.reversal_blocks`).
     """
     s_values = grid_points(config.steps, config.grid)
     path = config.build_path()

@@ -135,10 +135,18 @@ class Schedule:
             raise ValueError("schedule must satisfy p(0) = 0 and p(1) = 1")
 
 
+def _linear_p(s):
+    """p(s) = s: a float as a float (fig2 reads it once per right-hand-side
+    evaluation), anything else as a float64 array; + 0.0 maps -0.0 to 0.0."""
+    if isinstance(s, float):
+        return s + 0.0
+    return np.asarray(s, dtype=float) + 0.0
+
+
 def linear_schedule() -> Schedule:
     return Schedule(
         name="linear",
-        p=lambda s: np.asarray(s, dtype=float) + 0.0,
+        p=_linear_p,
         dp=lambda s: np.ones_like(np.asarray(s, dtype=float)),
         ddp=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
     )
@@ -234,15 +242,90 @@ class ReversalBlock:
     ``project(v)`` is Q^T v for any state: a state of the other parity maps
     to zero, so its overlap with any block state is the full-space value,
     0.  Where the path has no block structure the block is the full path
-    and ``project`` is the identity.
+    and ``project`` is the identity (Q = I).
+
+    A complex block path that a diagonal phase gauge makes real (see
+    :func:`_real_gauge`) is held in real form: its basis is Q G with
+    G = diag(``phases``), and ``project(v)`` is conj(g) * Q^T v.
+    ``phases`` is None for a block kept as gathered.
     """
 
     path: AdiabaticPath
     project: Callable[[np.ndarray], np.ndarray]
+    phases: np.ndarray | None = None
 
 
 def _identity(x):
     return x
+
+
+# A gauged endpoint counts as real when every imaginary part is at most
+# this many eps times its largest entry.
+GAUGE_ULPS = 64
+
+
+def _real_gauge(h_i: np.ndarray, h_f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Unit phases g that make conj(g_j) M_jk g_k real for M = H_i and
+    M = H_f, and the two gauged matrices as float64; None when no diagonal
+    gauge does, that is, when the path has flux.
+
+    A breadth-first walk over the joint off-diagonal pattern of H_i and
+    H_f, from index 0 and from the lowest unreached index of each further
+    component, neighbours in ascending order, fixes each new g_k by the
+    first edge (j, k) that reaches it, H_i's entry m where it is nonzero
+    and else H_f's, so that the gauged entry is -|m| (Klassen and Terhal,
+    Quantum 3, 139 (2019), arXiv:1806.05405).  Each g_k is divided by its
+    modulus, so the rounding of |g| does not grow along the walk: on the
+    rotated 8-site TFIM the gauged H_i is the TFIM's within 1 ulp.
+
+    The path is flux-free when both gauged matrices have |Im| at most
+    GAUGE_ULPS * eps * max|M|.  Their real parts are then taken from the
+    upper triangle and mirrored, so they are exactly symmetric, and every
+    diagonal entry is copied bit for bit, so an exactly diagonal endpoint
+    stays exactly diagonal.
+    """
+    pattern = (h_i != 0) | (h_f != 0)
+    np.fill_diagonal(pattern, False)
+    phases = np.zeros(len(h_i), dtype=complex)
+    for root in range(len(h_i)):
+        if phases[root]:
+            continue
+        phases[root] = 1.0
+        queue = [root]
+        for j in queue:  # the queue grows while it is read
+            for k in np.flatnonzero(pattern[j] & (phases == 0)):
+                m = h_i[j, k] if h_i[j, k] else h_f[j, k]
+                g = -phases[j] * np.conj(m)
+                phases[k] = g / abs(g)
+                queue.append(k)
+    twist = np.outer(phases.conj(), phases)
+    gauged = []
+    for m in (h_i, h_f):
+        rotated = twist * m
+        if np.abs(rotated.imag).max() > GAUGE_ULPS * np.finfo(float).eps * np.abs(m).max():
+            return None
+        upper = np.triu(rotated.real, 1)
+        real = upper + upper.T
+        np.fill_diagonal(real, m.diagonal().real)
+        gauged.append(real)
+    return phases, *gauged
+
+
+def _real_block(path: AdiabaticPath, project: Callable) -> ReversalBlock:
+    """The block of ``path`` with basis map ``project``, rephased to real
+    when its endpoints are complex and :func:`_real_gauge` finds a gauge."""
+    h_i, h_f = path.h_initial, path.h_final
+    gauge = None
+    if h_i.matrix.imag.any() or h_f.matrix.imag.any():
+        gauge = _real_gauge(h_i.matrix, h_f.matrix)
+    if gauge is None:
+        return ReversalBlock(path, project)
+    phases, real_i, real_f = gauge
+    conj = phases.conj()
+    real_path = AdiabaticPath(
+        HermitianOperator(real_i, label=h_i.label), HermitianOperator(real_f, label=h_f.label), path.schedule
+    )
+    return ReversalBlock(real_path, lambda v: conj * np.ravel(project(v)), phases)
 
 
 @lru_cache(maxsize=16)
@@ -317,6 +400,17 @@ def reversal_blocks(path: AdiabaticPath, state: np.ndarray | None = None) -> tup
     projection, when the dimension is not 2^N for some N >= MIN_SITES, when
     R does not map both endpoints to themselves exactly, or when ``state``
     has no parity.
+
+    A block path with complex endpoints, a gathered block or the single
+    full-path block, that a diagonal phase gauge G = diag(g) makes real is
+    rephased to real (:func:`_real_gauge`): its endpoints become the real
+    matrices G^dag M G, every diagonal entry copied bit for bit, its basis
+    is Q G and ``project(v)`` is conj(g) * Q^T v.  The rule accepts a gauge
+    when both gauged endpoints have |Im| at most GAUGE_ULPS (64) eps times
+    their largest entry.  A path with flux, which no diagonal gauge makes
+    real, stays complex, and a real path skips the search.  So the sweeps,
+    which reach their paths only through this function, run the TFIM
+    rotated about z in real arithmetic.
     """
     endpoints = [path.h_initial.blocks, path.h_final.blocks]
     parity = None
@@ -326,7 +420,7 @@ def reversal_blocks(path: AdiabaticPath, state: np.ndarray | None = None) -> tup
             psi, r = np.asarray(state).ravel(), _reversal_permutation(path.dim)
             parity = next((p for p in (1, -1) if np.linalg.norm(psi[r] - p * psi) <= PARITY_TOL), None)
     if parity is None:
-        return (ReversalBlock(path, _identity),)
+        return (_real_block(path, _identity),)
 
     def block(p: int) -> ReversalBlock:
         k = (1, -1).index(p)  # the order of operator_blocks
@@ -334,7 +428,7 @@ def reversal_blocks(path: AdiabaticPath, state: np.ndarray | None = None) -> tup
             HermitianOperator(blocks[k], label=f"{h.label}[R={p:+d}]")
             for h, blocks in zip((path.h_initial, path.h_final), endpoints)
         )
-        return ReversalBlock(AdiabaticPath(h_i, h_f, path.schedule), _orbit_maps(path.dim, p)[1])
+        return _real_block(AdiabaticPath(h_i, h_f, path.schedule), _orbit_maps(path.dim, p)[1])
 
     return block(parity), block(-parity)
 
@@ -383,9 +477,11 @@ def path_matrix(path: AdiabaticPath, s_values: np.ndarray) -> np.ndarray:
     """Stacked H(s) for an array of s values, shape (len(s), dim, dim).
 
     The stack is float64 when both endpoints have zero imaginary part (the
-    TFIM, any Pauli sum without ``Y``), so its eigensolvers run in real
-    arithmetic; it is built from the real parts directly, never as a complex
-    stack first.  Otherwise it is complex128.  H_i is added in place, so
+    TFIM, any Pauli sum without ``Y``, and every block path of
+    :func:`reversal_blocks` that a diagonal phase gauge makes real, such as
+    the rotated TFIM's), so its eigensolvers run in real arithmetic; it is
+    built from the real parts directly, never as a complex stack first.
+    Otherwise, as for a path with flux, it is complex128.  H_i is added in place, so
     the stack is the only array of its size that this forms.
     """
     s_values = np.asarray(s_values, dtype=float)

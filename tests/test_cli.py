@@ -833,6 +833,45 @@ class TestSectorSweeps:
                 assert abs(a[key] - b[key]) <= 1e-12, key
 
 
+TWIN_SWEEPS = ("bound", "fig1", "fig2", "fig3", "gamma", "zeno")
+
+
+def twin_close(a: float, b: float) -> bool:
+    """Within 1e-12 max(1, |a|, |b|), or both NaN."""
+    return (np.isnan(a) and np.isnan(b)) or abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
+
+
+class TestRotatedTwin:
+    """The TFIM rotated about z is a diagonal phase gauge of the TFIM, so
+    every sweep writes the TFIM's rows: its block paths are rephased to
+    real (see :func:`~daslab.model.reversal_blocks`) and run the real
+    routes."""
+
+    def test_every_sweep_writes_the_tfim_rows(self, tmp_path):
+        config = {
+            "n_sites": 4, "steps": 20, "t_values": [2.0, 8.0, 32.0], "gamma_t_values": [5.0, 20.0],
+            "bound_quad_points": 21, "dt_values": [0.2, 0.4, 0.8, 1.2], "trace_dts": [], "zeno_dt": 0.4,
+        }
+        (tmp_path / "rotated.json").write_text(json.dumps(rotated_tfim_json(4)))
+        rows = {}
+        for name, extra in (("tfim", {}), ("rotated", {"hamiltonian_file": str(tmp_path / "rotated.json")})):
+            (tmp_path / f"{name}.config.json").write_text(json.dumps({**config, **extra}))
+            for sweep in TWIN_SWEEPS:
+                out = tmp_path / name
+                assert main([sweep, "--config", str(tmp_path / f"{name}.config.json"), "--out", str(out)]) == 0
+                rows[name, sweep] = csv_rows(out / f"{sweep}.csv")
+        for sweep in TWIN_SWEEPS:
+            tfim, rotated = rows["tfim", sweep], rows["rotated", sweep]
+            assert len(tfim) == len(rotated) > 0, sweep
+            for a, b in zip(tfim, rotated):
+                assert a.keys() == b.keys()
+                # fig3's failing rows depend on the eigensolver
+                keys = ["dt", "pass"] + (["min_overlap"] if a["pass"] else []) if sweep == "fig3" else list(a)
+                for key in keys:
+                    assert twin_close(a[key], b[key]), (sweep, key, a[key], b[key])
+        assert [r["pass"] for r in rows["tfim", "fig3"]] == [1.0, 1.0, 0.0, 0.0]
+
+
 class TestStreamedPass:
     """fig1 and gamma diagonalize their grid one ``spectrum_stacks`` stack at
     a time and fold each stack into every T before the next is formed."""

@@ -106,6 +106,11 @@ def rotated_path(n_sites=3, phi=0.7):
 # test_fig2_state_route solve the final states part by at most 8.7e-15 in
 # any entry.
 STACKED_FORM_TOL = 1e-14
+# On a complex path the two forms round further apart: rotated_path(4),
+# whose H_f is neither real nor diagonal, takes two complex products per
+# evaluation, and its final states part by 8.6e-15 (T = 8) and 1.8e-14
+# (T = 40).  This bound serves that case alone.
+COMPLEX_STACKED_FORM_TOL = 3e-14
 
 
 def x_in_h_final_json(n_sites: int) -> dict:
@@ -123,9 +128,11 @@ def x_in_h_final_json(n_sites: int) -> dict:
 def fig2_block(path_kind: str, tmp_path) -> tuple[AdiabaticPath, np.ndarray]:
     """fig2's block path and initial state on 4 sites: the TFIM, or a path
     loaded from a Hamiltonian file (the rotated TFIM, or the TFIM with an X
-    field in H_f)."""
+    field in H_f), or :func:`rotated_path`, whose flux keeps it complex."""
     if path_kind == "tfim4_sector":
         path = tfim_path(4)
+    elif path_kind == "flux4":
+        path = rotated_path(4)
     else:
         raw = rotated_tfim_json(4) if path_kind == "rotated4" else x_in_h_final_json(4)
         target = tmp_path / "path.json"
@@ -520,8 +527,14 @@ class TestBlockedTrotter:
                 spec, path=block.path, layers=interpolation_layers(block.path)[order]
             )
             gather = model._orbit_maps(path.dim, parity)[0]  # Q^T M Q
+            expected = gather(reference)
+            # The rotated chain's blocks are rephased to real: basis Q G,
+            # so the block is G^dag Q^T M Q G with G = diag(phases).
+            assert (block.phases is not None) == path.h_initial.matrix.imag.any()
+            if block.phases is not None:
+                expected = block.phases.conj()[:, None] * expected * block.phases
             got = trotter_evolution(block_spec).matrix
-            assert np.abs(got - gather(reference)).max() <= 1e-13
+            assert np.abs(got - expected).max() <= 1e-13
         assert dims == [block.path.dim for block in blocks]
 
     def test_path_without_the_symmetry_is_multiplied_on_the_full_space(self, monkeypatch):
@@ -758,14 +771,16 @@ class TestDop853MatchesScipy:
         monkeypatch.setattr(evolve, "solve_ivp", both)
         return pairs
 
-    @pytest.mark.parametrize("path_kind", ["tfim4_sector", "rotated4", "x_in_h_final4"])
+    @pytest.mark.parametrize("path_kind", ["tfim4_sector", "rotated4", "x_in_h_final4", "flux4"])
     def test_fig2_state_route(self, tmp_path, monkeypatch, path_kind):
         path, psi = fig2_block(path_kind, tmp_path)
-        # fig2's real-view product on the TFIM block, the complex one on the
-        # rotated chain.  H_f of both blocks is diagonal and scales the
-        # state; the X field in H_f makes it a second product.
-        assert path.h_initial.matrix.imag.any() == (path_kind == "rotated4")
-        assert (evolve._exact_diagonal(path.h_final.matrix) is None) == (path_kind == "x_in_h_final4")
+        # fig2's real-view product on the TFIM block and on the rotated
+        # chain's block, which the phase gauge makes real; the complex one
+        # on the path with flux.  H_f of the TFIM and rotated blocks is
+        # diagonal and scales the state; the X field in H_f, and the
+        # X_0 Y_1 coupling, make it a second product.
+        assert path.h_initial.matrix.imag.any() == (path_kind == "flux4")
+        assert (evolve._exact_diagonal(path.h_final.matrix) is None) == (path_kind in ("x_in_h_final4", "flux4"))
         pairs = self.paired(monkeypatch)
         for total_time in (8.0, 40.0):
             exact_state_evolution(path, total_time, psi, rtol=1e-9)
@@ -777,7 +792,8 @@ class TestDop853MatchesScipy:
             assert ours.nfev == theirs.nfev
             stacked = solve_ivp(stacked_rhs(path, total_time), (0.0, 1.0), psi, 1e-9)
             assert stacked.nfev == ours.nfev
-            assert np.abs(stacked.y - ours.y).max() <= STACKED_FORM_TOL
+            tol = COMPLEX_STACKED_FORM_TOL if path_kind == "flux4" else STACKED_FORM_TOL
+            assert np.abs(stacked.y - ours.y).max() <= tol
 
     def test_random_hermitian_problem_with_rejected_steps(self):
         rng = np.random.default_rng(11)

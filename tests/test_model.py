@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from daslab.evolve import EvolutionSpec, discrete_evolution, trotter_evolution
+from daslab import model
+from daslab.evolve import EvolutionSpec, _exact_diagonal, discrete_evolution, trotter_evolution
 from daslab.exceptions import DegenerateGround, DimensionTooLarge, OutOfRange
 from daslab.linalg import ground_state, operator_norm
 from daslab.model import (
@@ -440,6 +441,126 @@ class TestScatter:
         assert operator_blocks(path.h_final.matrix) is None
         (block,) = reversal_blocks(path, ground_state(path.h_initial.matrix))
         assert block.path is path
+
+
+def conjugated_tfim(n_sites, periodic, per_state, seed=0):
+    """The TFIM path conjugated by a seeded diagonal unitary D: H -> D H D^dag.
+    With ``per_state`` D has a random phase per basis state, which breaks
+    site reversal; otherwise the phase depends on the magnetization alone,
+    so reversal maps both endpoints to themselves exactly."""
+    rng = np.random.default_rng(seed)
+    dim = 2**n_sites
+    if per_state:
+        angles = rng.uniform(-np.pi, np.pi, dim)
+    else:
+        angles = rng.uniform(-np.pi, np.pi, n_sites + 1)[np.bitwise_count(np.arange(dim))]
+    d = np.exp(1j * angles)
+    twist = np.outer(d, d.conj())
+    h_x, h_z = build_tfim(n_sites, periodic)
+    return AdiabaticPath(
+        HermitianOperator(twist * h_x.matrix, label="x"), HermitianOperator(twist * h_z.matrix, label="z")
+    )
+
+
+def flux_json(n_sites, coupling=0.3):
+    """The TFIM with a reversal-symmetric coupling c (X_j Y_j+1 + Y_j X_j+1)
+    in H_f: it joins |..00..> and |..11..> with phase i, so with the X field
+    every plaquette of two flips carries flux and no diagonal gauge makes
+    the path real."""
+    data = {
+        "n_sites": n_sites,
+        "h_initial": [{"coeff": -1.0, "factors": [[j, "X"]]} for j in range(n_sites)],
+        "h_final": [{"coeff": -1.0, "factors": [[j, "Z"]]} for j in range(n_sites)],
+    }
+    for j in range(n_sites - 1):
+        data["h_final"].append({"coeff": -1.0, "factors": [[j, "Z"], [j + 1, "Z"]]})
+        for a, b in (("X", "Y"), ("Y", "X")):
+            data["h_final"].append({"coeff": coupling, "factors": [[j, a], [j + 1, b]]})
+    return data
+
+
+class TestRealGauge:
+    """A complex block path that a diagonal phase gauge makes real is
+    rephased to real, with the TFIM's spectra; a path with flux is kept
+    as gathered."""
+
+    S_VALUES = np.linspace(0.0, 1.0, 11)
+
+    @pytest.mark.parametrize("n_sites", [4, 5])
+    @pytest.mark.parametrize("periodic", [False, True], ids=["open", "periodic"])
+    @pytest.mark.parametrize("per_state", [False, True], ids=["magnetization", "per-state"])
+    def test_conjugated_tfim_runs_real_with_the_tfim_spectra(self, n_sites, periodic, per_state):
+        path = conjugated_tfim(n_sites, periodic, per_state, seed=n_sites + 2 * periodic)
+        assert path.h_initial.matrix.imag.any()
+        tfim = tfim_path(n_sites, periodic)
+        if per_state:  # one full-space block
+            assert operator_blocks(path.h_initial.matrix) is None
+            tfim_blocks = [tfim]
+        else:
+            tfim_blocks = [block.path for block in reversal_blocks(tfim)]
+        blocks = reversal_blocks(path)
+        assert len(blocks) == len(tfim_blocks)
+        for block, tfim_block in zip(blocks, tfim_blocks):
+            assert path_matrix(block.path, self.S_VALUES).dtype == np.float64
+            assert np.abs(np.abs(block.phases) - 1.0).max() <= 1e-15
+            energies = path_energies(block.path, self.S_VALUES)
+            assert np.abs(energies - path_energies(tfim_block, self.S_VALUES)).max() <= 1e-12
+
+    @pytest.mark.parametrize("per_state", [False, True], ids=["magnetization", "per-state"])
+    def test_projection_is_the_gauged_basis(self, per_state):
+        path = conjugated_tfim(4, False, per_state)
+        psi = ground_state(path.h_initial.matrix)
+        block = reversal_blocks(path, psi)[0]
+        phi = block.project(psi)
+        base = _orbit_maps(16, 1)[1] if not per_state else (lambda v: v)
+        np.testing.assert_array_equal(phi, block.phases.conj() * base(psi))
+        # psi is the ground state of the real block path, up to phase
+        assert abs(np.vdot(ground_state(block.path.h_initial.matrix), phi)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_diagonal_kept_bit_for_bit(self):
+        path = load_path_json(rotated_tfim_json(5))
+        gathered = operator_blocks(path.h_final.matrix)
+        for block, parent in zip(reversal_blocks(path), gathered):
+            assert block.phases is not None
+            h_f = block.path.h_final.matrix
+            np.testing.assert_array_equal(h_f, np.diag(parent.diagonal()))
+            assert _exact_diagonal(h_f) is not None
+        path = conjugated_tfim(4, False, per_state=True)
+        (block,) = reversal_blocks(path)
+        np.testing.assert_array_equal(block.path.h_final.matrix, np.diag(path.h_final.matrix.diagonal().real))
+
+    @pytest.mark.parametrize("coupling", [0.3, 1e-9])
+    def test_flux_keeps_the_gathered_blocks(self, coupling):
+        path = load_path_json(flux_json(4, coupling))
+        psi = ground_state(path.h_initial.matrix)
+        ends = [operator_blocks(h.matrix) for h in (path.h_initial, path.h_final)]
+        for k, (parity, block) in enumerate(zip((1, -1), reversal_blocks(path, psi))):
+            assert block.phases is None
+            assert path_matrix(block.path, [0.5]).dtype == np.complex128
+            np.testing.assert_array_equal(block.path.h_initial.matrix, ends[0][k])
+            np.testing.assert_array_equal(block.path.h_final.matrix, ends[1][k])
+            np.testing.assert_array_equal(block.project(psi), _orbit_maps(16, parity)[1](psi))
+
+    def test_flux_without_the_symmetry_keeps_the_path(self):
+        data = rotated_tfim_json(4)
+        data["h_final"].append({"coeff": 0.3, "factors": [[0, "X"], [1, "Y"]]})
+        path = load_path_json(data)
+        psi = ground_state(path.h_initial.matrix)
+        (block,) = reversal_blocks(path, psi)
+        assert block.path is path and block.project(psi) is psi and block.phases is None
+
+    def test_two_calls_give_the_same_bits(self):
+        path = conjugated_tfim(5, True, per_state=False)
+        first, second = reversal_blocks(path), reversal_blocks(path)
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a.phases, b.phases)
+            for h in ("h_initial", "h_final"):
+                np.testing.assert_array_equal(getattr(a.path, h).matrix, getattr(b.path, h).matrix)
+
+    def test_real_path_skips_the_search(self, monkeypatch, tfim4):
+        monkeypatch.setattr(model, "_real_gauge", None)  # never called
+        for block in reversal_blocks(tfim4):
+            assert block.phases is None
 
 
 class TestReversalSector:
